@@ -5,7 +5,7 @@ partitions, step hypergraphons with measure-preserving sampling, cut-type
 distances, regularity decompositions, and reproducible experiment drivers.
 
 Top-level names are loaded lazily so that importing the package stays cheap;
-the jit compiler is only pulled in when a kernel-backed operation runs.
+a submodule is imported only when one of its names is first used.
 """
 
 from importlib import import_module

@@ -1,69 +1,21 @@
-"""Hot counting and sampling kernels with jitted and vectorized engines.
-
-Every kernel here has two interchangeable engines: a loop implementation
-compiled with numba when available, and a numpy implementation used when
-numba is absent or disabled through the HYPERLIM_NO_NUMBA environment
-variable. All arithmetic is integer-exact, so the engines agree bit for bit;
-tests compare them directly. Randomness enters only through splitmix64
-counters (see rng), which keeps results independent of evaluation order.
+"""Hot counting and sampling kernels: backtracking exact counts and
+vectorized numpy sweeps, all integer-exact. Randomness enters only through
+splitmix64 counters (see rng), which keeps results independent of
+evaluation order.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import rng
 
 
-def _numba_disabled() -> bool:
-    v = os.environ.get("HYPERLIM_NO_NUMBA", "")
-    return v.strip().lower() in {"1", "true", "yes", "on"}
-
-
-USING_NUMBA = False
-_njit = None
-if not _numba_disabled():
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        _njit = None
-    else:
-        USING_NUMBA = True
-
-_U1 = np.uint64(1)
-_U11 = np.uint64(11)
-_U27 = np.uint64(27)
-_U30 = np.uint64(30)
-_U31 = np.uint64(31)
-_U32 = np.uint64(32)
-_ULO = np.uint64(0xFFFFFFFF)
-_UGOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_UMIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_UMIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix_u64(key, ctr):
-    z = key + (ctr + _U1) * _UGOLDEN
-    z = (z ^ (z >> _U30)) * _UMIX1
-    z = (z ^ (z >> _U27)) * _UMIX2
-    return z ^ (z >> _U31)
-
-
-def _level_u64(h, l):
-    # exact floor(l * h / 2**64) via 32-bit split
-    hi = h >> _U32
-    lo = h & _ULO
-    ul = np.uint64(l)
-    return np.int64((hi * ul + ((lo * ul) >> _U32)) >> _U32)
-
-
 # ---------------------------------------------------------------------------
-# loop engines (jitted when numba is active)
+# exact backtracking counts
 
 
-def _hom_count_loop(n_f, k, n_h, edges, depth_ptr, member, ct, injective):
+def hom_count(n_f, k, n_h, edges, depth_ptr, member, ct, injective=False) -> int:
     """Backtracking count of maps [n_f] -> [n_h] sending edges onto edges.
 
     edges rows are index tuples into the F vertex order; they are grouped so
@@ -123,8 +75,8 @@ def _hom_count_loop(n_f, k, n_h, edges, depth_ptr, member, ct, injective):
     return count
 
 
-def _induced_count_loop(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective):
-    """Like _hom_count_loop but every listed k-subset must land distinctly
+def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
+    """Like hom_count but every listed k-subset must land distinctly
     on an edge (flag 1) or a non-edge (flag 0)."""
     assign = np.empty(n_f, dtype=np.int64)
     img = np.empty(k, dtype=np.int64)
@@ -180,146 +132,16 @@ def _induced_count_loop(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injecti
     return count
 
 
-def _structure_count_loop(n_low, l, cidx, wtab, tpow):
+# ---------------------------------------------------------------------------
+# vectorized kernels, and the map generators that feed eval_maps_count
+
+
+def structure_count(n_low, l, cidx, wtab) -> int:
     """Sum over label assignments of the lower simplices of the product of
     per-constraint weights; weights are indexed by the mixed-radix code of
     the constraint's lower labels."""
     nc, t = cidx.shape
-    digits = np.zeros(n_low, dtype=np.int64)
-    total = 1
-    for _ in range(n_low):
-        total *= l
-    acc = 0
-    for _step in range(total):
-        prod = 1
-        for c in range(nc):
-            q = 0
-            for j in range(t):
-                q += digits[cidx[c, j]] * tpow[j]
-            prod *= wtab[c, q]
-            if prod == 0:
-                break
-        acc += prod
-        i = 0
-        while i < n_low:
-            digits[i] += 1
-            if digits[i] < l:
-                break
-            digits[i] = 0
-            i += 1
-    return acc
-
-
-def _sample_w_loop(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):
-    """Membership mask over all k-subsets for a step-function sample.
-
-    Level of subset S comes from labels_flat when restriction labels are
-    given (nonempty), else from the hash of S's global counter.
-    """
-    m_rows = ksubs.shape[0]
-    nm = bits.shape[0]
-    restricted = labels_flat.shape[0] > 0
-    out = np.zeros(m_rows, dtype=np.uint8)
-    for i in range(m_rows):
-        code = 0
-        for mi in range(nm):
-            r = nbits[mi]
-            rank = 0
-            for j in range(r):
-                v = ksubs[i, bits[mi, j]]
-                rank += ct[v, j + 1]
-            ctr = offsets[r - 1] + rank
-            if restricted:
-                lev = labels_flat[ctr] - 1
-            else:
-                lev = _level_u64(_mix_u64(key, np.uint64(ctr)), l)
-            code += lev * lpow[mi]
-        out[i] = member[code]
-    return out
-
-
-def _mc_step_loop(samples, nsim, l, key, cidx, flags, member, lpow):
-    """Count samples whose hashed level assignment satisfies every
-    constraint; one counter per (sample, simplex)."""
-    nc, nm = cidx.shape
-    lev = np.empty(nsim, dtype=np.int64)
-    cnt = 0
-    for s in range(samples):
-        base = s * nsim
-        for i in range(nsim):
-            lev[i] = _level_u64(_mix_u64(key, np.uint64(base + i)), l)
-        good = True
-        for c in range(nc):
-            code = 0
-            for j in range(nm):
-                code += lev[cidx[c, j]] * lpow[j]
-            inm = member[code] != 0
-            want = flags[c] != 0
-            if inm != want:
-                good = False
-                break
-        if good:
-            cnt += 1
-    return cnt
-
-
-def _eval_maps_loop(maps, edges, flags, member, ct, k):
-    """Count map rows for which every listed k-subset lands distinctly on an
-    edge (flag 1) or non-edge (flag 0) of the member table."""
-    b = maps.shape[0]
-    nc = edges.shape[0]
-    img = np.empty(k, dtype=np.int64)
-    cnt = 0
-    for s in range(b):
-        good = True
-        for e in range(nc):
-            for i in range(k):
-                img[i] = maps[s, edges[e, i]]
-            dup = False
-            for i in range(1, k):
-                v = img[i]
-                j = i - 1
-                while j >= 0 and img[j] > v:
-                    img[j + 1] = img[j]
-                    j -= 1
-                img[j + 1] = v
-            for i in range(1, k):
-                if img[i] == img[i - 1]:
-                    dup = True
-                    break
-            if dup:
-                good = False
-                break
-            rank = 0
-            for i in range(k):
-                rank += ct[img[i], i + 1]
-            inm = member[rank] != 0
-            want = flags[e] != 0
-            if inm != want:
-                good = False
-                break
-        if good:
-            cnt += 1
-    return cnt
-
-
-if USING_NUMBA:
-    _mix_u64 = _njit(cache=True, nogil=True, inline="always")(_mix_u64)
-    _level_u64 = _njit(cache=True, nogil=True, inline="always")(_level_u64)
-    _hom_count_jit = _njit(cache=True, nogil=True)(_hom_count_loop)
-    _induced_count_jit = _njit(cache=True, nogil=True)(_induced_count_loop)
-    _structure_count_jit = _njit(cache=True, nogil=True)(_structure_count_loop)
-    _sample_w_jit = _njit(cache=True, nogil=True)(_sample_w_loop)
-    _mc_step_jit = _njit(cache=True, nogil=True)(_mc_step_loop)
-    _eval_maps_jit = _njit(cache=True, nogil=True)(_eval_maps_loop)
-
-
-# ---------------------------------------------------------------------------
-# numpy engines
-
-
-def _structure_count_numpy(n_low, l, cidx, wtab, tpow):
-    nc, t = cidx.shape
+    tpow = l ** np.arange(t, dtype=np.int64)
     total = l**n_low
     lp = l ** np.arange(n_low, dtype=np.int64)
     acc = 0
@@ -337,7 +159,12 @@ def _structure_count_numpy(n_low, l, cidx, wtab, tpow):
     return acc
 
 
-def _sample_w_numpy(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):
+def sample_w_mask(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):
+    """Membership mask over all k-subsets for a step-function sample.
+
+    Level of subset S comes from labels_flat when restriction labels are
+    given (nonempty), else from the hash of S's global counter.
+    """
     m_rows = ksubs.shape[0]
     restricted = labels_flat.shape[0] > 0
     code = np.zeros(m_rows, dtype=np.int64)
@@ -355,7 +182,9 @@ def _sample_w_numpy(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits
     return member[code]
 
 
-def _mc_step_numpy(samples, nsim, l, key, cidx, flags, member, lpow):
+def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:
+    """Count samples whose hashed level assignment satisfies every
+    constraint; one counter per (sample, simplex)."""
     cnt = 0
     chunk = max(1, (1 << 22) // max(nsim, 1))
     for s0 in range(0, samples, chunk):
@@ -372,7 +201,9 @@ def _mc_step_numpy(samples, nsim, l, key, cidx, flags, member, lpow):
     return cnt
 
 
-def _eval_maps_numpy(maps, edges, flags, member, ct, k):
+def eval_maps_count(maps, edges, flags, member, ct, k) -> int:
+    """Count map rows for which every listed k-subset lands distinctly on an
+    edge (flag 1) or non-edge (flag 0) of the member table."""
     b = maps.shape[0]
     good = np.ones(b, dtype=bool)
     for e in range(edges.shape[0]):
@@ -386,60 +217,8 @@ def _eval_maps_numpy(maps, edges, flags, member, ct, k):
             rank += ct[sub[:, i], i + 1]
         rank[~distinct] = 0
         inm = member[rank] != 0
-        want = flags[e] != 0
-        good &= distinct & (inm == want)
+        good &= distinct & (inm == (flags[e] != 0))
     return int(good.sum())
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-
-def hom_count(n_f, k, n_h, edges, depth_ptr, member, ct, injective=False) -> int:
-    if USING_NUMBA:
-        return int(_hom_count_jit(n_f, k, n_h, edges, depth_ptr, member, ct, injective))
-    return int(_hom_count_loop(n_f, k, n_h, edges, depth_ptr, member, ct, injective))
-
-
-def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
-    if USING_NUMBA:
-        return int(
-            _induced_count_jit(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective)
-        )
-    return int(_induced_count_loop(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective))
-
-
-def structure_count(n_low, l, cidx, wtab) -> int:
-    tpow = l ** np.arange(cidx.shape[1], dtype=np.int64)
-    if USING_NUMBA:
-        return int(_structure_count_jit(n_low, l, cidx, wtab, tpow))
-    return int(_structure_count_numpy(n_low, l, cidx, wtab, tpow))
-
-
-def sample_w_mask(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):
-    if USING_NUMBA:
-        return _sample_w_jit(
-            ksubs, ct, offsets, np.uint64(key), l, member, labels_flat, bits, nbits, lpow
-        )
-    return _sample_w_numpy(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow)
-
-
-def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:
-    if USING_NUMBA:
-        return int(
-            _mc_step_jit(samples, nsim, l, np.uint64(key), cidx, flags, member, lpow)
-        )
-    return int(_mc_step_numpy(samples, nsim, l, key, cidx, flags, member, lpow))
-
-
-def eval_maps_count(maps, edges, flags, member, ct, k) -> int:
-    if USING_NUMBA:
-        return int(_eval_maps_jit(maps, edges, flags, member, ct, k))
-    return int(_eval_maps_numpy(maps, edges, flags, member, ct, k))
-
-
-# ---------------------------------------------------------------------------
-# map generators (single vectorized engine; feeds eval_maps_count)
 
 
 def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
@@ -469,34 +248,3 @@ def uniform_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
     ctr = np.arange(budget * v, dtype=np.uint64)
     h = rng.np_mix64(key, ctr)
     return (h % np.uint64(n)).astype(np.int64).reshape(budget, v)
-
-
-def warmup() -> None:
-    """Compile the jitted kernels on tiny inputs (no-op without numba)."""
-    if not USING_NUMBA:
-        return
-    ct = np.zeros((3, 3), dtype=np.int64)
-    ct[:, 0] = 1
-    ct[1, 1] = 1
-    ct[2, 1] = 2
-    ct[2, 2] = 1
-    edges = np.array([[0, 1]], dtype=np.int64)
-    ptr = np.array([0, 0, 1], dtype=np.int64)
-    member = np.array([1], dtype=np.uint8)
-    hom_count(2, 2, 2, edges, ptr, member, ct, False)
-    hom_count(2, 2, 2, edges, ptr, member, ct, True)
-    flags = np.array([1], dtype=np.uint8)
-    induced_count(2, 2, 2, edges, flags, ptr, member, ct, False)
-    cidx = np.array([[0, 1]], dtype=np.int64)
-    wtab = np.array([[1, 1, 1, 1]], dtype=np.int64)
-    structure_count(2, 2, cidx, wtab)
-    ksubs = np.array([[0, 1]], dtype=np.int64)
-    offsets = np.array([0, 2], dtype=np.int64)
-    bits = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
-    nbits = np.array([1, 1, 2], dtype=np.int64)
-    lpow = np.array([1, 2, 4], dtype=np.int64)
-    member3 = np.ones(8, dtype=np.uint8)
-    labels0 = np.zeros(0, dtype=np.int64)
-    sample_w_mask(ksubs, ct, offsets, 1, 2, member3, labels0, bits, nbits, lpow)
-    mc_step_count(2, 3, 2, 1, np.array([[0, 1, 2]], dtype=np.int64), flags, member3, lpow)
-    eval_maps_count(np.array([[0, 1]], dtype=np.int64), edges, flags, member, ct, 2)

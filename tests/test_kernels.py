@@ -1,16 +1,11 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 
 from hyperlim import kernels, rng
 from hyperlim.combinatorics import comb_table
-from hyperlim.hypergraph import Hypergraph, densities, hom
-from hyperlim.hypergraphon import builtin_w, density
-from hyperlim.sampling import sample_w
+from hyperlim.hypergraph import Hypergraph, hom
+from hyperlim.hypergraphon import _mc_constraint_arrays, builtin_w, density
 
 
 def brute_hom(F, H, injective=False):
@@ -94,54 +89,34 @@ def test_eval_maps_count_duplicate_image_fails_constraint():
     assert got == 1
 
 
-ENGINE_SCRIPT = r"""
-import json, sys
-import numpy as np
-from hyperlim import kernels, rng
-from hyperlim.combinatorics import comb_table
-from hyperlim.hypergraph import Hypergraph, densities
-from hyperlim.hypergraphon import builtin_w, density
-from hyperlim.sampling import sample_w
-
-out = {"using_numba": kernels.USING_NUMBA}
-tri = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
-H = Hypergraph.random(2, 7, 0.5, seed=21)
-rec = densities(tri, H)
-out["t"] = str(rec.t)
-out["t0"] = str(rec.t0)
-W = builtin_w("example1", 2)
-est, se = density(tri, W, mode="montecarlo", samples=5000, seed=13)
-out["mc"] = [est, se]
-G = sample_w(W, 40, seed=99).sample
-out["sample_edges"] = sorted(G.edges)
-maps = kernels.injective_maps(64, 3, 9, 5)
-out["maps"] = maps.tolist()
-print(json.dumps(out, sort_keys=True))
-"""
+def scalar_mc_hits(F, W, samples, seed, induced):
+    """Hit count of the step Monte Carlo sweep, one scalar hash per counter."""
+    simp, cidx, flags, _ = _mc_constraint_arrays(F, W.k, induced)
+    nsim = len(simp)
+    key = rng.derive(seed, rng.TAG_MC)
+    member = W.member_table()
+    hits = 0
+    for s in range(samples):
+        lev = [rng.level_of(rng.mix64(key, s * nsim + i), W.l) for i in range(nsim)]
+        good = True
+        for row, want in zip(cidx, flags):
+            code = sum(lev[q] * W.l**j for j, q in enumerate(row))
+            if bool(member[code]) != bool(want):
+                good = False
+                break
+        hits += good
+    return hits
 
 
-def run_engine(no_numba):
-    env = dict(os.environ)
-    if no_numba:
-        env["HYPERLIM_NO_NUMBA"] = "1"
-    else:
-        env.pop("HYPERLIM_NO_NUMBA", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", ENGINE_SCRIPT], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_numpy_fallback_engine_matches_numba():
-    fast = run_engine(no_numba=False)
-    slow = run_engine(no_numba=True)
-    assert slow["using_numba"] is False
-    fast = {k: v for k, v in fast.items() if k != "using_numba"}
-    slow = {k: v for k, v in slow.items() if k != "using_numba"}
-    assert fast == slow
-
-
-def test_warmup_idempotent():
-    kernels.warmup()
-    kernels.warmup()
+def test_mc_step_count_matches_scalar_recompute():
+    rs = np.random.default_rng(11)
+    samples = 300
+    for k in (2, 3):
+        for kind in ("example1", "full"):
+            W = builtin_w(kind, k)
+            for induced in (False, True):
+                n = int(rs.integers(k + 1, k + 3))
+                F = Hypergraph.random(k, n, 0.5, seed=int(rs.integers(0, 10**6)))
+                seed = int(rs.integers(0, 10**6))
+                est, _ = density(F, W, mode="montecarlo", samples=samples, seed=seed, induced=induced)
+                assert est == scalar_mc_hits(F, W, samples, seed, induced) / samples
