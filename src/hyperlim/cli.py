@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .hypergraph import Hypergraph, densities
+from .hypergraph import Hypergraph, densities, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, structure_density
 from .hypergraphon import GeneralHypergraphon, StepHypergraphon, builtin_w, density
 
@@ -121,8 +121,12 @@ def _cmd_density(args) -> int:
         host_kind, host = _auto_host("-")
     mode = "exact" if args.exact else args.mode
     if host_kind == "h":
-        rec = densities(F, host)
-        print(_frac(rec.t_ind if args.induced else rec.t))
+        if args.induced:
+            print(_frac(densities(F, host).t_ind))
+        elif host.n == 0:
+            raise ValueError("host must have at least one vertex")
+        else:
+            print(_frac(Fraction(hom(F, host), host.n**F.n)))
         return 0
     if mode == "exact":
         val = density(F, host, mode="exact", induced=args.induced)

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import comb_table
-from .hypergraph import Hypergraph, densities, hom, is_isomorphic
+from .combinatorics import comb_table, falling
+from .hypergraph import Hypergraph, hom, is_isomorphic
 from .hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from .hypergraphon import StepHypergraphon, density
 from .regularity import refine
@@ -93,8 +93,7 @@ def _t0_of_sample(F, W, n, trial_seed, budget):
         return cnt / comb(n, k) if comb(n, k) else 0.0, 0.0
     G = sample_w(W, n, trial_seed).sample
     if n**F.n <= _EXACT_T0_CAP:
-        rec = densities(F, G)
-        return float(rec.t0), 0.0
+        return hom(F, G, "injective") / falling(n, F.n), 0.0
     key = rng.derive(trial_seed, rng.TAG_INJECTIVE)
     maps = kernels.injective_maps(budget, F.n, n, key)
     edges = np.array(F.sorted_edges(), dtype=np.int64)
@@ -327,13 +326,15 @@ def removal_experiment(H: Hypergraph, K: Hypergraph) -> ExperimentReport:
         raise ValueError("hypergraphs must share arity k")
     if not K.edges:
         raise ValueError("pattern K needs at least one edge")
+    if H.n == 0:
+        raise ValueError("host must have at least one vertex")
     if H.n**K.n > 10**7 or len(H.edges) > 64:
         raise ValueError("instance exceeds the enumeration caps")
-    t_initial = densities(K, H).t
     removed = []
     cur = H
     steps = []
     total = hom(K, cur)
+    t_initial = Fraction(total, H.n**K.n)
     while total > 0:
         best = None
         for e in cur.sorted_edges():

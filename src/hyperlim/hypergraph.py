@@ -262,73 +262,89 @@ def _grouped_constraints(v: int, subs, order):
     return rows, src, ptr
 
 
-def _hom_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
+def _loop_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) -> int:
+    """Backtracking count of maps V(F) -> V(H), injective ones if asked,
+    sending each subset in subs onto an edge (flag 1) or a non-edge (flag 0)."""
     if F.n == 0:
         return 1
     if injective and F.n > H.n:
         return 0
-    k = F.k
-    edges = sorted(F.edges)
-    order = _search_order(F)
-    if edges:
-        rows, _, ptr = _grouped_constraints(F.n, edges, order)
-    else:
-        rows = np.zeros((0, k), dtype=np.int64)
-        ptr = np.zeros(F.n + 1, dtype=np.int64)
-    ct = comb_table(max(H.n, 1), k)
-    return kernels.hom_count(
-        F.n, k, H.n, rows, ptr, H.member_array(), ct, injective
+    rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
+    fl = np.array([flags[int(i)] for i in src], dtype=np.uint8)
+    ct = comb_table(max(H.n, 1), F.k)
+    return kernels.induced_count(
+        F.n, F.k, H.n, rows, fl, ptr, H.member_array(), ct, injective
     )
 
 
 def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
-    if F.n == 0:
-        return 1
-    if injective and F.n > H.n:
-        return 0
-    k = F.k
-    subs = list(combinations(range(F.n), k))
+    subs = list(combinations(range(F.n), F.k))
     if not subs:
         # fewer than k vertices: no constraints at all
         return falling(H.n, F.n) if injective else H.n**F.n
-    order = _search_order(F)
-    rows, src, ptr = _grouped_constraints(F.n, subs, order)
-    flags = np.array(
-        [1 if F.is_edge(subs[int(i)]) else 0 for i in src], dtype=np.uint8
-    )
-    ct = comb_table(max(H.n, 1), k)
-    return kernels.induced_count(
-        F.n, k, H.n, rows, flags, ptr, H.member_array(), ct, injective
-    )
+    return _loop_count(F, H, subs, [F.is_edge(s) for s in subs], injective)
+
+
+def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
+    """H as a symmetric 0/1 tensor over k-tuples, or None above the
+    contraction cap."""
+    if H.n**H.k > kernels.CONTRACT_CAP:
+        return None
+    T = np.zeros((H.n,) * H.k, dtype=np.int64)
+    if H.edges:
+        E = np.array(sorted(H.edges), dtype=np.int64)
+        for p in permutations(range(H.k)):
+            T[tuple(E[:, p].T)] = 1
+    return T
+
+
+def _hom_count(F: Hypergraph, H: Hypergraph, T) -> int:
+    """hom(F, H) as one contraction over the host tensor T, one factor per
+    edge of F; the backtracking loop when T is None or over the cap."""
+    if not F.edges:
+        return H.n**F.n
+    got = None
+    if T is not None:
+        got = kernels.contract([(e, T) for e in F.edges], F.n, H.n)
+    if got is None:
+        got = _loop_count(F, H, sorted(F.edges), [1] * len(F.edges))
+    return got
+
+
+def _injective_count(F: Hypergraph, H: Hypergraph, T) -> int:
+    total = 0
+    for blocks in set_partitions(tuple(range(F.n))):
+        part = VertexPartition(F.n, blocks)
+        Q = quotient(F, part)
+        if Q is not None:
+            total += part.mobius_weight() * _hom_count(Q, H, T)
+    return total
 
 
 def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     """Count maps V(F) -> V(H) sending every edge of F onto an edge of H.
 
-    mode "all" counts arbitrary maps by backtracking search. mode
-    "injective" computes the injective count through partition-lattice
-    inversion: sum over partitions P of V(F) of mobius_weight(P) times
-    hom(F/P, H), where collapses that merge an edge contribute zero.
+    mode "all" counts arbitrary maps as one tensor contraction with a factor
+    per edge of F (see kernels.contract), by backtracking search when the
+    contraction exceeds its cap. mode "injective" computes the injective
+    count through partition-lattice inversion: sum over partitions P of
+    V(F) of mobius_weight(P) times hom(F/P, H), where collapses that merge
+    an edge contribute zero.
     """
     _check_arity(F, H)
-    if mode == "all":
-        return _hom_kernel(F, H, injective=False)
-    if mode != "injective":
+    if mode not in ("all", "injective"):
         raise ValueError(f"unknown hom mode {mode!r}")
-    total = 0
-    for blocks in set_partitions(tuple(range(F.n))):
-        part = VertexPartition(F.n, blocks)
-        Q = quotient(F, part)
-        if Q is None:
-            continue
-        total += part.mobius_weight() * _hom_kernel(Q, H, injective=False)
-    return total
+    T = _host_tensor(H) if F.edges else None
+    if mode == "all":
+        return _hom_count(F, H, T)
+    return _injective_count(F, H, T)
 
 
 def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
     """Direct enumeration of injective homomorphisms (inversion oracle)."""
     _check_arity(F, H)
-    return _hom_kernel(F, H, injective=True)
+    edges = sorted(F.edges)
+    return _loop_count(F, H, edges, [1] * len(edges), injective=True)
 
 
 def quotient(F: Hypergraph, partition) -> Optional[Hypergraph]:
@@ -360,12 +376,17 @@ def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:
     if H.n == 0:
         raise ValueError("host must have at least one vertex")
     v = F.n
-    t = Fraction(_hom_kernel(F, H, False), H.n**v)
-    t_ind = Fraction(_induced_kernel(F, H, False), H.n**v)
+    T = _host_tensor(H) if F.edges else None
+    t = Fraction(_hom_count(F, H, T), H.n**v)
+    ind = _induced_kernel(F, H, False)
+    t_ind = Fraction(ind, H.n**v)
     if v <= H.n:
         fall = falling(H.n, v)
-        t0 = Fraction(_hom_kernel(F, H, True), fall)
-        t0_ind = Fraction(_induced_kernel(F, H, True), fall)
+        t0 = Fraction(_injective_count(F, H, T), fall)
+        # for k >= 2 every map meeting all k-subset constraints is injective
+        if F.k == 1 or v < F.k:
+            ind = _induced_kernel(F, H, True)
+        t0_ind = Fraction(ind, fall)
     else:
         t0 = None
         t0_ind = None
@@ -505,8 +526,8 @@ def density_equivalent(H1: Hypergraph, H2: Hypergraph, check_size: int = 10) -> 
     if cross <= min(check_size, MAX_CANONICAL_N):
         return is_isomorphic(blowup(H1, H2.n), blowup(H2, H1.n))
     for F in canonical_family(H1.k, check_size):
-        tF1 = Fraction(_hom_kernel(F, H1, False), H1.n**F.n)
-        tF2 = Fraction(_hom_kernel(F, H2, False), H2.n**F.n)
+        tF1 = Fraction(hom(F, H1), H1.n**F.n)
+        tF2 = Fraction(hom(F, H2), H2.n**F.n)
         if tF1 != tF2:
             return False
     return True

@@ -11,7 +11,7 @@ Carlo estimates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import sqrt
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels, rng
 from .combinatorics import mask_bits, position_perms, subsets_colex
 from .hypergraph import Hypergraph
-from .hyperpartition import CombinatorialStructure, _cell_code
+from .hyperpartition import CombinatorialStructure, _constraints
 
 _BUILTIN_MAX_K = 4
 
@@ -227,12 +227,7 @@ def structure_of(W: StepHypergraphon) -> CombinatorialStructure:
 
 def _mc_constraint_arrays(F: Hypergraph, k: int, induced: bool):
     """Simplex list plus per-constraint full-cell index rows and flags."""
-    if induced:
-        cons = list(combinations(range(F.n), k))
-        flags = [F.is_edge(c) for c in cons]
-    else:
-        cons = F.sorted_edges()
-        flags = [True] * len(cons)
+    cons, flags = _constraints(F, induced)
     simp = []
     for r in range(1, min(k, F.n) + 1):
         simp.extend(subsets_colex(F.n, r))

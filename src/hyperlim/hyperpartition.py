@@ -34,7 +34,6 @@ from .combinatorics import (
 from .hypergraph import Hypergraph
 
 _MEMBER_CAP = 1 << 24
-_EXACT_CAP = 5 * 10**8
 
 
 def _cell_code(cell, l: int) -> int:
@@ -438,11 +437,12 @@ def structure_density(
 ) -> Fraction:
     """Probability that a random label map realizes F inside the structure.
 
-    Under the uniform map (distribution None) this is exact by dynamic
-    enumeration over the labels of the proper sub-simplices: tops of
-    distinct constraints are distinct, so each constraint contributes an
-    independent count of admissible top labels. With a distribution, the
-    probability is taken under its weights instead.
+    Under the uniform map (distribution None) this is exact, one
+    contraction (kernels.contract) over the labels of the proper
+    sub-simplices: tops of distinct constraints are distinct, so each
+    constraint contributes an independent count of admissible top labels.
+    Instances whose contraction exceeds the cap raise ValueError. With a
+    distribution, the probability is taken under its weights instead.
     """
     if F.k != structure.k:
         raise ValueError(f"arity mismatch: pattern k={F.k}, structure k={structure.k}")
@@ -452,38 +452,21 @@ def structure_density(
         return _distribution_density(F, structure, distribution, cons, flags)
     if not cons:
         return Fraction(1)
-    lower_set = set()
-    for c in cons:
-        for r in range(1, k):
-            lower_set.update(combinations(c, r))
-    lower = sorted(lower_set, key=lambda s: (len(s), colex_rank(s)))
-    idx = {s: i for i, s in enumerate(lower)}
-    n_low = len(lower)
-    if l**n_low > _EXACT_CAP:
+    width = (1 << k) - 2
+    # admissible top labels per lower labelling: the top mask is the most
+    # significant digit of a cell code, lower mask m the (m-1)-th
+    inside = structure.member_table().reshape(l, -1).sum(axis=0, dtype=np.int64)
+    inside = inside.reshape((l,) * width, order="F")
+    tables = {True: inside, False: l - inside}
+    lower = {}  # variable number of each proper sub-simplex
+    factors = []
+    for c, flag in zip(cons, flags):
+        subs = (tuple(c[b] for b in mask_bits(m)) for m in range(1, width + 1))
+        factors.append(([lower.setdefault(s, len(lower)) for s in subs], tables[flag]))
+    count = kernels.contract(factors, len(lower), l)
+    if count is None:
         raise ValueError("exact structure density instance too large")
-    low_masks = [m for m in range(1, (1 << k) - 1)]
-    width = len(low_masks)
-    member = structure.member_table()
-    cidx = np.zeros((len(cons), width), dtype=np.int64)
-    wtab = np.zeros((len(cons), l**width), dtype=np.int64)
-    full = (1 << k) - 1
-    for ci, c in enumerate(cons):
-        for j, m in enumerate(low_masks):
-            cidx[ci, j] = idx[tuple(c[b] for b in mask_bits(m))]
-        cell = [0] * full
-        for q in range(l**width):
-            qq = q
-            for j in range(width):
-                cell[low_masks[j] - 1] = qq % l + 1
-                qq //= l
-            cnt = 0
-            for top in range(1, l + 1):
-                cell[full - 1] = top
-                if member[_cell_code(cell, l)]:
-                    cnt += 1
-            wtab[ci, q] = cnt if flags[ci] else l - cnt
-    count = kernels.structure_count(n_low, l, cidx, wtab)
-    return Fraction(count, l ** (n_low + len(cons)))
+    return Fraction(count, l ** (len(lower) + len(cons)))
 
 
 def _distribution_density(F, structure, dist, cons, flags):

@@ -1,83 +1,95 @@
-"""Hot counting and sampling kernels: backtracking exact counts and
-vectorized numpy sweeps, all integer-exact. Randomness enters only through
-splitmix64 counters (see rng), which keeps results independent of
-evaluation order.
+"""Hot counting and sampling kernels, all integer-exact: one tensor
+contraction for exact counts, one backtracking loop for the counts whose
+constraint graph is complete, and vectorized numpy sweeps. Randomness enters
+only through splitmix64 counters (see rng), which keeps results independent
+of evaluation order.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
 from . import rng
 
+# most entries any one elimination step of contract may span
+CONTRACT_CAP = 1 << 24
+
 
 # ---------------------------------------------------------------------------
-# exact backtracking counts
+# exact counts
 
 
-def hom_count(n_f, k, n_h, edges, depth_ptr, member, ct, injective=False) -> int:
-    """Backtracking count of maps [n_f] -> [n_h] sending edges onto edges.
+def contract(factors, nvars, dom):
+    """Exact sum over all maps [nvars] -> [dom] of the product of factors.
 
-    edges rows are index tuples into the F vertex order; they are grouped so
+    Each factor is (vars, table): distinct variable indices and a
+    nonnegative integer table of shape (dom,) * len(vars). Variables are
+    summed out one at a time, fewest neighbours first, each step multiplying
+    the factors that hold its variable by two-operand einsum calls. The
+    arithmetic is int64 when dom**nvars times the product of the table
+    maxima, which bounds every partial sum, is below 2**63, and Python ints
+    (object dtype) otherwise. Returns None, before reading any table, when a
+    step would span more than CONTRACT_CAP entries.
+    """
+    if dom < 2:
+        # at most one map, the constant one
+        return prod(int(t.flat[0]) for _, t in factors) if dom or not nvars else 0
+    scopes = [tuple(v) for v, _ in factors]
+    live = set(range(len(scopes)))
+    todo = {x for s in scopes for x in s}
+    free = nvars - len(todo)
+    steps = []
+    while todo:
+        spans = {x: {y for i in live if x in scopes[i] for y in scopes[i]} for x in todo}
+        x = min(todo, key=lambda x: (len(spans[x]), x))
+        joint = spans[x]
+        if dom ** len(joint) > CONTRACT_CAP:
+            return None
+        bucket = sorted(i for i in live if x in scopes[i])
+        live.difference_update(bucket)
+        live.add(len(scopes))
+        scopes.append(tuple(sorted(joint - {x})))
+        steps.append((bucket, scopes[-1]))
+        todo.discard(x)
+    uniq = {id(t): t for _, t in factors}
+    top = {i: int(t.max()) for i, t in uniq.items()}
+    bound = dom**nvars * prod(top[id(t)] for _, t in factors)
+    dtype = np.int64 if bound < 1 << 63 else object
+    work = {i: t.astype(dtype, copy=False) for i, t in uniq.items()}
+    ops = [(work[id(t)], s) for (_, t), s in zip(factors, scopes)]
+    for bucket, out in steps:
+        acc, vs = ops[bucket[0]]
+        for i in bucket[1:-1]:
+            both = tuple(sorted(set(vs) | set(ops[i][1])))
+            acc, vs = _einsum(both, (acc, vs), ops[i]), both
+        # the last product also sums the variable out
+        last = [ops[bucket[-1]]] if len(bucket) > 1 else []
+        ops.append((np.asarray(_einsum(out, (acc, vs), *last), dtype=dtype), out))
+    return prod(int(ops[i][0]) for i in live) * dom**free
+
+
+def _einsum(out, *operands):
+    """np.einsum over (table, vars) operands, renumbering the variables
+    from 0 because einsum accepts at most 52 subscripts."""
+    ren = {}
+    args = []
+    for t, vs in operands:
+        args += [t, [ren.setdefault(v, len(ren)) for v in vs]]
+    return np.einsum(*args, [ren[v] for v in out])
+
+
+def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
+    """Backtracking count of maps [n_f] -> [n_h], injective ones if asked,
+    under which every listed k-subset lands distinctly on an edge (flag 1)
+    or a non-edge (flag 0) of member.
+
+    subs rows are index tuples into the F vertex order; they are grouped so
     that rows [depth_ptr[d], depth_ptr[d+1]) touch only vertices <= d and
     include vertex d, letting each level of the search check exactly the
     newly closed constraints.
     """
-    assign = np.empty(n_f, dtype=np.int64)
-    img = np.empty(k, dtype=np.int64)
-    count = 0
-    d = 0
-    assign[0] = -1
-    while d >= 0:
-        a = assign[d] + 1
-        if a >= n_h:
-            d -= 1
-            continue
-        assign[d] = a
-        ok = True
-        if injective:
-            for j in range(d):
-                if assign[j] == a:
-                    ok = False
-                    break
-        if ok:
-            for e in range(depth_ptr[d], depth_ptr[d + 1]):
-                for i in range(k):
-                    img[i] = assign[edges[e, i]]
-                dup = False
-                for i in range(1, k):
-                    v = img[i]
-                    j = i - 1
-                    while j >= 0 and img[j] > v:
-                        img[j + 1] = img[j]
-                        j -= 1
-                    img[j + 1] = v
-                for i in range(1, k):
-                    if img[i] == img[i - 1]:
-                        dup = True
-                        break
-                if dup:
-                    ok = False
-                    break
-                rank = 0
-                for i in range(k):
-                    rank += ct[img[i], i + 1]
-                if member[rank] == 0:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if d == n_f - 1:
-            count += 1
-        else:
-            d += 1
-            assign[d] = -1
-    return count
-
-
-def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
-    """Like hom_count but every listed k-subset must land distinctly
-    on an edge (flag 1) or a non-edge (flag 0)."""
     assign = np.empty(n_f, dtype=np.int64)
     img = np.empty(k, dtype=np.int64)
     count = 0
@@ -134,29 +146,6 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
 
 # ---------------------------------------------------------------------------
 # vectorized kernels, and the map generators that feed eval_maps_count
-
-
-def structure_count(n_low, l, cidx, wtab) -> int:
-    """Sum over label assignments of the lower simplices of the product of
-    per-constraint weights; weights are indexed by the mixed-radix code of
-    the constraint's lower labels."""
-    nc, t = cidx.shape
-    tpow = l ** np.arange(t, dtype=np.int64)
-    total = l**n_low
-    lp = l ** np.arange(n_low, dtype=np.int64)
-    acc = 0
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        prod = np.ones(stop - start, dtype=np.int64)
-        for c in range(nc):
-            q = np.zeros(stop - start, dtype=np.int64)
-            for j in range(t):
-                q += ((codes // lp[cidx[c, j]]) % l) * tpow[j]
-            prod *= wtab[c, q]
-        acc += int(prod.sum())
-    return acc
 
 
 def sample_w_mask(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .combinatorics import mask_bits
-from .hypergraph import Hypergraph, densities, density_equivalent, enumerate_canonical
+from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, regularity_deficit
 from .hypergraphon import StepHypergraphon, density, structure_of
 
@@ -171,7 +171,7 @@ def delta_w_lower(U, W, family) -> DistanceReport:
 def _density_gap(F, H1, H2, cache):
     key = (F.n, tuple(F.sorted_edges()))
     if key not in cache:
-        cache[key] = abs(densities(F, H1).t - densities(F, H2).t)
+        cache[key] = abs(Fraction(hom(F, H1), H1.n**F.n) - Fraction(hom(F, H2), H2.n**F.n))
     return cache[key]
 
 
@@ -207,6 +207,8 @@ def delta_metric_estimate(
             budget={"max_size": max_size, "grid": "j/max_size"},
             seed=seed,
         )
+    if H1.n == 0 or H2.n == 0:
+        raise ValueError("host must have at least one vertex")
     fam = {}
     for v in range(1, max_size + 1):
         fam[v] = _metric_family(k, v, seed)

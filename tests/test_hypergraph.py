@@ -71,6 +71,11 @@ def test_densities_match_brute_force():
         cases.append((Hypergraph.random(2, 3, 0.6, seed=seed), Hypergraph.random(2, 4, 0.5, seed=100 + seed)))
     for seed in range(4):
         cases.append((Hypergraph.random(3, 4, 0.5, seed=seed), Hypergraph.random(3, 4, 0.6, seed=50 + seed)))
+    for seed in range(3):
+        cases.append((Hypergraph.random(1, 3, 0.5, seed=seed), Hypergraph.random(1, 5, 0.5, seed=70 + seed)))
+    # fewer pattern vertices than k: no constraint at all
+    cases.append((Hypergraph(2, 1), Hypergraph.random(2, 4, 0.5, seed=1)))
+    cases.append((Hypergraph(3, 2), Hypergraph.random(3, 5, 0.5, seed=2)))
     for F, H in cases:
         t, t0, t_ind, t0_ind = brute_record(F, H)
         rec = densities(F, H)

@@ -157,6 +157,12 @@ def test_structure_density_frozen_values():
     assert structure_density(tri, CombinatorialStructure.empty(2, 2)) == 0
 
 
+def test_structure_density_of_large_cliques_does_not_wrap():
+    # 2**(11 + 55) labelings: past int64, where a wrapped sum read 0
+    for n in (11, 12):
+        assert structure_density(Hypergraph.complete(2, n), CombinatorialStructure.all_cells(2, 2)) == 1
+
+
 def test_empirical_level_maps_exhaustive_distribution():
     hp = Hyperpartition.round_robin(6, 2, 2)
     dist = empirical_level_maps(2, hp, exhaustive=True)

@@ -1,11 +1,19 @@
 import itertools
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_hyperpartition import brute_structure_density
 
 from hyperlim import kernels, rng
 from hyperlim.combinatorics import comb_table
-from hyperlim.hypergraph import Hypergraph, hom
+from hyperlim.hypergraph import Hypergraph, hom, injective_hom_brute
 from hyperlim.hypergraphon import _mc_constraint_arrays, builtin_w, density
+from hyperlim.hyperpartition import CombinatorialStructure, structure_density
+
+# deterministic draws keep the suite replayable
+DIFFERENTIAL = settings(derandomize=True, deadline=None)
 
 
 def brute_hom(F, H, injective=False):
@@ -27,6 +35,71 @@ def test_hom_matches_brute_small():
     t3 = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
     h3 = Hypergraph.random(3, 5, 0.6, seed=4)
     assert hom(t3, h3) == brute_hom(t3, h3)
+
+
+@st.composite
+def hypergraphs(draw, k, n):
+    subs = list(itertools.combinations(range(n), k))
+    keep = draw(st.lists(st.booleans(), min_size=len(subs), max_size=len(subs)))
+    return Hypergraph(k, n, [s for s, b in zip(subs, keep) if b])
+
+
+@st.composite
+def pattern_and_host(draw):
+    k = draw(st.sampled_from([2, 3]))
+    F = draw(hypergraphs(k, draw(st.integers(0, 5))))
+    H = draw(hypergraphs(k, draw(st.integers(1, 7))))
+    return F, H
+
+
+@st.composite
+def structures(draw, k, l):
+    cells = list(itertools.product(range(1, l + 1), repeat=(1 << k) - 1))
+    keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return CombinatorialStructure(k, l, [c for c, b in zip(cells, keep) if b], symmetrize=True)
+
+
+@settings(DIFFERENTIAL, max_examples=200)
+@given(pattern_and_host())
+def test_hom_matches_brute_random(pair):
+    F, H = pair
+    assert hom(F, H) == brute_hom(F, H)
+    assert hom(F, H, "injective") == injective_hom_brute(F, H) == brute_hom(F, H, injective=True)
+
+
+# sizes keep the brute force over l**(subsets of V(F)) labelings small
+@pytest.mark.parametrize("k, l, n", [(2, 2, 0), (2, 2, 1), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 2, 4)])
+@settings(DIFFERENTIAL, max_examples=5)
+@given(data=st.data())
+def test_structure_density_matches_brute_random(k, l, n, data):
+    F, C = data.draw(hypergraphs(k, n)), data.draw(structures(k, l))
+    induced = data.draw(st.booleans())
+    assert structure_density(F, C, induced=induced) == brute_structure_density(F, C, induced)
+
+
+def test_hom_over_cap_takes_the_loop(monkeypatch):
+    F = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    H = Hypergraph.random(2, 9, 0.5, seed=5)
+    fast = hom(F, H), hom(F, H, "injective")
+    calls = []
+    loop = kernels.induced_count
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 8)
+    monkeypatch.setattr(kernels, "induced_count", lambda *a: calls.append(a) or loop(*a))
+    assert (hom(F, H), hom(F, H, "injective")) == fast
+    assert calls
+    with pytest.raises(ValueError, match="too large"):
+        structure_density(F, CombinatorialStructure.all_cells(2, 3))
+
+
+def test_hom_count_beyond_int64_is_exact():
+    path = Hypergraph(2, 13, [(i, i + 1) for i in range(12)])
+    assert hom(path, Hypergraph.complete(2, 30)) == 30 * 29**12
+
+
+def test_contract_counts_free_variables_and_empty_domains():
+    assert kernels.contract([], 3, 5) == 125
+    assert kernels.contract([], 0, 0) == 1
+    assert kernels.contract([((0,), np.array([2, 3]))], 2, 2) == 10
 
 
 def test_injective_maps_rows_are_injective_and_seeded():
