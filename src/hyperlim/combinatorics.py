@@ -1,9 +1,13 @@
 """Subset indexing, position masks, and small-group combinatorics.
 
 Vertex subsets are identified with their colex rank so per-arity label data
-can live in flat numpy arrays. Subsets of the position set {1..k} are
-bitmasks: bit i-1 set means position i is in the subset, so masks run from
-1 to 2**k - 1 and cell coordinates are tuples indexed by mask - 1.
+can live in flat numpy arrays. Offset by the number of subsets of smaller
+arity (arity_offsets), a rank becomes a global counter over every subset of
+arity <= k. subset_counters lists those counters for the sub-subsets of
+every k-subset, and cell_codes reads per-subset levels through them. Subsets
+of the position set {1..k} are bitmasks: bit i-1 set means position i is in
+the subset, so masks run from 1 to 2**k - 1 and cell coordinates are tuples
+indexed by mask - 1.
 """
 
 from __future__ import annotations
@@ -66,23 +70,41 @@ def comb_table(n: int, r: int) -> np.ndarray:
     return t
 
 
+# most subsets one colex_matrix or subset_counters call may list; samples
+# at n=2000, k=2 (C(2000, 2), about 2.0e6 rows) stay well below it
+ROW_CAP = 1 << 24
+
+
+def _check_rows(n: int, r: int) -> int:
+    rows = comb(n, r)
+    if rows > ROW_CAP:
+        raise ValueError(
+            f"n={n}: the {rows} subsets of arity {r} exceed the {ROW_CAP}-row cap"
+        )
+    return rows
+
+
 @lru_cache(maxsize=None)
 def colex_matrix(n: int, r: int) -> np.ndarray:
-    """All r-subsets of range(n) as rows in colex order, shape (C(n,r), r)."""
-    if r == 0:
-        m = np.zeros((1, 0), dtype=np.int64)
-    elif r == 1:
-        m = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    else:
-        blocks = []
-        for last in range(r - 1, n):
-            sub = colex_matrix(last, r - 1)
-            col = np.full((sub.shape[0], 1), last, dtype=np.int64)
-            blocks.append(np.hstack([sub, col]))
-        if blocks:
-            m = np.vstack(blocks)
-        else:
-            m = np.zeros((0, r), dtype=np.int64)
+    """All r-subsets of range(n) as rows in colex order, shape (C(n,r), r).
+
+    The (j-1)-subsets of range(a) are the first C(a, j-1) rows of the colex
+    list over any larger ground set, so column by column the j-subsets of
+    range(n-r+j) are prefix rows of the previous matrix plus a last element.
+    """
+    rows = _check_rows(n, r)
+    m = np.zeros((min(rows, 1), 0), dtype=np.int64)
+    for j in range(1, r + 1 if rows else 0):
+        g = n - r + j
+        nxt = np.empty((comb(g, j), j), dtype=np.int64)
+        at = 0
+        for a in range(j - 1, g):
+            c = comb(a, j - 1)
+            nxt[at : at + c, :-1] = m[:c]
+            nxt[at : at + c, -1] = a
+            at += c
+        m = nxt
+    m = m.reshape(rows, r)
     m.setflags(write=False)
     return m
 
@@ -104,6 +126,43 @@ def arity_offsets(n: int, k: int) -> list:
         acc += comb(n, r)
     out.append(acc)
     return out
+
+
+@lru_cache(maxsize=4)
+def subset_counters(n: int, k: int) -> np.ndarray:
+    """Counters of the sub-subsets of every k-subset, shape (2**k - 1, C(n, k)).
+
+    Row m-1 holds, for the k-subsets of range(n) in colex order, the global
+    counter (arity offset plus colex rank) of the subset at the positions
+    of mask m. Rows are contiguous so that each mask is one gather; entries
+    are int32 while the subset total allows. Cached and read-only.
+    """
+    rows = _check_rows(n, k)
+    offs = arity_offsets(n, k)
+    table = np.empty(((1 << k) - 1, rows), dtype=np.int32 if offs[k] < 1 << 31 else np.int64)
+    km = colex_matrix(n, k)
+    ct = comb_table(max(n, 1), k)
+    for m in range(1, (1 << k) - 1):
+        bits = list(mask_bits(m))
+        table[m - 1] = offs[len(bits) - 1] + colex_rank_rows(km[:, bits], ct)
+    # the k-subsets themselves are listed in colex order
+    table[-1] = np.arange(offs[k - 1], offs[k])
+    table.setflags(write=False)
+    return table
+
+
+def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
+    """Mixed-radix cell code of every k-subset of range(n), in colex order.
+
+    levels holds a level in 0..l-1 for every subset of arity <= k, indexed
+    by global counter; digit m-1 of a code is the level of the subset at
+    the positions of mask m.
+    """
+    table = subset_counters(n, k)
+    code = np.zeros(table.shape[1], dtype=np.int64)
+    for m, row in enumerate(table):
+        code += levels[row] * l**m
+    return code
 
 
 def mask_bits(mask: int) -> tuple:

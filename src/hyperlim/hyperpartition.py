@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from typing import Optional
@@ -22,6 +21,7 @@ import numpy as np
 from . import kernels, rng
 from .combinatorics import (
     arity_offsets,
+    cell_codes,
     cell_orbit,
     colex_matrix,
     colex_rank,
@@ -29,6 +29,7 @@ from .combinatorics import (
     comb_table,
     falling,
     mask_bits,
+    subset_counters,
     subsets_colex,
 )
 from .hypergraph import Hypergraph
@@ -293,37 +294,13 @@ class CombinatorialStructure:
         return cls(k, obj["l"], cells, symmetrize=symmetrize)
 
 
-@lru_cache(maxsize=8)
-def subset_rank_matrix(n: int, k: int) -> dict:
-    """For each position mask, colex ranks of that sub-subset per k-subset."""
-    km = colex_matrix(n, k)
-    ct = comb_table(max(n, 1), k)
-    out = {}
-    for m in range(1, 1 << k):
-        bits = mask_bits(m)
-        ranks = colex_rank_rows(km[:, bits], ct)
-        ranks.setflags(write=False)
-        out[m] = ranks
-    return out
-
-
 def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hypergraph:
     """Hypergraph of the k-subsets whose sorted-tuple cell lies in the
     structure (well defined because the structure is permutation-closed)."""
     if hp.k != structure.k or hp.l != structure.l:
         raise ValueError("hyperpartition and structure disagree on (k, l)")
     n, k, l = hp.n, hp.k, hp.l
-    m_rows = comb(n, k)
-    if m_rows == 0:
-        return Hypergraph(k, n)
-    srm = subset_rank_matrix(n, k)
-    code = np.zeros(m_rows, dtype=np.int64)
-    p = 1
-    for m in range(1, 1 << k):
-        r = len(mask_bits(m))
-        code += (hp.labels[r][srm[m]] - 1) * p
-        p *= l
-    mask = structure.member_table()[code] != 0
+    mask = structure.member_table()[cell_codes(hp.flat_labels() - 1, n, k, l)] != 0
     rows = colex_matrix(n, k)[mask]
     return Hypergraph(k, n, (tuple(int(v) for v in x) for x in rows))
 
@@ -496,26 +473,6 @@ def _distribution_density(F, structure, dist, cons, flags):
 # cylinder regularity
 
 
-@lru_cache(maxsize=8)
-def _drop_rank_matrix(n: int, r: int) -> np.ndarray:
-    """Entry [i, j]: colex rank of subset i with its j-th element removed."""
-    km = colex_matrix(n, r)
-    ct = comb_table(max(n, 1), r)
-    m_rows = km.shape[0]
-    out = np.zeros((m_rows, r), dtype=np.int64)
-    for j in range(r):
-        rank = np.zeros(m_rows, dtype=np.int64)
-        pos = 0
-        for i in range(r):
-            if i == j:
-                continue
-            rank += ct[km[:, i], pos + 1]
-            pos += 1
-        out[:, j] = rank
-    out.setflags(write=False)
-    return out
-
-
 def _cylinder_arrays(n: int, r: int, family, seed):
     """Normalize a cylinder family to tuples of bool arrays over C(n, r-1)."""
     base = comb(n, r - 1)
@@ -572,17 +529,20 @@ def regularity_deficit(G: Hypergraph, cylinders, eps, seed=None) -> Fraction:
     if total == 0:
         return Fraction(0)
     fams = _cylinder_arrays(n, r, cylinders, seed)
-    drm = _drop_rank_matrix(n, r)
+    # face j of a sorted subset drops the j-th smallest element: its colex
+    # rank is its counter at mask full ^ (1 << j), less the arity offset
+    full = (1 << r) - 1
+    low = arity_offsets(n, r)[r - 2]
+    faces = [subset_counters(n, r)[(full ^ (1 << j)) - 1] - low for j in range(r)]
     g_mask = G.member_array() != 0
     g_dens = Fraction(G.edge_count, total)
     worst = Fraction(0)
-    # face j of a sorted subset drops the j-th smallest element
     for parts in fams:
         in_l = np.zeros(total, dtype=bool)
         for tau in permutations(range(r)):
             conj = np.ones(total, dtype=bool)
             for i in range(r):
-                conj &= parts[tau[i]][drm[:, i]]
+                conj &= parts[tau[i]][faces[i]]
                 if not conj.any():
                     break
             in_l |= conj

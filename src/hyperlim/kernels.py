@@ -1,8 +1,10 @@
-"""Hot counting and sampling kernels, all integer-exact: one tensor
-contraction for exact counts, one backtracking loop for the counts whose
-constraint graph is complete, and vectorized numpy sweeps. Randomness enters
-only through splitmix64 counters (see rng), which keeps results independent
-of evaluation order.
+"""Hot counting kernels, all integer-exact: one tensor contraction for
+exact counts, one backtracking loop for the counts whose constraint graph is
+complete, vectorized Monte Carlo and map-evaluation sweeps, and the random
+map generators that feed them. Randomness enters only through splitmix64
+counters (see rng), which keeps results independent of evaluation order.
+Step samples are not drawn here: they read hashed levels through
+combinatorics.cell_codes.
 """
 
 from __future__ import annotations
@@ -146,29 +148,6 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
 
 # ---------------------------------------------------------------------------
 # vectorized kernels, and the map generators that feed eval_maps_count
-
-
-def sample_w_mask(ksubs, ct, offsets, key, l, member, labels_flat, bits, nbits, lpow):
-    """Membership mask over all k-subsets for a step-function sample.
-
-    Level of subset S comes from labels_flat when restriction labels are
-    given (nonempty), else from the hash of S's global counter.
-    """
-    m_rows = ksubs.shape[0]
-    restricted = labels_flat.shape[0] > 0
-    code = np.zeros(m_rows, dtype=np.int64)
-    for mi in range(bits.shape[0]):
-        r = int(nbits[mi])
-        rank = np.zeros(m_rows, dtype=np.int64)
-        for j in range(r):
-            rank += ct[ksubs[:, bits[mi, j]], j + 1]
-        ctr = offsets[r - 1] + rank
-        if restricted:
-            lev = labels_flat[ctr] - 1
-        else:
-            lev = rng.np_level_of(rng.np_mix64(int(key), ctr), l)
-        code += lev * lpow[mi]
-    return member[code]
 
 
 def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:

@@ -20,13 +20,12 @@ import numpy as np
 from . import rng
 from .combinatorics import (
     arity_offsets,
+    cell_codes,
     cell_orbit,
     colex_matrix,
-    colex_rank_rows,
-    comb_table,
-    mask_bits,
     mask_image,
     position_perms,
+    subset_counters,
 )
 from .hypergraph import Hypergraph
 from .hyperpartition import (
@@ -59,20 +58,6 @@ class DecompositionReport:
         }
 
 
-def _subset_index_matrix(n: int, k: int) -> np.ndarray:
-    """Global subset index of every proper-or-full mask of every k-set."""
-    rows = colex_matrix(n, k)
-    width = (1 << k) - 1
-    offs = arity_offsets(n, k)
-    ct = comb_table(max(n, 1), k)
-    out = np.empty((rows.shape[0], width), dtype=np.int64)
-    for m in range(1, width + 1):
-        cols = list(mask_bits(m))
-        sub = rows[:, cols]
-        out[:, m - 1] = offs[len(cols) - 1] + colex_rank_rows(sub, ct)
-    return out
-
-
 def _perm_weight_vectors(k: int, l: int) -> np.ndarray:
     """Row p: weight of digit position m-1 in the p-permuted cell code."""
     perms = position_perms(k)
@@ -89,11 +74,13 @@ def _decode_cell(code: int, k: int, l: int) -> tuple:
     return tuple((code // l**i) % l + 1 for i in range(width))
 
 
-def _majority_structure(digits, edge, k, l, wvec):
+def _majority_structure(codes, edge, k, l, wvec):
     """Per-orbit majority vote: include an orbit iff over half of the k-sets
     landing in it are edges (ties excluded). Optimal for fixed labels."""
-    codes_all = digits @ wvec.T
-    canon = codes_all.min(axis=1)
+    # an orbit is named by the least code among its cells' permutations
+    uniq, inv = np.unique(codes, return_inverse=True)
+    digits = uniq[:, None] // l ** np.arange(wvec.shape[1]) % l
+    canon = (digits @ wvec.T).min(axis=1)[inv]
     uniq, inv = np.unique(canon, return_inverse=True)
     sizes = np.bincount(inv)
     edges_in = np.bincount(inv, weights=edge).astype(np.int64)
@@ -129,20 +116,20 @@ def _labels_to_hp(n, k, l, labels_flat):
 class _SearchState:
     """Mutable labels + derived row codes with incremental move evaluation."""
 
-    def __init__(self, H, l, subidx, lpow):
+    def __init__(self, H, l):
         self.H = H
         self.n, self.k, self.l = H.n, H.k, l
-        self.subidx = subidx
-        self.lpow = lpow
         self.edge = H.member_array().astype(np.int64)
-        self.nrows = subidx.shape[0]
         self.offs = arity_offsets(self.n, self.k)
         self.total = self.offs[-1]
-        # CSR of (row, digit weight) per global subset index
-        flat = subidx.ravel()
+        # CSR of (row, digit weight) per global subset counter
+        table = subset_counters(self.n, self.k)
+        self.nrows = table.shape[1]
+        flat = table.ravel()
         order = np.argsort(flat, kind="stable")
-        self.csr_rows = np.repeat(np.arange(self.nrows, dtype=np.int64), subidx.shape[1])[order]
-        self.csr_wts = np.tile(lpow, self.nrows)[order]
+        # flat position m * nrows + row holds digit m of that row's code
+        self.csr_rows = order % self.nrows
+        self.csr_wts = l ** (order // self.nrows)
         self.indptr = np.searchsorted(flat[order], np.arange(self.total + 1))
         self.labels = None
         self.codes = None
@@ -150,16 +137,13 @@ class _SearchState:
 
     def set_labels(self, labels_flat):
         self.labels = labels_flat
-        self.codes = (self.labels[self.subidx] - 1) @ self.lpow
+        self.codes = cell_codes(self.labels - 1, self.n, self.k, self.l)
 
     def set_structure(self, structure):
         self.member = structure.member_table().astype(np.int64)
 
     def eps_count(self) -> int:
         return int((self.edge != self.member[self.codes]).sum())
-
-    def digits(self):
-        return self.labels[self.subidx] - 1
 
     def arity_counts(self):
         out = []
@@ -262,11 +246,8 @@ def refine(
             raise ValueError("exhaustive mode searches structures itself")
         return _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut)
     n, k = H.n, H.k
-    width = (1 << k) - 1
-    lpow = l ** np.arange(width, dtype=np.int64)
-    subidx = _subset_index_matrix(n, k)
     wvec = _perm_weight_vectors(k, l)
-    state = _SearchState(H, l, subidx, lpow)
+    state = _SearchState(H, l)
     best = None
     trace = []
     ridx = 0
@@ -276,7 +257,7 @@ def refine(
         if structure is not None:
             current = structure
         else:
-            current = _majority_structure(state.digits(), state.edge, k, l, wvec)
+            current = _majority_structure(state.codes, state.edge, k, l, wvec)
         state.set_structure(current)
         accepted = state.sweep(lam)
         eps_cnt = state.eps_count()

@@ -17,14 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, rng
+from . import rng
 from .combinatorics import (
     arity_offsets,
+    cell_codes,
     colex_matrix,
     colex_rank,
     colex_rank_rows,
     comb_table,
     mask_bits,
+    subset_counters,
 )
 from .hypergraph import Hypergraph
 from .hyperpartition import Hyperpartition
@@ -139,32 +141,16 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     return Hypergraph(k, n, (tuple(int(v) for v in r) for r in out_rows))
 
 
-def _mask_arrays(k: int):
-    width = (1 << k) - 1
-    bits = np.zeros((width, k), dtype=np.int64)
-    nbits = np.zeros(width, dtype=np.int64)
-    for m in range(1, width + 1):
-        bs = mask_bits(m)
-        nbits[m - 1] = len(bs)
-        for j, b in enumerate(bs):
-            bits[m - 1, j] = b
-    return bits, nbits
-
-
 def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp) -> np.ndarray:
     k, l = W.k, W.l
-    ksubs = colex_matrix(n, k)
-    ct = comb_table(max(n, 1), k)
-    offsets = np.array(arity_offsets(n, k)[:k], dtype=np.int64)
-    bits, nbits = _mask_arrays(k)
-    lpow = l ** np.arange((1 << k) - 1, dtype=np.int64)
+    subset_counters(n, k)  # refuses an oversized n before anything is hashed
     if hp is None:
-        labels_flat = np.zeros(0, dtype=np.int64)
+        # one hash per subset, at its global counter
+        ctr = np.arange(arity_offsets(n, k)[-1], dtype=np.uint64)
+        levels = rng.np_level_of(rng.np_mix64(key, ctr), l)
     else:
-        labels_flat = hp.flat_labels()
-    return kernels.sample_w_mask(
-        ksubs, ct, offsets, key, l, W.member_table(), labels_flat, bits, nbits, lpow
-    )
+        levels = hp.flat_labels() - 1
+    return W.member_table()[cell_codes(levels, n, k, l)]
 
 
 def sample_w_edge_count(

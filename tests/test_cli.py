@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -106,6 +107,20 @@ def test_missing_required_input_exits_2(files, capsys):
     rc = main(["distance", "--metric", "d1", "--U", files_w(files)])
     assert rc == 2
     assert "W:" in capsys.readouterr().err
+
+
+def test_sample_oversized_n_exits_2_before_allocating(files, capsys):
+    w = files_w(files)
+    tracemalloc.start()
+    try:
+        rc = main(["sample", "--W", w, "--n", "200000", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "n=200000" in err
+    assert peak < 1 << 24
 
 
 def test_sample_writes_artifact_and_sidecar(files, capsys):

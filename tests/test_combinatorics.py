@@ -1,10 +1,17 @@
 import itertools
+import tracemalloc
 from math import comb, factorial
 
+import numpy as np
+import pytest
+
 from hyperlim.combinatorics import (
+    ROW_CAP,
     arity_offsets,
     comb_table,
+    cell_codes,
     cell_orbit,
+    colex_matrix,
     colex_rank,
     colex_rank_rows,
     colex_unrank,
@@ -13,10 +20,10 @@ from hyperlim.combinatorics import (
     mask_image,
     permute_cell,
     set_partitions,
+    subset_counters,
     subsets_colex,
 )
-
-import numpy as np
+from hyperlim.sampling import CoordinateSystem
 
 
 def brute_colex(n, r):
@@ -49,6 +56,67 @@ def test_colex_rank_rows_matches_scalar():
     ranks = colex_rank_rows(rows, comb_table(9, 3))
     for row, rank in zip(rows, ranks):
         assert colex_rank(tuple(row)) == rank
+
+
+def test_colex_matrix_matches_subsets_colex():
+    for n in range(11):
+        for r in range(6):
+            want = list(subsets_colex(n, r))
+            m = colex_matrix(n, r)
+            assert m.shape == (len(want), r) and m.dtype == np.int64
+            assert [tuple(row) for row in m.tolist()] == want
+            assert not m.flags.writeable
+
+
+def test_colex_matrix_caches_only_the_requested_matrix():
+    # built from prefix rows, not from one cached matrix per prefix ground set
+    colex_matrix.cache_clear()
+    colex_matrix(60, 3)
+    assert colex_matrix.cache_info().currsize <= 2
+
+
+def test_subset_counters_match_scalar_counter():
+    for k in range(1, 5):
+        width = (1 << k) - 1
+        for n in range(10):
+            table = subset_counters(n, k)
+            assert table.shape == (width, comb(n, k))
+            assert table.dtype == np.int32 and not table.flags.writeable
+            coords = CoordinateSystem(n, k, 0)
+            for i, s in enumerate(subsets_colex(n, k)):
+                for m in range(1, width + 1):
+                    sub = tuple(s[b] for b in mask_bits(m))
+                    assert table[m - 1, i] == coords.counter(sub)
+                    assert table[m - 1, i] == arity_offsets(n, k)[len(sub) - 1] + colex_rank(sub)
+
+
+def test_cell_codes_match_scalar_sum():
+    rs = np.random.default_rng(3)
+    for n, k, l in [(7, 2, 3), (6, 3, 2), (6, 3, 3), (5, 1, 4), (2, 3, 2)]:
+        levels = rs.integers(0, l, size=arity_offsets(n, k)[-1])
+        codes = cell_codes(levels, n, k, l)
+        want = []
+        for s in subsets_colex(n, k):
+            code = 0
+            for m in range(1, 1 << k):
+                sub = tuple(s[b] for b in mask_bits(m))
+                code += int(levels[arity_offsets(n, k)[len(sub) - 1] + colex_rank(sub)]) * l ** (m - 1)
+            want.append(code)
+        assert codes.tolist() == want
+
+
+def test_oversized_ground_sets_are_refused_before_allocating():
+    n = 10**6
+    assert comb(n, 2) > ROW_CAP
+    tracemalloc.start()
+    try:
+        for build in (colex_matrix, subset_counters):
+            with pytest.raises(ValueError, match=f"n={n}"):
+                build(n, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_arity_offsets_are_cumulative_subset_counts():

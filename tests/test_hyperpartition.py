@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from hyperlim.combinatorics import cell_orbit, mask_bits
+from hyperlim.combinatorics import cell_orbit, colex_rank, mask_bits
 from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
@@ -192,6 +193,43 @@ def test_regularity_deficit_basics():
     b = regularity_deficit(G, 16, Fraction(1, 10), seed=5)
     assert a == b
     assert 0 <= a <= 1
+
+
+def brute_regularity_deficit(G, family, eps):
+    r, n = G.k, G.n
+    total = comb(n, r)
+    g_dens = Fraction(G.edge_count, total)
+    worst = Fraction(0)
+    for parts in family:
+        ranks = [{colex_rank(tuple(sorted(s))) for s in part} for part in parts]
+        size = inter = 0
+        for S in itertools.combinations(range(n), r):
+            # face j drops the j-th smallest element
+            faces = [colex_rank(f) for f in itertools.combinations(S, r - 1)][::-1]
+            if any(
+                all(faces[i] in ranks[tau[i]] for i in range(r))
+                for tau in itertools.permutations(range(r))
+            ):
+                size += 1
+                inter += S in G.edges
+        if size and Fraction(size, total) >= eps:
+            worst = max(worst, abs(g_dens - Fraction(inter, size)))
+    return worst
+
+
+def test_regularity_deficit_matches_brute_force():
+    rs = random.Random(17)
+    for r, n in [(2, 7), (2, 9), (3, 6), (3, 7)]:
+        faces = list(itertools.combinations(range(n), r - 1))
+        for trial in range(6):
+            G = Hypergraph.random(r, n, Fraction(1, 2), seed=100 * r + trial)
+            family = [
+                tuple([f for f in faces if rs.random() < p] for _ in range(r))
+                for p in (0.2, 0.4, 0.6, 0.8)
+            ]
+            for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 2)):
+                want = brute_regularity_deficit(G, family, eps)
+                assert regularity_deficit(G, family, eps) == want, (r, n, trial, eps)
 
 
 def test_hyperpartition_roundtrip():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -98,14 +99,37 @@ def test_sample_w_example1_edge_frequency():
 
 def test_restricted_sample_is_cells_union():
     # with one level interval per class the step sample is deterministic
-    W = builtin_w("example1", 2)
-    for seed in range(4):
-        hp = Hyperpartition.uniform_random(9, 2, 2, seed=seed)
-        rec = sample_w(W, 9, seed * 7 + 1, hp=hp)
-        want = cells_union(hp, structure_of(W))
-        assert rec.sample.edges == want.edges
-        assert rec.source["restricted"] is True
-        assert "hp_digest" in rec.source
+    cases = [
+        (builtin_w("example1", 2), 9),
+        (builtin_w("example1", 3), 8),
+        (step_from_structure(CombinatorialStructure.from_top_labels(2, 3, {1, 3})), 9),
+        (step_from_structure(CombinatorialStructure.from_top_labels(3, 3, {2})), 7),
+    ]
+    for W, n in cases:
+        for seed in range(4):
+            hp = Hyperpartition.uniform_random(n, W.k, W.l, seed=seed)
+            rec = sample_w(W, n, seed * 7 + 1, hp=hp)
+            want = cells_union(hp, structure_of(W))
+            assert rec.sample.edges == want.edges
+            assert rec.source["restricted"] is True
+            assert "hp_digest" in rec.source
+
+
+def _checksum(G):
+    blob = json.dumps(G.to_obj(), sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_sampler_golden_checksums():
+    # pinned before the sampler read its levels through one hash per subset
+    G = sample_w(builtin_w("example1", 2), 300, 11).sample
+    assert (len(G.edges), _checksum(G)) == (22335, "df8e320ca9937f11")
+    G = sample_w(builtin_w("example1", 3), 40, 12).sample
+    assert (len(G.edges), _checksum(G)) == (4960, "943a8a0eb9cd3c96")
+    hp = Hyperpartition.uniform_random(40, 3, 2, seed=9)
+    G = sample_w(builtin_w("example1", 3), 40, 13, hp=hp).sample
+    assert (len(G.edges), _checksum(G)) == (4879, "8c6d1e3a2da67821")
+    assert sample_w_edge_count(builtin_w("example2", 3), 40, 5) == 1102
 
 
 def test_edge_count_fast_path_agrees():
