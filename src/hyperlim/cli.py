@@ -38,6 +38,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _dump_hypergraph(G: Hypergraph) -> str:
+    """_dump_json(G.to_obj()), with the edge block formatted in one step."""
+    rows = G.edge_rows()
+    edges = "[]"
+    if len(rows):
+        edge = "    [\n" + "      %d,\n" * (G.k - 1) + "      %d\n    ]"
+        edges = "[\n" + ",\n".join([edge] * len(rows)) % tuple(rows.ravel().tolist()) + "\n  ]"
+    return '{\n  "edges": %s,\n  "k": %d,\n  "n": %d\n}\n' % (edges, G.k, G.n)
+
+
 def _write_out(text: str, out):
     if out:
         with open(out, "w") as fh:
@@ -174,7 +184,7 @@ def _cmd_sample(args) -> int:
         hp = _load_hp(args.HP, "HP") if args.HP else None
         rec = sample_w(W, args.n, seed, hp=hp)
         G, meta = rec.sample, {"seed": rec.seed, "source": rec.source}
-    text = _dump_json(G.to_obj())
+    text = _dump_hypergraph(G)
     if args.out:
         _write_out(text, args.out)
         side = args.out[:-5] + ".meta.json" if args.out.endswith(".json") else args.out + ".meta.json"

@@ -63,9 +63,9 @@ def comb_table(n: int, r: int) -> np.ndarray:
     """Binomial table, shape (n+1, r+1); entry [a, b] is C(a, b)."""
     t = np.zeros((n + 1, r + 1), dtype=np.int64)
     t[:, 0] = 1
-    for a in range(1, n + 1):
-        for b in range(1, min(a, r) + 1):
-            t[a, b] = t[a - 1, b - 1] + t[a - 1, b]
+    for b in range(1, r + 1):
+        # C(a, b) is the sum of C(x, b - 1) over x < a
+        np.cumsum(t[:-1, b - 1], out=t[1:, b])
     t.setflags(write=False)
     return t
 

@@ -413,7 +413,7 @@ def hereditary_experiment(
 
     def one(i, s):
         G = sample_w(W, n, s, hp=hp).sample
-        row = {"trial": i, "seed": s, "edges": len(G.edges)}
+        row = {"trial": i, "seed": s, "edges": G.edge_count}
         for fi, (F, t_ind) in enumerate(info):
             if t_ind == 0:
                 row[f"hits_F{fi}"] = int(_has_induced_copy(G, F))

@@ -12,13 +12,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import factorial
 from typing import Optional
 
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import colex_rank, comb_table, falling, set_partitions
+from .combinatorics import (
+    _check_rows,
+    colex_matrix,
+    colex_rank_rows,
+    comb_table,
+    falling,
+    set_partitions,
+)
 
 MAX_CANONICAL_N = 10
 MAX_FAMILY_VERTICES = 5
@@ -26,16 +33,24 @@ _BLOWUP_EDGE_CAP = 10**7
 _BLOWUP_VERTEX_CAP = 10**6
 
 
-class Hypergraph:
-    """Immutable k-uniform hypergraph on vertex set range(n)."""
+def _check_shape(k, n):
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("k must be a positive integer")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("n must be a nonnegative integer")
 
-    __slots__ = ("k", "n", "edges", "_member")
+
+class Hypergraph:
+    """Immutable k-uniform hypergraph on vertex set range(n).
+
+    A hypergraph built from a membership mask (from_member) keeps only the
+    mask; its edge set is listed on first use.
+    """
+
+    __slots__ = ("k", "n", "_edges", "_member")
 
     def __init__(self, k: int, n: int, edges=()):
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("k must be a positive integer")
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("n must be a nonnegative integer")
+        _check_shape(k, n)
         norm = set()
         for e in edges:
             t = tuple(sorted(int(v) for v in e))
@@ -48,16 +63,45 @@ class Hypergraph:
             norm.add(t)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "_edges", frozenset(norm))
         object.__setattr__(self, "_member", None)
+
+    @classmethod
+    def from_member(cls, k: int, n: int, member) -> "Hypergraph":
+        """The hypergraph whose edges are the k-subsets of range(n) marked
+        nonzero in member, an indicator over all k-subsets in colex order."""
+        _check_shape(k, n)
+        m = np.asarray(member)
+        rows = _check_rows(n, k)
+        if m.shape != (rows,):
+            raise ValueError(f"member must have length C({n}, {k}) = {rows}, got {m.shape}")
+        m = (m != 0).view(np.uint8)
+        m.setflags(write=False)
+        G = object.__new__(cls)
+        object.__setattr__(G, "k", k)
+        object.__setattr__(G, "n", n)
+        object.__setattr__(G, "_edges", None)
+        object.__setattr__(G, "_member", m)
+        return G
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
+    @property
+    def edges(self) -> frozenset:
+        """The edges as sorted vertex tuples."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(map(tuple, self.edge_rows().tolist())))
+        return self._edges
+
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.k, self.n, self.edges) == (other.k, other.n, other.edges)
+        if (self.k, self.n) != (other.k, other.n):
+            return False
+        if self._member is not None and other._member is not None:
+            return np.array_equal(self._member, other._member)
+        return self.edges == other.edges
 
     def __hash__(self):
         return hash((self.k, self.n, self.edges))
@@ -67,29 +111,35 @@ class Hypergraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        if self._member is not None:
+            return int(np.count_nonzero(self._member))
+        return len(self._edges)
 
     @property
     def ordered_edge_count(self) -> int:
         """Size as a symmetric subset of n-tuples: k! per edge."""
-        return factorial(self.k) * len(self.edges)
+        return factorial(self.k) * self.edge_count
 
     def is_edge(self, subset) -> bool:
         return tuple(sorted(subset)) in self.edges
 
     def member_array(self) -> np.ndarray:
-        """uint8 indicator over all k-subsets in colex order (cached)."""
+        """uint8 indicator over all k-subsets in colex order (cached).
+
+        Raises ValueError, before allocating, when C(n, k) exceeds the row
+        cap of combinatorics.
+        """
         if self._member is None:
-            m = np.zeros(comb(self.n, self.k), dtype=np.uint8)
-            for e in self.edges:
-                m[colex_rank(e)] = 1
+            m = np.zeros(_check_rows(self.n, self.k), dtype=np.uint8)
+            if self._edges:
+                rows = np.array(list(self._edges), dtype=np.int64)
+                m[colex_rank_rows(rows, comb_table(self.n, self.k))] = 1
             m.setflags(write=False)
             object.__setattr__(self, "_member", m)
         return self._member
 
     def complement(self) -> "Hypergraph":
-        every = combinations(range(self.n), self.k)
-        return Hypergraph(self.k, self.n, (e for e in every if e not in self.edges))
+        return Hypergraph.from_member(self.k, self.n, 1 - self.member_array())
 
     def relabel(self, perm) -> "Hypergraph":
         perm = tuple(perm)
@@ -97,8 +147,19 @@ class Hypergraph:
             raise ValueError("perm must be a permutation of range(n)")
         return Hypergraph(self.k, self.n, ((perm[v] for v in e) for e in self.edges))
 
+    def edge_rows(self) -> np.ndarray:
+        """The edges as the rows of an int64 (edge_count, k) array, in colex
+        order."""
+        if self._member is not None:
+            return colex_matrix(self.n, self.k)[self._member != 0]
+        return np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, self.k)
+
     def sorted_edges(self) -> list:
-        return sorted(self.edges, key=colex_rank)
+        """The edges in colex order."""
+        if self._member is not None:
+            return list(map(tuple, self.edge_rows().tolist()))
+        # colex order on sorted k-tuples is lexicographic order from the end
+        return sorted(self._edges, key=lambda e: e[::-1])
 
     # constructors
 
@@ -108,7 +169,7 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, k, n):
-        return cls(k, n, combinations(range(n), k))
+        return cls.from_member(k, n, np.ones(_check_rows(n, k), dtype=np.uint8))
 
     @classmethod
     def single_edge(cls, k):
@@ -121,16 +182,13 @@ class Hypergraph:
         if thr < 0 or thr > 1 << 64:
             raise ValueError("p must lie in [0, 1]")
         key = rng.derive(seed, rng.TAG_INIT)
-        m = comb(n, k)
+        m = _check_rows(n, k)
         h = rng.np_mix64(key, np.arange(m, dtype=np.uint64))
         if thr >= 1 << 64:
             keep = np.ones(m, dtype=bool)
         else:
             keep = h < np.uint64(thr)
-        from .combinatorics import colex_matrix
-
-        rows = colex_matrix(n, k)[keep]
-        return cls(k, n, (tuple(int(v) for v in r) for r in rows))
+        return cls.from_member(k, n, keep)
 
     # serialization
 
@@ -138,7 +196,7 @@ class Hypergraph:
         return {
             "k": self.k,
             "n": self.n,
-            "edges": [list(e) for e in self.sorted_edges()],
+            "edges": self.edge_rows().tolist(),
         }
 
     @classmethod
@@ -269,12 +327,11 @@ def _loop_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) -> i
         return 1
     if injective and F.n > H.n:
         return 0
+    member = H.member_array()  # refuses an oversized host before allocating
     rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
     fl = np.array([flags[int(i)] for i in src], dtype=np.uint8)
     ct = comb_table(max(H.n, 1), F.k)
-    return kernels.induced_count(
-        F.n, F.k, H.n, rows, fl, ptr, H.member_array(), ct, injective
-    )
+    return kernels.induced_count(F.n, F.k, H.n, rows, fl, ptr, member, ct, injective)
 
 
 def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
@@ -291,8 +348,8 @@ def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
     if H.n**H.k > kernels.CONTRACT_CAP:
         return None
     T = np.zeros((H.n,) * H.k, dtype=np.int64)
-    if H.edges:
-        E = np.array(sorted(H.edges), dtype=np.int64)
+    E = H.edge_rows()
+    if E.size:
         for p in permutations(range(H.k)):
             T[tuple(E[:, p].T)] = 1
     return T

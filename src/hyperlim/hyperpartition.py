@@ -23,7 +23,6 @@ from .combinatorics import (
     arity_offsets,
     cell_codes,
     cell_orbit,
-    colex_matrix,
     colex_rank,
     colex_rank_rows,
     comb_table,
@@ -106,8 +105,7 @@ class Hyperpartition:
 
     def class_hypergraph(self, r: int, j: int) -> Hypergraph:
         """The r-uniform hypergraph formed by the subsets labeled j."""
-        rows = colex_matrix(self.n, r)[self.labels[r] == j]
-        return Hypergraph(r, self.n, (tuple(int(v) for v in x) for x in rows))
+        return Hypergraph.from_member(r, self.n, self.labels[r] == j)
 
     def equitability_deficit(self) -> Fraction:
         """Largest normalized class-size gap over all arities."""
@@ -300,9 +298,9 @@ def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hyperg
     if hp.k != structure.k or hp.l != structure.l:
         raise ValueError("hyperpartition and structure disagree on (k, l)")
     n, k, l = hp.n, hp.k, hp.l
-    mask = structure.member_table()[cell_codes(hp.flat_labels() - 1, n, k, l)] != 0
-    rows = colex_matrix(n, k)[mask]
-    return Hypergraph(k, n, (tuple(int(v) for v in x) for x in rows))
+    return Hypergraph.from_member(
+        k, n, structure.member_table()[cell_codes(hp.flat_labels() - 1, n, k, l)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,11 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
         raise ValueError("host must have at least one vertex")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    k = H.k
+    member = H.member_array()  # refuses an oversized host before allocating
     key = rng.derive(seed, rng.TAG_VERTEX)
     h = rng.np_mix64(key, np.arange(n, dtype=np.uint64))
     picks = (h % np.uint64(H.n)).astype(np.int64)
-    k = H.k
     if comb(n, k) == 0:
         return Hypergraph(k, n)
     rows = picks[colex_matrix(n, k)]
@@ -136,9 +137,7 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     ct = comb_table(max(H.n, 1), k)
     ranks = colex_rank_rows(rows, ct)
     ranks[~distinct] = 0
-    mask = distinct & (H.member_array()[ranks] != 0)
-    out_rows = colex_matrix(n, k)[mask]
-    return Hypergraph(k, n, (tuple(int(v) for v in r) for r in out_rows))
+    return Hypergraph.from_member(k, n, distinct & (member[ranks] != 0))
 
 
 def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp) -> np.ndarray:
@@ -193,9 +192,7 @@ def sample_w(
         if comb(n, k) == 0:
             sample = Hypergraph(k, n)
         else:
-            mask = _step_edge_mask(W, n, key, hp) != 0
-            rows = colex_matrix(n, k)[mask]
-            sample = Hypergraph(k, n, (tuple(int(v) for v in r) for r in rows))
+            sample = Hypergraph.from_member(k, n, _step_edge_mask(W, n, key, hp))
         if hp is not None:
             _assert_restricted(W, n, seed, hp)
         source = {

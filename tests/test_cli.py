@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tracemalloc
@@ -109,18 +110,60 @@ def test_missing_required_input_exits_2(files, capsys):
     assert "W:" in capsys.readouterr().err
 
 
-def test_sample_oversized_n_exits_2_before_allocating(files, capsys):
-    w = files_w(files)
+def _main_peak(argv):
     tracemalloc.start()
     try:
-        rc = main(["sample", "--W", w, "--n", "200000", "--seed", "1"])
+        rc = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rc, peak
+
+
+def test_sample_oversized_n_exits_2_before_allocating(files, capsys):
+    rc, peak = _main_peak(["sample", "--W", files_w(files), "--n", "200000", "--seed", "1"])
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "n=200000" in err
     assert peak < 1 << 24
+
+
+def test_oversized_host_exits_2_before_allocating(files, capsys):
+    big = files["dir"] + "/big.json"
+    with open(big, "w") as fh:
+        json.dump({"k": 2, "n": 1000000, "edges": [[0, 1]]}, fh)
+    for argv in (
+        ["density", "--F", files["edge"], "--H", big],
+        ["density", "--F", files["edge"], "--H", big, "--induced"],
+        ["sample", "--H", big, "--n", "10", "--seed", "1"],
+    ):
+        rc, peak = _main_peak(argv)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "n=1000000" in err
+        assert peak < 1 << 24
+
+
+def _sha(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_sample_artifact_golden_bytes(files, capsys):
+    # sha256 of the files the CLI wrote before hypergraph artifacts got
+    # their own writer; the host is a fixed 12-vertex graph
+    out = files["dir"] + "/s.json"
+    assert main(["sample", "--W", files_w(files), "--n", "300", "--seed", "11", "--out", out]) == 0
+    assert _sha(out) == "e514f6e289949cb8ce1909f468471666d393e3651df50fcef5fd56f7170c1af4"
+    assert _sha(files["dir"] + "/s.meta.json") == (
+        "64c8f8f68d7016f2c1e6cdcac8b45388a588c20f50d2d73599527f82d93c7af9"
+    )
+    host = files["dir"] + "/host12.json"
+    with open(host, "w") as fh:
+        edges = [[i, j] for i in range(12) for j in range(i + 1, 12) if (i + 2 * j) % 5 < 2]
+        json.dump({"k": 2, "n": 12, "edges": edges}, fh)
+    out = files["dir"] + "/v.json"
+    assert main(["sample", "--H", host, "--n", "20", "--seed", "3", "--out", out]) == 0
+    assert _sha(out) == "3b72014e423a81ad19256e50844e5a5018d89e4ef13a269525a63f4414e041c7"
 
 
 def test_sample_writes_artifact_and_sidecar(files, capsys):

@@ -129,6 +129,13 @@ def test_arity_offsets_are_cumulative_subset_counts():
             assert offs[k] == sum(comb(n, j) for j in range(1, k + 1))
 
 
+def test_comb_table_matches_math_comb():
+    for n, r in [(0, 0), (0, 3), (1, 1), (9, 3), (30, 5), (2000, 2)]:
+        t = comb_table(n, r)
+        assert t.shape == (n + 1, r + 1)
+        assert t.tolist() == [[comb(a, b) for b in range(r + 1)] for a in range(n + 1)]
+
+
 def test_falling_factorial():
     assert falling(5, 0) == 1
     assert falling(5, 2) == 20

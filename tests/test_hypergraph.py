@@ -1,8 +1,16 @@
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperlim.cli import _dump_hypergraph
+from hyperlim.combinatorics import subsets_colex
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,
@@ -166,3 +174,60 @@ def test_serialization_roundtrip():
     obj = H.to_obj()
     back = Hypergraph.from_obj(obj)
     assert back.k == H.k and back.n == H.n and back.sorted_edges() == H.sorted_edges()
+
+
+@st.composite
+def masks(draw):
+    """(k, n, mask) with mask an indicator over the k-subsets in colex order;
+    n < k and the empty mask are included."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 9))
+    bits = st.booleans() if draw(st.booleans()) else st.just(False)
+    m = comb(n, k)
+    return k, n, draw(st.lists(bits, min_size=m, max_size=m))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(masks(), st.randoms(use_true_random=False))
+def test_from_member_matches_edge_constructor(case, rnd):
+    k, n, mask = case
+    rows = [s for s, b in zip(subsets_colex(n, k), mask) if b]
+    shuffled = [rnd.sample(e, k) for e in rnd.sample(rows, len(rows))]
+    A = Hypergraph.from_member(k, n, np.array(mask, dtype=bool))
+    B = Hypergraph(k, n, shuffled)
+    assert A == B and B == A and hash(A) == hash(B)
+    assert (A == A.complement()) == (comb(n, k) == 0)
+    assert A.edges == B.edges == frozenset(rows)
+    assert A.edge_count == B.edge_count == len(rows)
+    assert A.sorted_edges() == B.sorted_edges() == rows
+    assert np.array_equal(A.member_array(), np.array(mask, dtype=np.uint8))
+    assert np.array_equal(B.member_array(), A.member_array())
+    assert A.to_obj() == B.to_obj() == {"k": k, "n": n, "edges": [list(e) for e in rows]}
+    for G in (A, B, Hypergraph(k, n, rows)):
+        assert _dump_hypergraph(G) == json.dumps(G.to_obj(), sort_keys=True, indent=2) + "\n"
+
+
+def test_from_member_checks_its_mask():
+    with pytest.raises(ValueError, match="length"):
+        Hypergraph.from_member(2, 4, np.ones(5, dtype=np.uint8))
+    with pytest.raises(ValueError, match="n=1000000"):
+        Hypergraph.from_member(2, 10**6, np.ones(3, dtype=np.uint8))
+    mask = np.array([0, 2, 1], dtype=np.int64)
+    G = Hypergraph.from_member(2, 3, mask)
+    mask[0] = 1  # the hypergraph keeps its own read-only 0/1 copy
+    assert G.member_array().tolist() == [0, 1, 1]
+    assert not G.member_array().flags.writeable
+    with pytest.raises(AttributeError):
+        G.edges = frozenset()
+
+
+def test_member_array_of_oversized_host_is_refused_before_allocating():
+    H = Hypergraph(2, 10**6, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n=1000000"):
+            H.member_array()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

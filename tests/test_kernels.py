@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from hyperlim import kernels, rng
 from hyperlim.combinatorics import comb_table
 from hyperlim.hypergraph import Hypergraph, hom, injective_hom_brute
 from hyperlim.hypergraphon import _mc_constraint_arrays, builtin_w, density
-from hyperlim.hyperpartition import CombinatorialStructure, structure_density
+from hyperlim.hyperpartition import (
+    CombinatorialStructure,
+    LevelMapDistribution,
+    structure_density,
+)
 
 # deterministic draws keep the suite replayable
 DIFFERENTIAL = settings(derandomize=True, deadline=None)
@@ -75,6 +80,34 @@ def test_structure_density_matches_brute_random(k, l, n, data):
     F, C = data.draw(hypergraphs(k, n)), data.draw(structures(k, l))
     induced = data.draw(st.booleans())
     assert structure_density(F, C, induced=induced) == brute_structure_density(F, C, induced)
+
+
+def uniform_label_maps(v, k, l):
+    """Every label map of the subsets of range(v) of arity 1..k, once each."""
+    simplices = tuple(s for r in range(1, k + 1) for s in itertools.combinations(range(v), r))
+    total = l ** len(simplices)
+    maps = np.array(list(itertools.product(range(1, l + 1), repeat=len(simplices))), dtype=np.int64)
+    counts = np.ones(total, dtype=np.int64)
+    return LevelMapDistribution(v, k, l, simplices, maps.reshape(total, -1), counts, total)
+
+
+@st.composite
+def pattern_structure_maps(draw):
+    k, l = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    # at most 2**16 label maps
+    sizes = [v for v in range(7) if l ** sum(comb(v, r) for r in range(1, k + 1)) <= 1 << 16]
+    v = draw(st.sampled_from(sizes))
+    return draw(hypergraphs(k, v)), draw(structures(k, l)), draw(st.booleans())
+
+
+@settings(DIFFERENTIAL, max_examples=60)
+@given(pattern_structure_maps())
+def test_structure_density_matches_uniform_distribution(case):
+    F, C, induced = case
+    dist = uniform_label_maps(F.n, C.k, C.l)
+    assert structure_density(F, C, induced=induced) == structure_density(
+        F, C, dist, induced=induced
+    )
 
 
 def test_hom_over_cap_takes_the_loop(monkeypatch):

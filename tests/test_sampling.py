@@ -2,8 +2,12 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernels import structures
 
 from hyperlim import rng
 from hyperlim.combinatorics import arity_offsets, colex_rank, mask_bits
@@ -113,6 +117,31 @@ def test_restricted_sample_is_cells_union():
             assert rec.sample.edges == want.edges
             assert rec.source["restricted"] is True
             assert "hp_digest" in rec.source
+
+
+@st.composite
+def restricted_inputs(draw):
+    k, l, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3])), draw(st.integers(0, 8))
+    labels = {
+        r: draw(st.lists(st.integers(1, l), min_size=comb(n, r), max_size=comb(n, r)))
+        for r in range(1, k + 1)
+    }
+    return Hyperpartition(n, k, l, labels), draw(structures(k, l)), draw(st.integers(0, 2**32))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(restricted_inputs())
+def test_restricted_sample_matches_label_oracle(case):
+    hp, C, seed = case
+    k = hp.k
+    want = set()
+    for e in combinations(range(hp.n), k):
+        cell = tuple(hp.label(tuple(e[b] for b in mask_bits(m))) for m in range(1, 1 << k))
+        if cell in C.cells:
+            want.add(e)
+    got = sample_w(step_from_structure(C), hp.n, seed, hp=hp).sample
+    assert got.edges == want
+    assert got.edge_count == len(want)
 
 
 def _checksum(G):
