@@ -14,7 +14,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb, exp
 from statistics import median
 from typing import Optional
@@ -23,13 +22,14 @@ import numpy as np
 
 from . import kernels, rng
 from .combinatorics import comb_table, falling
-from .hypergraph import Hypergraph, hom, is_isomorphic
+from .hypergraph import Hypergraph, _induced_kernel, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from .hypergraphon import StepHypergraphon, density
 from .regularity import refine
 from .sampling import sample_w, sample_w_edge_count
 
 _EXACT_T0_CAP = 10**8
+# most vertex subsets C(n, |V(F)|) a constrained hereditary pattern may span
 _SCAN_CAP = 10**6
 
 
@@ -372,24 +372,7 @@ def removal_experiment(H: Hypergraph, K: Hypergraph) -> ExperimentReport:
 
 
 def _has_induced_copy(G: Hypergraph, F: Hypergraph) -> bool:
-    if comb(G.n, F.n) > _SCAN_CAP:
-        raise ValueError("induced scan exceeds the cap")
-    for verts in combinations(range(G.n), F.n):
-        remap = {v: i for i, v in enumerate(verts)}
-        sub = Hypergraph(
-            G.k,
-            F.n,
-            (
-                tuple(sorted(remap[v] for v in e))
-                for e in G.edges
-                if all(v in remap for v in e)
-            ),
-        )
-        if len(sub.edges) != len(F.edges):
-            continue
-        if is_isomorphic(F, sub):
-            return True
-    return False
+    return _induced_kernel(F, G, True) > 0
 
 
 def hereditary_experiment(
@@ -401,7 +384,8 @@ def hereditary_experiment(
     threads: Optional[int] = None,
 ) -> ExperimentReport:
     """Patterns with zero induced density in W must never appear induced in
-    hyperpartition-restricted samples."""
+    hyperpartition-restricted samples. Such a pattern over more than
+    _SCAN_CAP vertex subsets of a sample is refused before any sampling."""
     F_list = list(F_list)
     if not F_list or trials < 1 or n < W.k:
         raise ValueError("need patterns, trials >= 1 and n >= k")
@@ -409,6 +393,8 @@ def hereditary_experiment(
     info = []
     for F in F_list:
         t_ind = density(F, W, mode="exact", induced=True)
+        if t_ind == 0 and comb(n, F.n) > _SCAN_CAP:
+            raise ValueError("induced scan exceeds the cap")
         info.append((F, t_ind))
 
     def one(i, s):

@@ -320,11 +320,10 @@ def _grouped_constraints(v: int, subs, order):
     return rows, src, ptr
 
 
-def _loop_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) -> int:
-    """Backtracking count of maps V(F) -> V(H), injective ones if asked,
-    sending each subset in subs onto an edge (flag 1) or a non-edge (flag 0)."""
-    if F.n == 0:
-        return 1
+def _search_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) -> int:
+    """Count of maps V(F) -> V(H), injective ones if asked, sending each
+    subset in subs onto an edge (flag 1) or a non-edge (flag 0), by the
+    frontier search of kernels.induced_count."""
     if injective and F.n > H.n:
         return 0
     member = H.member_array()  # refuses an oversized host before allocating
@@ -339,7 +338,7 @@ def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
     if not subs:
         # fewer than k vertices: no constraints at all
         return falling(H.n, F.n) if injective else H.n**F.n
-    return _loop_count(F, H, subs, [F.is_edge(s) for s in subs], injective)
+    return _search_count(F, H, subs, [F.is_edge(s) for s in subs], injective)
 
 
 def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
@@ -357,14 +356,14 @@ def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
 
 def _hom_count(F: Hypergraph, H: Hypergraph, T) -> int:
     """hom(F, H) as one contraction over the host tensor T, one factor per
-    edge of F; the backtracking loop when T is None or over the cap."""
+    edge of F; the frontier search when T is None or over the cap."""
     if not F.edges:
         return H.n**F.n
     got = None
     if T is not None:
         got = kernels.contract([(e, T) for e in F.edges], F.n, H.n)
     if got is None:
-        got = _loop_count(F, H, sorted(F.edges), [1] * len(F.edges))
+        got = _search_count(F, H, sorted(F.edges), [1] * len(F.edges))
     return got
 
 
@@ -382,11 +381,11 @@ def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     """Count maps V(F) -> V(H) sending every edge of F onto an edge of H.
 
     mode "all" counts arbitrary maps as one tensor contraction with a factor
-    per edge of F (see kernels.contract), by backtracking search when the
-    contraction exceeds its cap. mode "injective" computes the injective
-    count through partition-lattice inversion: sum over partitions P of
-    V(F) of mobius_weight(P) times hom(F/P, H), where collapses that merge
-    an edge contribute zero.
+    per edge of F (see kernels.contract), by the frontier search of
+    kernels.induced_count when the contraction exceeds its cap. mode
+    "injective" computes the injective count through partition-lattice
+    inversion: sum over partitions P of V(F) of mobius_weight(P) times
+    hom(F/P, H), where collapses that merge an edge contribute zero.
     """
     _check_arity(F, H)
     if mode not in ("all", "injective"):
@@ -401,7 +400,7 @@ def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
     """Direct enumeration of injective homomorphisms (inversion oracle)."""
     _check_arity(F, H)
     edges = sorted(F.edges)
-    return _loop_count(F, H, edges, [1] * len(edges), injective=True)
+    return _search_count(F, H, edges, [1] * len(edges), injective=True)
 
 
 def quotient(F: Hypergraph, partition) -> Optional[Hypergraph]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import kernels, rng
 from .combinatorics import (
+    _check_rows,
     arity_offsets,
     cell_codes,
     cell_orbit,
@@ -122,22 +123,22 @@ class Hyperpartition:
     @classmethod
     def uniform_random(cls, n, k, l, seed):
         """Independent uniform labels, one hash counter per subset."""
+        for r in range(1, k + 1):
+            _check_rows(n, r)  # before any label array is allocated
         key = rng.derive(seed, rng.TAG_PARTITION)
         offs = arity_offsets(n, k)
         labels = {}
         for r in range(1, k + 1):
-            m = comb(n, r)
-            ctr = np.arange(offs[r - 1], offs[r - 1] + m, dtype=np.uint64)
+            ctr = np.arange(offs[r - 1], offs[r], dtype=np.uint64)
             labels[r] = rng.np_level_of(rng.np_mix64(key, ctr), l) + 1
         return cls(n, k, l, labels)
 
     @classmethod
     def round_robin(cls, n, k, l):
         """Deterministic equitable labels: colex rank modulo l, plus one."""
-        return cls(
-            n, k, l,
-            {r: np.arange(comb(n, r), dtype=np.int64) % l + 1 for r in range(1, k + 1)},
-        )
+        rows = [_check_rows(n, r) for r in range(1, k + 1)]
+        labels = {r: np.arange(m, dtype=np.int64) % l + 1 for r, m in enumerate(rows, 1)}
+        return cls(n, k, l, labels)
 
     def to_obj(self) -> dict:
         return {

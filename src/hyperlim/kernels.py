@@ -1,8 +1,9 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
-exact counts, one backtracking loop for the counts whose constraint graph is
-complete, vectorized Monte Carlo and map-evaluation sweeps, and the random
-map generators that feed them. Randomness enters only through splitmix64
-counters (see rng), which keeps results independent of evaluation order.
+exact counts, one frontier search for the counts whose constraint graph is
+complete, vectorized Monte Carlo and map-evaluation sweeps (the latter
+sharing the search's constraint filter), and the random map generators that
+feed them. Randomness enters only through splitmix64 counters (see rng),
+which keeps results independent of evaluation order.
 Step samples are not drawn here: they read hashed levels through
 combinatorics.cell_codes.
 """
@@ -17,6 +18,8 @@ from . import rng
 
 # most entries any one elimination step of contract may span
 CONTRACT_CAP = 1 << 24
+# most rows one block of the induced_count frontier may hold
+FRONTIER_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -83,67 +86,32 @@ def _einsum(out, *operands):
 
 
 def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
-    """Backtracking count of maps [n_f] -> [n_h], injective ones if asked,
-    under which every listed k-subset lands distinctly on an edge (flag 1)
-    or a non-edge (flag 0) of member.
+    """Count maps [n_f] -> [n_h], injective ones if asked, under which every
+    listed k-subset lands distinctly on an edge (flag 1) or a non-edge
+    (flag 0) of member.
 
     subs rows are index tuples into the F vertex order; they are grouped so
     that rows [depth_ptr[d], depth_ptr[d+1]) touch only vertices <= d and
-    include vertex d, letting each level of the search check exactly the
-    newly closed constraints.
+    include vertex d. Partial maps grow one vertex at a time, as in Generic
+    Join, and each depth keeps the rows that pass its newly closed
+    constraints. A frontier is cut into blocks of at most FRONTIER_CAP rows,
+    and each block runs depth-first to the end.
     """
-    assign = np.empty(n_f, dtype=np.int64)
-    img = np.empty(k, dtype=np.int64)
-    count = 0
-    d = 0
-    assign[0] = -1
-    while d >= 0:
-        a = assign[d] + 1
-        if a >= n_h:
-            d -= 1
-            continue
-        assign[d] = a
-        ok = True
-        if injective:
-            for j in range(d):
-                if assign[j] == a:
-                    ok = False
-                    break
-        if ok:
-            for e in range(depth_ptr[d], depth_ptr[d + 1]):
-                for i in range(k):
-                    img[i] = assign[subs[e, i]]
-                dup = False
-                for i in range(1, k):
-                    v = img[i]
-                    j = i - 1
-                    while j >= 0 and img[j] > v:
-                        img[j + 1] = img[j]
-                        j -= 1
-                    img[j + 1] = v
-                for i in range(1, k):
-                    if img[i] == img[i - 1]:
-                        dup = True
-                        break
-                if dup:
-                    ok = False
-                    break
-                rank = 0
-                for i in range(k):
-                    rank += ct[img[i], i + 1]
-                inm = member[rank] != 0
-                want = flags[e] != 0
-                if inm != want:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if d == n_f - 1:
-            count += 1
-        else:
-            d += 1
-            assign[d] = -1
-    return count
+
+    def grow(maps, d):
+        total = 0
+        size = maps.shape[0] * n_h
+        block = slice(depth_ptr[d], depth_ptr[d + 1])
+        for lo in range(0, size, FRONTIER_CAP):
+            idx = np.arange(lo, min(size, lo + FRONTIER_CAP))
+            rows = np.column_stack((maps[idx // n_h], idx % n_h))
+            if injective:
+                rows = rows[(rows[:, :d] != rows[:, d:]).all(axis=1)]
+            rows = rows[_keep(rows, subs[block], flags[block], member, ct, k)]
+            total += rows.shape[0] if d == n_f - 1 else grow(rows, d + 1)
+        return total
+
+    return grow(np.zeros((1, 0), dtype=np.int64), 0) if n_f else 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +140,26 @@ def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:
 def eval_maps_count(maps, edges, flags, member, ct, k) -> int:
     """Count map rows for which every listed k-subset lands distinctly on an
     edge (flag 1) or non-edge (flag 0) of the member table."""
-    b = maps.shape[0]
-    good = np.ones(b, dtype=bool)
-    for e in range(edges.shape[0]):
-        sub = np.sort(maps[:, edges[e]], axis=1)
-        if k > 1:
-            distinct = np.all(sub[:, 1:] != sub[:, :-1], axis=1)
-        else:
-            distinct = np.ones(b, dtype=bool)
-        rank = np.zeros(b, dtype=np.int64)
-        for i in range(k):
-            rank += ct[sub[:, i], i + 1]
-        rank[~distinct] = 0
-        inm = member[rank] != 0
-        good &= distinct & (inm == (flags[e] != 0))
-    return int(good.sum())
+    return int(_keep(maps, edges, flags, member, ct, k).sum())
+
+
+def _keep(maps, subs, flags, member, ct, k) -> np.ndarray:
+    """Mask of the map rows that pass every (subset, flag) constraint.
+
+    Per constraint: sort the images, test that they are distinct, rank them
+    through ct and compare member there with the flag. Only rows still alive
+    are gathered, so a host with fewer than k vertices, whose member table
+    is empty, is never read.
+    """
+    good = np.ones(maps.shape[0], dtype=bool)
+    cols = np.arange(1, k + 1)
+    for sub, flag in zip(subs, flags):
+        alive = np.flatnonzero(good)
+        img = np.sort(maps[alive[:, None], sub], axis=1)
+        ok = (img[:, 1:] != img[:, :-1]).all(axis=1)
+        ok[ok] = (member[ct[img[ok], cols].sum(axis=1)] != 0) == (flag != 0)
+        good[alive] = ok
+    return good
 
 
 def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:

@@ -144,6 +144,23 @@ def test_oversized_host_exits_2_before_allocating(files, capsys):
         assert peak < 1 << 24
 
 
+def test_oversized_experiments_exit_2_before_allocating(files, capsys):
+    cpath = files["dir"] + "/c.json"
+    with open(cpath, "w") as fh:
+        json.dump(CombinatorialStructure.from_top_labels(2, 2, {2}).to_obj(), fh)
+    for argv in (
+        ["experiment", "hereditary", "--W", files_w(files), "--F", files["tri"],
+         "--n", "1000000", "--trials", "1", "--seed", "1", "--out", files["dir"]],
+        ["experiment", "counting", "--C", cpath, "--F", files["tri"],
+         "--n-list", "1000000", "--trials", "1", "--seed", "1", "--out", files["dir"]],
+    ):
+        rc, peak = _main_peak(argv)
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "n=1000000" in err
+        assert peak < 1 << 24
+
+
 def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 

@@ -1,11 +1,16 @@
 import csv
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_kernels import DIFFERENTIAL, hypergraphs
 
-from hyperlim.hypergraph import Hypergraph
+from hyperlim import experiments
+from hyperlim.hypergraph import Hypergraph, is_isomorphic
 from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import builtin_w, density, step_from_structure, structure_of
 from hyperlim.experiments import (
@@ -119,6 +124,67 @@ def test_hereditary_unconstrained_pattern_records_density():
     rep = hereditary_experiment(W1, [EDGE2], n=12, trials=4, seed=0)
     assert rep.summary["patterns"]["F0"]["t_ind"] == "1/2"
     assert not rep.summary["patterns"]["F0"]["constrained"]
+
+
+def scan_has_induced_copy(G, F):
+    """The per-subset scan the hereditary check once was, kept as its slow
+    oracle: F is isomorphic to the sub-hypergraph G induces on some
+    |V(F)|-subset of its vertices."""
+    for verts in itertools.combinations(range(G.n), F.n):
+        remap = {v: i for i, v in enumerate(verts)}
+        sub = Hypergraph(
+            G.k,
+            F.n,
+            (
+                tuple(sorted(remap[v] for v in e))
+                for e in G.edges
+                if all(v in remap for v in e)
+            ),
+        )
+        if len(sub.edges) != len(F.edges):
+            continue
+        if is_isomorphic(F, sub):
+            return True
+    return False
+
+
+@st.composite
+def host_and_pattern(draw):
+    """A random (G, F) pair; half the time F is a relabeled induced
+    sub-hypergraph of G, so a copy exists."""
+    k = draw(st.sampled_from([2, 3]))
+    G = draw(hypergraphs(k, draw(st.integers(0, 8))))
+    if G.n and draw(st.booleans()):
+        verts = draw(st.lists(st.sampled_from(range(G.n)), min_size=1, max_size=5, unique=True))
+        pos = {v: i for i, v in enumerate(verts)}
+        F = Hypergraph(k, len(verts), [[pos[v] for v in e] for e in G.edges if set(e) <= set(verts)])
+        return G, F, True
+    return G, draw(hypergraphs(k, draw(st.integers(0, 5)))), False
+
+
+@settings(DIFFERENTIAL, max_examples=200)
+@given(host_and_pattern())
+def test_hereditary_check_matches_subset_scan(case):
+    G, F, planted = case
+    assert experiments._has_induced_copy(G, F) == scan_has_induced_copy(G, F) >= planted
+
+
+def test_hereditary_refuses_oversized_scan_before_sampling(monkeypatch):
+    Wbip = step_from_structure(
+        CombinatorialStructure(2, 2, {(1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2)})
+    )
+    drawn = []
+    monkeypatch.setattr(experiments, "sample_w", lambda *a, **kw: drawn.append(a))
+    # C(200, 3) = 1313400 vertex triples exceed the cap for the constrained triangle
+    with pytest.raises(ValueError, match="induced scan exceeds the cap"):
+        hereditary_experiment(Wbip, [EDGE2, TRI], n=200, trials=3, seed=0)
+    assert not drawn
+    # only constrained patterns are measured: C(200, 4) exceeds it too
+    C4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert density(C4, Wbip, mode="exact", induced=True) > 0
+    monkeypatch.undo()
+    rep = hereditary_experiment(Wbip, [C4], n=200, trials=1, seed=0)
+    assert not rep.verdicts["any_constrained"]
 
 
 def test_sequence_shared_structure_verdicts():

@@ -1,5 +1,6 @@
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from test_hyperpartition import brute_structure_density
 
 from hyperlim import kernels, rng
 from hyperlim.combinatorics import comb_table
-from hyperlim.hypergraph import Hypergraph, hom, injective_hom_brute
+from hyperlim.hypergraph import (
+    Hypergraph,
+    _grouped_constraints,
+    _search_order,
+    hom,
+    injective_hom_brute,
+)
 from hyperlim.hypergraphon import _mc_constraint_arrays, builtin_w, density
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
@@ -108,6 +115,119 @@ def test_structure_density_matches_uniform_distribution(case):
     assert structure_density(F, C, induced=induced) == structure_density(
         F, C, dist, induced=induced
     )
+
+
+def scalar_induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
+    """The scalar backtracking search kernels.induced_count once was, kept
+    as its slow oracle (for n_f >= 1)."""
+    assign = np.empty(n_f, dtype=np.int64)
+    img = np.empty(k, dtype=np.int64)
+    count = 0
+    d = 0
+    assign[0] = -1
+    while d >= 0:
+        a = assign[d] + 1
+        if a >= n_h:
+            d -= 1
+            continue
+        assign[d] = a
+        ok = True
+        if injective:
+            for j in range(d):
+                if assign[j] == a:
+                    ok = False
+                    break
+        if ok:
+            for e in range(depth_ptr[d], depth_ptr[d + 1]):
+                for i in range(k):
+                    img[i] = assign[subs[e, i]]
+                dup = False
+                for i in range(1, k):
+                    v = img[i]
+                    j = i - 1
+                    while j >= 0 and img[j] > v:
+                        img[j + 1] = img[j]
+                        j -= 1
+                    img[j + 1] = v
+                for i in range(1, k):
+                    if img[i] == img[i - 1]:
+                        dup = True
+                        break
+                if dup:
+                    ok = False
+                    break
+                rank = 0
+                for i in range(k):
+                    rank += ct[img[i], i + 1]
+                inm = member[rank] != 0
+                want = flags[e] != 0
+                if inm != want:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        if d == n_f - 1:
+            count += 1
+        else:
+            d += 1
+            assign[d] = -1
+    return count
+
+
+@st.composite
+def induced_search_case(draw):
+    """induced_count arguments: random flags on a random set of k-subsets of
+    V(F), grouped by a random vertex order, and a random host."""
+    k = draw(st.sampled_from([2, 3]))
+    n_f, H = draw(st.integers(0, 5)), draw(hypergraphs(k, draw(st.integers(0, 7))))
+    subs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n_f), k))),
+                         unique=True)) if n_f >= k else []
+    flags = draw(st.lists(st.integers(0, 1), min_size=len(subs), max_size=len(subs)))
+    order = draw(st.permutations(range(n_f)))
+    rows, src, ptr = _grouped_constraints(n_f, subs, order)
+    fl = np.array([flags[i] for i in src], dtype=np.uint8)
+    args = (n_f, k, H.n, rows, fl, ptr, H.member_array(), comb_table(max(H.n, 1), k))
+    return args, draw(st.booleans()), draw(st.sampled_from([kernels.FRONTIER_CAP, 1, 3, 8]))
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(induced_search_case())
+def test_induced_count_matches_scalar_search(case):
+    args, injective, cap = case
+    want = scalar_induced_count(*args, injective) if args[0] else 1
+    with mock.patch.object(kernels, "FRONTIER_CAP", cap):
+        assert kernels.induced_count(*args, injective) == want
+
+
+def kernel_args(F, H):
+    """induced_count arguments constraining every k-subset of V(F)."""
+    subs = list(itertools.combinations(range(F.n), F.k))
+    rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
+    fl = np.array([F.is_edge(subs[i]) for i in src], dtype=np.uint8)
+    return F.n, F.k, H.n, rows, fl, ptr, H.member_array(), comb_table(max(H.n, 1), F.k)
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_induced_count_edge_cases(injective, monkeypatch):
+    P4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
+    T3 = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
+    # an empty pattern has the one empty map, even into an empty host
+    for H in (Hypergraph(2, 0), Hypergraph(2, 3)):
+        assert kernels.induced_count(*kernel_args(Hypergraph(2, 0), H), injective) == 1
+    # an empty host, and hosts with fewer than k vertices (empty member table)
+    for F, H in ((P4, Hypergraph(2, 0)), (P4, Hypergraph(2, 1)), (T3, Hypergraph(3, 2))):
+        assert H.member_array().size == 0
+        assert kernels.induced_count(*kernel_args(F, H), injective) == 0
+    # fewer host vertices than pattern vertices: no injective map at all
+    small = Hypergraph.complete(3, 3)
+    want = scalar_induced_count(*kernel_args(T3, small), injective)
+    assert kernels.induced_count(*kernel_args(T3, small), injective) == want
+    assert not injective or want == 0
+    # frontiers of H.n**2 rows and more run in blocks of 5, depth first
+    monkeypatch.setattr(kernels, "FRONTIER_CAP", 5)
+    for F, H in ((P4, Hypergraph.random(2, 9, 0.5, seed=2)), (T3, Hypergraph.random(3, 7, 0.5, seed=3))):
+        args = kernel_args(F, H)
+        assert kernels.induced_count(*args, injective) == scalar_induced_count(*args, injective) > 0
 
 
 def test_hom_over_cap_takes_the_loop(monkeypatch):
