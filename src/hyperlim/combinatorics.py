@@ -7,7 +7,8 @@ arity <= k. subset_counters lists those counters for the sub-subsets of
 every k-subset, and cell_codes reads per-subset levels through them. Subsets
 of the position set {1..k} are bitmasks: bit i-1 set means position i is in
 the subset, so masks run from 1 to 2**k - 1 and cell coordinates are tuples
-indexed by mask - 1.
+indexed by mask - 1. This module alone knows the cell code that indexes
+every member table: digit m-1 is the 0-based level of mask m.
 """
 
 from __future__ import annotations
@@ -151,8 +152,23 @@ def subset_counters(n: int, k: int) -> np.ndarray:
     return table
 
 
+def cell_weights(k: int, l: int) -> np.ndarray:
+    """Digit weights of the mixed-radix cell code: mask m weighs l**(m-1)."""
+    return np.array([l**i for i in range((1 << k) - 1)], dtype=np.int64)
+
+
+def cell_digits(codes, k: int, l: int) -> np.ndarray:
+    """0-based levels of cell codes, shape codes.shape + (2**k - 1,)."""
+    return np.asarray(codes, dtype=np.int64)[..., None] // cell_weights(k, l) % l
+
+
+def cell_grid(member: np.ndarray, k: int, l: int) -> np.ndarray:
+    """A member table as the level grid: axis m-1 holds the level of mask m."""
+    return member.reshape((l,) * ((1 << k) - 1), order="F")
+
+
 def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
-    """Mixed-radix cell code of every k-subset of range(n), in colex order.
+    """Cell code of every k-subset of range(n), in colex order.
 
     levels holds a level in 0..l-1 for every subset of arity <= k, indexed
     by global counter; digit m-1 of a code is the level of the subset at
@@ -160,8 +176,8 @@ def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
     """
     table = subset_counters(n, k)
     code = np.zeros(table.shape[1], dtype=np.int64)
-    for m, row in enumerate(table):
-        code += levels[row] * l**m
+    for row, w in zip(table, cell_weights(k, l)):
+        code += levels[row] * w
     return code
 
 

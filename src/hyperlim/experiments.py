@@ -85,6 +85,15 @@ def _is_single_full_edge(F: Hypergraph) -> bool:
     return F.n == F.k and len(F.edges) == 1
 
 
+def _injective_hits(F, member, n, k, trial_seed, budget) -> int:
+    """How many of budget seeded injective maps of F into an n-vertex host
+    (given by its member table) send every edge of F onto an edge."""
+    maps = kernels.injective_maps(budget, F.n, n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
+    edges = np.array(F.sorted_edges(), dtype=np.int64)
+    flags = np.ones(edges.shape[0], dtype=np.int64)
+    return kernels.eval_maps_count(maps, edges, flags, member, comb_table(max(n, 1), k), k)
+
+
 def _t0_of_sample(F, W, n, trial_seed, budget):
     """(t0 estimate or exact value, stderr or 0.0) for one sample of W."""
     k = W.k
@@ -94,13 +103,7 @@ def _t0_of_sample(F, W, n, trial_seed, budget):
     G = sample_w(W, n, trial_seed).sample
     if n**F.n <= _EXACT_T0_CAP:
         return hom(F, G, "injective") / falling(n, F.n), 0.0
-    key = rng.derive(trial_seed, rng.TAG_INJECTIVE)
-    maps = kernels.injective_maps(budget, F.n, n, key)
-    edges = np.array(F.sorted_edges(), dtype=np.int64)
-    flags = np.ones(edges.shape[0], dtype=np.int64)
-    ct = comb_table(max(n, 1), k)
-    good = kernels.eval_maps_count(maps, edges, flags, G.member_array(), ct, k)
-    est = good / budget
+    est = _injective_hits(F, G.member_array(), n, k, trial_seed, budget) / budget
     return est, (est * (1 - est) / budget) ** 0.5
 
 
@@ -188,18 +191,11 @@ def counting_experiment(
 
     t_exact = structure_density(F, C)
     k, l, v = C.k, C.l, F.n
-    edges = np.array(F.sorted_edges(), dtype=np.int64)
-    flags = np.ones(edges.shape[0], dtype=np.int64)
 
     def one_at(n):
         def one(i, s):
-            hp = Hyperpartition.uniform_random(n, k, l, seed=s)
-            T = cells_union(hp, C)
-            key = rng.derive(s, rng.TAG_INJECTIVE)
-            maps = kernels.injective_maps(mc_samples, v, n, key)
-            ct = comb_table(max(n, 1), k)
-            good = kernels.eval_maps_count(maps, edges, flags, T.member_array(), ct, k)
-            est = good / mc_samples
+            T = cells_union(Hyperpartition.uniform_random(n, k, l, seed=s), C)
+            est = _injective_hits(F, T.member_array(), n, k, s, mc_samples) / mc_samples
             return {
                 "trial": i,
                 "seed": s,
@@ -391,10 +387,12 @@ def hereditary_experiment(
         raise ValueError("need patterns, trials >= 1 and n >= k")
     hp = Hyperpartition.round_robin(n, W.k, W.l)
     info = []
-    for F in F_list:
+    for fi, F in enumerate(F_list):
         t_ind = density(F, W, mode="exact", induced=True)
         if t_ind == 0 and comb(n, F.n) > _SCAN_CAP:
-            raise ValueError("induced scan exceeds the cap")
+            raise ValueError(
+                f"n={n}, pattern F{fi} on {F.n} vertices: induced scan exceeds the cap"
+            )
         info.append((F, t_ind))
 
     def one(i, s):

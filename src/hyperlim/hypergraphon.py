@@ -18,9 +18,14 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import mask_bits, position_perms, subsets_colex
+from .combinatorics import mask_bits, mask_image, position_perms
 from .hypergraph import Hypergraph
-from .hyperpartition import CombinatorialStructure, _constraints
+from .hyperpartition import (
+    CombinatorialStructure,
+    _constraint_cells,
+    cells_from_obj,
+    cells_to_obj,
+)
 
 _BUILTIN_MAX_K = 4
 
@@ -65,32 +70,11 @@ class StepHypergraphon:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "boxes": [
-                {str(m + 1): c[m] for m in range(len(c))} for c in sorted(self.boxes)
-            ],
-        }
+        return cells_to_obj(self.k, self.l, self.boxes, "boxes")
 
     @classmethod
     def from_obj(cls, obj, symmetrize: bool = False) -> "StepHypergraphon":
-        if not isinstance(obj, dict):
-            raise ValueError("hypergraphon object must be a mapping")
-        for field in ("k", "l", "boxes"):
-            if field not in obj:
-                raise ValueError(f"hypergraphon object is missing field {field!r}")
-        k = obj["k"]
-        width = (1 << k) - 1
-        boxes = []
-        for i, c in enumerate(obj["boxes"]):
-            if not isinstance(c, dict):
-                raise ValueError(f"boxes[{i}] must be a mapping of mask to label")
-            try:
-                boxes.append(tuple(c[str(m)] for m in range(1, width + 1)))
-            except KeyError as exc:
-                raise ValueError(f"boxes[{i}] is missing mask {exc.args[0]}") from None
-        return cls(k, obj["l"], boxes, symmetrize=symmetrize)
+        return cls(*cells_from_obj(obj, "boxes"), symmetrize=symmetrize)
 
 
 class GeneralHypergraphon:
@@ -124,7 +108,7 @@ class GeneralHypergraphon:
             }
             base = bool(self.membership(p))
             for perm in position_perms(k):
-                q = {_mask_image_cached(m, perm, k): p[m] for m in p}
+                q = {mask_image(m, perm): p[m] for m in p}
                 if bool(self.membership(q)) != base:
                     raise ValueError(
                         "membership predicate is not invariant under position"
@@ -135,36 +119,28 @@ class GeneralHypergraphon:
         return bool(self.membership(p))
 
 
-def _mask_image_cached(m, perm, k):
-    im = 0
-    for i in range(k):
-        if m >> i & 1:
-            im |= 1 << perm[i]
-    return im
-
-
-def _point_levels(W: StepHypergraphon, values) -> tuple:
-    """Exact level cell of a point given as mask-indexed values."""
-    width = (1 << W.k) - 1
+def _levels_of(values, count: int, l: int, what: str) -> tuple:
+    """Exact 1-based levels of the first count mask coordinates of a point,
+    given as a mask-indexed dict or a sequence."""
     if isinstance(values, dict):
-        seq = [values[m] for m in range(1, width + 1)]
+        seq = [values[m] for m in range(1, count + 1)]
     else:
         seq = list(values)
-    if len(seq) != width:
-        raise ValueError(f"point needs {width} coordinates")
+    if len(seq) != count:
+        raise ValueError(f"{what} needs {count} coordinates")
     cell = []
     for x in seq:
         fx = Fraction(x)
         if not 0 <= fx < 1:
             raise ValueError("point coordinates must lie in [0, 1)")
-        cell.append(int(fx * W.l) + 1)
+        cell.append(int(fx * l) + 1)
     return tuple(cell)
 
 
 def contains(W, p) -> bool:
     """Pointwise membership; half-open boxes, exact at level boundaries."""
     if isinstance(W, StepHypergraphon):
-        return _point_levels(W, p) in W.boxes
+        return _levels_of(p, (1 << W.k) - 1, W.l, "point") in W.boxes
     return W.contains_point(p if isinstance(p, dict) else _as_point_dict(W.k, p))
 
 
@@ -225,21 +201,6 @@ def structure_of(W: StepHypergraphon) -> CombinatorialStructure:
 # densities
 
 
-def _mc_constraint_arrays(F: Hypergraph, k: int, induced: bool):
-    """Simplex list plus per-constraint full-cell index rows and flags."""
-    cons, flags = _constraints(F, induced)
-    simp = []
-    for r in range(1, min(k, F.n) + 1):
-        simp.extend(subsets_colex(F.n, r))
-    index = {s: i for i, s in enumerate(simp)}
-    width = (1 << k) - 1
-    cidx = np.zeros((len(cons), width), dtype=np.int64)
-    for ci, c in enumerate(cons):
-        for m in range(1, width + 1):
-            cidx[ci, m - 1] = index[tuple(c[b] for b in mask_bits(m))]
-    return simp, cidx, np.array(flags, dtype=np.uint8), cons
-
-
 def density(
     F: Hypergraph,
     W,
@@ -268,27 +229,23 @@ def density(
         raise ValueError(f"unknown density mode {mode!r}")
     if samples is None or seed is None:
         raise ValueError("montecarlo mode needs samples and seed")
-    simp, cidx, flags, cons = _mc_constraint_arrays(F, W.k, induced)
+    simp, cidx, flags = _constraint_cells(F, W.k, induced)
     nsim = len(simp)
     key = rng.derive(seed, rng.TAG_MC)
-    if len(cons) == 0:
+    if len(cidx) == 0:
         return 1.0, 0.0
     if isinstance(W, StepHypergraphon):
-        l = W.l
-        width = (1 << W.k) - 1
-        lpow = l ** np.arange(width, dtype=np.int64)
         hits = kernels.mc_step_count(
-            samples, nsim, l, key, cidx, flags, W.member_table(), lpow
+            samples, nsim, W.k, W.l, key, cidx, flags, W.member_table()
         )
     else:
         hits = 0
-        width = (1 << W.k) - 1
         for s in range(samples):
             vals = [rng.u01(rng.mix64(key, s * nsim + i)) for i in range(nsim)]
             good = True
-            for ci, c in enumerate(cons):
-                p = {m: vals[cidx[ci, m - 1]] for m in range(1, width + 1)}
-                if W.contains_point(p) != bool(flags[ci]):
+            for row, flag in zip(cidx, flags):
+                p = {m: vals[q] for m, q in enumerate(row, 1)}
+                if W.contains_point(p) != bool(flag):
                     good = False
                     break
             if good:
@@ -304,23 +261,11 @@ def projected_value(W: StepHypergraphon, q) -> Fraction:
     q maps each proper mask to a coordinate; the result is the fraction of
     full-mask levels whose completed cell is a box.
     """
-    k, l = W.k, W.l
-    width = (1 << k) - 1
-    if isinstance(q, dict):
-        seq = [q[m] for m in range(1, width)]
-    else:
-        seq = list(q)
-    if len(seq) != width - 1:
-        raise ValueError(f"projected point needs {width - 1} coordinates")
-    cell = []
-    for x in seq:
-        fx = Fraction(x)
-        if not 0 <= fx < 1:
-            raise ValueError("point coordinates must lie in [0, 1)")
-        cell.append(int(fx * l) + 1)
+    l = W.l
+    cell = _levels_of(q, (1 << W.k) - 2, l, "projected point")
     hits = 0
     for top in range(1, l + 1):
-        if tuple(cell) + (top,) in W.boxes:
+        if cell + (top,) in W.boxes:
             hits += 1
     return Fraction(hits, l)
 

@@ -5,7 +5,9 @@ range(n) of size at most k, stored per arity as a flat array in colex
 order. Ordered k-tuples with distinct entries then acquire a cell
 coordinate: the tuple of labels of their position subsets. A combinatorial
 structure is a permutation-closed set of cells; its union pulled back
-through a hyperpartition is an ordinary hypergraph.
+through a hyperpartition is an ordinary hypergraph. _constraint_cells lists
+the simplex at each mask of every pattern constraint, for the density under
+a level-map distribution here and the Monte Carlo density in hypergraphon.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .combinatorics import (
     _check_rows,
     arity_offsets,
     cell_codes,
+    cell_grid,
     cell_orbit,
+    cell_weights,
     colex_rank,
     colex_rank_rows,
     comb_table,
@@ -35,15 +39,8 @@ from .combinatorics import (
 from .hypergraph import Hypergraph
 
 _MEMBER_CAP = 1 << 24
-
-
-def _cell_code(cell, l: int) -> int:
-    code = 0
-    p = 1
-    for x in cell:
-        code += (x - 1) * p
-        p *= l
-    return code
+# serialized cell lists: field name -> the object named in error messages
+_CELL_LISTS = {"cells": "structure", "boxes": "hypergraphon"}
 
 
 class Hyperpartition:
@@ -235,8 +232,9 @@ class CombinatorialStructure:
             if size > _MEMBER_CAP:
                 raise ValueError("cell table exceeds the size cap")
             m = np.zeros(size, dtype=np.uint8)
-            for c in self.cells:
-                m[_cell_code(c, self.l)] = 1
+            cells = np.array(list(self.cells), dtype=np.int64)
+            cells = cells.reshape(len(self.cells), (1 << self.k) - 1)
+            m[(cells - 1) @ cell_weights(self.k, self.l)] = 1
             m.setflags(write=False)
             object.__setattr__(self, "_member", m)
         return self._member
@@ -265,32 +263,40 @@ class CombinatorialStructure:
         return cls(k, l, cells)
 
     def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "cells": [
-                {str(m + 1): c[m] for m in range(len(c))} for c in sorted(self.cells)
-            ],
-        }
+        return cells_to_obj(self.k, self.l, self.cells, "cells")
 
     @classmethod
     def from_obj(cls, obj, symmetrize: bool = False) -> "CombinatorialStructure":
-        if not isinstance(obj, dict):
-            raise ValueError("structure object must be a mapping")
-        for field in ("k", "l", "cells"):
-            if field not in obj:
-                raise ValueError(f"structure object is missing field {field!r}")
-        k = obj["k"]
-        width = (1 << k) - 1
-        cells = []
-        for i, c in enumerate(obj["cells"]):
-            if not isinstance(c, dict):
-                raise ValueError(f"cells[{i}] must be a mapping of mask to label")
-            try:
-                cells.append(tuple(c[str(m)] for m in range(1, width + 1)))
-            except KeyError as exc:
-                raise ValueError(f"cells[{i}] is missing mask {exc.args[0]}") from None
-        return cls(k, obj["l"], cells, symmetrize=symmetrize)
+        return cls(*cells_from_obj(obj, "cells"), symmetrize=symmetrize)
+
+
+def cells_to_obj(k: int, l: int, cells, field: str) -> dict:
+    """Serialize sorted cells as mask-keyed dicts under the given field."""
+    return {
+        "k": k,
+        "l": l,
+        field: [{str(m + 1): c[m] for m in range(len(c))} for c in sorted(cells)],
+    }
+
+
+def cells_from_obj(obj, field: str) -> tuple:
+    """(k, l, cells) read back from cells_to_obj's layout."""
+    what = _CELL_LISTS[field]
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} object must be a mapping")
+    for name in ("k", "l", field):
+        if name not in obj:
+            raise ValueError(f"{what} object is missing field {name!r}")
+    width = (1 << obj["k"]) - 1
+    cells = []
+    for i, c in enumerate(obj[field]):
+        if not isinstance(c, dict):
+            raise ValueError(f"{field}[{i}] must be a mapping of mask to label")
+        try:
+            cells.append(tuple(c[str(m)] for m in range(1, width + 1)))
+        except KeyError as exc:
+            raise ValueError(f"{field}[{i}] is missing mask {exc.args[0]}") from None
+    return obj["k"], obj["l"], cells
 
 
 def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hypergraph:
@@ -325,9 +331,6 @@ class LevelMapDistribution:
     counts: np.ndarray
     total: int
 
-    def index(self, subset) -> int:
-        return self.simplices.index(tuple(sorted(subset)))
-
     def tv_distance(self, other: "LevelMapDistribution") -> Fraction:
         """Total variation distance between two map distributions."""
         if (self.v, self.k, self.l) != (other.v, other.k, other.l):
@@ -340,13 +343,6 @@ class LevelMapDistribution:
                 Fraction(a.get(key, 0), self.total) - Fraction(b.get(key, 0), other.total)
             )
         return gap / 2
-
-
-def _level_simplices(v: int, k: int) -> tuple:
-    out = []
-    for r in range(1, min(k, v) + 1):
-        out.extend(subsets_colex(v, r))
-    return tuple(out)
 
 
 def empirical_level_maps(
@@ -404,6 +400,30 @@ def _constraints(F: Hypergraph, induced: bool):
     return cons, flags
 
 
+def _level_simplices(v: int, k: int) -> tuple:
+    """Subsets of range(v) of arity 1..k, arity-major, colex within."""
+    out = []
+    for r in range(1, min(k, v) + 1):
+        out.extend(subsets_colex(v, r))
+    return tuple(out)
+
+
+def _constraint_cells(F: Hypergraph, k: int, induced: bool, simplices=None):
+    """(simplices, cidx, flags): row c of cidx holds the index in simplices
+    (by default _level_simplices) of the subset at each mask of constraint
+    c, and flags[c] says whether its cell must be inside (1) or outside."""
+    if simplices is None:
+        simplices = _level_simplices(F.n, k)
+    index = {tuple(s): i for i, s in enumerate(simplices)}
+    cons, flags = _constraints(F, induced)
+    try:
+        rows = [[index[tuple(c[b] for b in mask_bits(m))] for m in range(1, 1 << k)] for c in cons]
+    except KeyError as exc:
+        raise ValueError(f"simplices do not list the subset {exc.args[0]}") from None
+    cidx = np.array(rows, dtype=np.int64).reshape(len(cons), (1 << k) - 1)
+    return simplices, cidx, np.array(flags, dtype=np.uint8)
+
+
 def structure_density(
     F: Hypergraph,
     structure: CombinatorialStructure,
@@ -423,16 +443,15 @@ def structure_density(
     if F.k != structure.k:
         raise ValueError(f"arity mismatch: pattern k={F.k}, structure k={structure.k}")
     k, l = structure.k, structure.l
-    cons, flags = _constraints(F, induced)
     if distribution is not None:
-        return _distribution_density(F, structure, distribution, cons, flags)
+        return _distribution_density(F, structure, distribution, induced)
+    cons, flags = _constraints(F, induced)
     if not cons:
         return Fraction(1)
     width = (1 << k) - 2
-    # admissible top labels per lower labelling: the top mask is the most
-    # significant digit of a cell code, lower mask m the (m-1)-th
-    inside = structure.member_table().reshape(l, -1).sum(axis=0, dtype=np.int64)
-    inside = inside.reshape((l,) * width, order="F")
+    # admissible top labels per lower labelling: the top mask is the last
+    # axis of the level grid
+    inside = cell_grid(structure.member_table(), k, l).sum(axis=-1, dtype=np.int64)
     tables = {True: inside, False: l - inside}
     lower = {}  # variable number of each proper sub-simplex
     factors = []
@@ -445,27 +464,15 @@ def structure_density(
     return Fraction(count, l ** (len(lower) + len(cons)))
 
 
-def _distribution_density(F, structure, dist, cons, flags):
+def _distribution_density(F, structure, dist, induced):
     if dist.v != F.n or dist.k != structure.k or dist.l != structure.l:
         raise ValueError("distribution does not match the pattern and structure")
-    if not cons:
+    k, l = structure.k, structure.l
+    _, cidx, flags = _constraint_cells(F, k, induced, dist.simplices)
+    if not len(cidx):
         return Fraction(1)
-    member = structure.member_table()
-    l = structure.l
-    k = structure.k
-    rows = dist.maps
-    good = np.ones(rows.shape[0], dtype=bool)
-    for c, flag in zip(cons, flags):
-        code = np.zeros(rows.shape[0], dtype=np.int64)
-        p = 1
-        for m in range(1, 1 << k):
-            sub = tuple(c[b] for b in mask_bits(m))
-            code += (rows[:, dist.index(sub)] - 1) * p
-            p *= l
-        inm = member[code] != 0
-        good &= inm if flag else ~inm
-    hit = int(dist.counts[good].sum())
-    return Fraction(hit, dist.total)
+    good = kernels.cells_keep(dist.maps - 1, cidx, flags, structure.member_table(), k, l)
+    return Fraction(int(dist.counts[good].sum()), dist.total)
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +561,21 @@ def regularity_deficit(G: Hypergraph, cylinders, eps, seed=None) -> Fraction:
         dev = abs(g_dens - Fraction(inter, size))
         worst = max(worst, dev)
     return worst
+
+
+def partition_delta(hp: Hyperpartition, cylinder_samples, eps_cut, seed) -> Fraction:
+    """The worse of hp's equitability deficit and the regularity deficit of
+    every label class of arity >= 2; class (r, j) samples its cylinders
+    under rng.derive(seed, TAG_CYLINDER, r, j)."""
+    delta = hp.equitability_deficit()
+    for r in range(2, hp.k + 1):
+        for j in range(1, hp.l + 1):
+            d = regularity_deficit(
+                hp.class_hypergraph(r, j),
+                cylinder_samples,
+                eps_cut,
+                seed=rng.derive(seed, rng.TAG_CYLINDER, r, j),
+            )
+            if d > delta:
+                delta = d
+    return delta

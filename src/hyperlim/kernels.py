@@ -1,11 +1,11 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
 exact counts, one frontier search for the counts whose constraint graph is
-complete, vectorized Monte Carlo and map-evaluation sweeps (the latter
-sharing the search's constraint filter), and the random map generators that
-feed them. Randomness enters only through splitmix64 counters (see rng),
-which keeps results independent of evaluation order.
-Step samples are not drawn here: they read hashed levels through
-combinatorics.cell_codes.
+complete, two constraint filters (_keep for vertex maps against a
+hypergraph, shared by the search and eval_maps_count; cells_keep for rows
+of simplex levels against a structure, shared by mc_step_count and the
+densities under a level-map distribution), and the random map generators.
+Randomness enters only through splitmix64 counters (see rng), which keeps
+results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from math import prod
 import numpy as np
 
 from . import rng
+from .combinatorics import cell_weights
 
 # most entries any one elimination step of contract may span
 CONTRACT_CAP = 1 << 24
@@ -118,7 +119,7 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
 # vectorized kernels, and the map generators that feed eval_maps_count
 
 
-def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:
+def mc_step_count(samples, nsim, k, l, key, cidx, flags, member) -> int:
     """Count samples whose hashed level assignment satisfies every
     constraint; one counter per (sample, simplex)."""
     cnt = 0
@@ -126,15 +127,23 @@ def mc_step_count(samples, nsim, l, key, cidx, flags, member, lpow) -> int:
     for s0 in range(0, samples, chunk):
         s1 = min(samples, s0 + chunk)
         ctr = np.arange(s0 * nsim, s1 * nsim, dtype=np.uint64)
-        lev = rng.np_level_of(rng.np_mix64(int(key), ctr), l)
-        lev = lev.reshape(s1 - s0, nsim)
-        good = np.ones(s1 - s0, dtype=bool)
-        for c in range(cidx.shape[0]):
-            code = (lev[:, cidx[c]] * lpow[None, :]).sum(axis=1)
-            inm = member[code] != 0
-            good &= inm == (flags[c] != 0)
-        cnt += int(good.sum())
+        lev = rng.np_level_of(rng.np_mix64(int(key), ctr), l).reshape(s1 - s0, nsim)
+        cnt += int(cells_keep(lev, cidx, flags, member, k, l).sum())
     return cnt
+
+
+def cells_keep(levels, cidx, flags, member, k, l) -> np.ndarray:
+    """Mask of the level rows that pass every (cell, flag) constraint.
+
+    levels holds 0-based levels, one column per simplex. Row c of cidx
+    names the simplex at each mask of constraint c; the cell code those
+    levels spell must land in member (flag 1) or outside it (flag 0).
+    """
+    w = cell_weights(k, l)
+    good = np.ones(levels.shape[0], dtype=bool)
+    for row, flag in zip(cidx, flags):
+        good &= (member[(levels[:, row] * w).sum(axis=1)] != 0) == (flag != 0)
+    return good
 
 
 def eval_maps_count(maps, edges, flags, member, ct, k) -> int:

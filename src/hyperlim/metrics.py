@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .combinatorics import mask_bits
+from .combinatorics import cell_digits, cell_grid, cell_weights, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
-from .hyperpartition import CombinatorialStructure, cells_union, regularity_deficit
+from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
 from .hypergraphon import StepHypergraphon, density, structure_of
 
 _REFINE_CAP = 1 << 22
@@ -58,18 +58,19 @@ def hamming_density(H: Hypergraph, T: Hypergraph) -> Fraction:
 
 
 def _refined_member(structure: CombinatorialStructure, L: int) -> np.ndarray:
-    """Membership of the L-level refinement, indexed by mixed-radix codes."""
-    width = (1 << structure.k) - 1
-    total = L**width
-    if total > _REFINE_CAP:
+    """Membership of the L-level refinement, indexed by cell codes.
+
+    Fine level d of a mask lies in coarse level d // (L // l), so the
+    refinement repeats every coarse level L // l times along each axis.
+    """
+    k, l = structure.k, structure.l
+    width = (1 << k) - 1
+    if L**width > _REFINE_CAP:
         raise ValueError("refined grid too large for exact mode")
-    codes = np.arange(total, dtype=np.int64)
-    l = structure.l
-    coarse = np.zeros(total, dtype=np.int64)
+    grid = cell_grid(structure.member_table(), k, l)
     for i in range(width):
-        d = (codes // L**i) % L
-        coarse += (d * l // L) * l**i
-    return structure.member_table()[coarse]
+        grid = np.repeat(grid, L // l, axis=i)
+    return grid.ravel(order="F")
 
 
 def _refined_rows(structure: CombinatorialStructure, L: int) -> np.ndarray:
@@ -110,10 +111,7 @@ def d1(
         witness = None
         if count:
             code = int(np.flatnonzero(diff)[0])
-            witness = {
-                "box": [int((code // L**i) % L) + 1 for i in range(width)],
-                "levels": L,
-            }
+            witness = {"box": (cell_digits(code, U.k, L) + 1).tolist(), "levels": L}
         return DistanceReport(
             value=Fraction(count, L**width),
             kind="exact",
@@ -128,14 +126,12 @@ def d1(
     key = rng.derive(0 if seed is None else seed, rng.TAG_MC)
     ctr = np.arange(n * width, dtype=np.uint64)
     h = rng.np_mix64(key, ctr).reshape(n, width)
-    cU = np.zeros(n, dtype=np.int64)
-    cW = np.zeros(n, dtype=np.int64)
-    for i in range(width):
-        cU += rng.np_level_of(h[:, i], U.l).astype(np.int64) * U.l**i
-        cW += rng.np_level_of(h[:, i], W.l).astype(np.int64) * W.l**i
-    inU = structure_of(U).member_table()[cU] != 0
-    inW = structure_of(W).member_table()[cW] != 0
-    est = float(np.mean(inU != inW))
+
+    def inside(V):
+        codes = (rng.np_level_of(h, V.l) * cell_weights(V.k, V.l)).sum(axis=1)
+        return structure_of(V).member_table()[codes] != 0
+
+    est = float(np.mean(inside(U) != inside(W)))
     stderr = (est * (1 - est) / n) ** 0.5
     return DistanceReport(
         value=est,
@@ -252,16 +248,17 @@ def _arity_of_digit(k: int) -> list:
     return [len(mask_bits(m)) for m in range(1, 1 << k)]
 
 
-def _sym_diff_count(memU, rowsW, perms, arities, L) -> int:
-    """|U Δ sigma(W)| by pushing W's refined boxes through the relabeling."""
+def _sym_diff_count(memU, rowsW, perms, arities, weights) -> int:
+    """|U Δ sigma(W)| by pushing W's refined boxes through the relabeling;
+    weights are the cell-code digit weights at the refined level count."""
     cnt_u = int(memU.sum())
     cnt_w = rowsW.shape[0]
     if cnt_w == 0:
         return cnt_u
     codes = np.zeros(cnt_w, dtype=np.int64)
-    for i in range(rowsW.shape[1]):
+    for i, w in enumerate(weights):
         sig = perms[arities[i] - 1]
-        codes += sig[rowsW[:, i]] * L**i
+        codes += sig[rowsW[:, i]] * w
     overlap = int(memU[codes].sum())
     return cnt_u + cnt_w - 2 * overlap
 
@@ -283,10 +280,11 @@ def delta1_upper(
     memU = _refined_member(structure_of(U), L) != 0
     rowsW = _refined_rows(structure_of(W), L)
     arities = _arity_of_digit(k)
+    weights = cell_weights(k, L)
     denom = L**width
 
     def value_of(perms):
-        return _sym_diff_count(memU, rowsW, perms, arities, L)
+        return _sym_diff_count(memU, rowsW, perms, arities, weights)
 
     total_space = factorial(L) ** k
     if total_space <= budget:
@@ -365,16 +363,5 @@ def closeness(
     """
     if H.k != C.k or hp.k != C.k or hp.n != H.n or hp.l != C.l:
         raise ValueError("hypergraph, structure and hyperpartition shapes must match")
-    T = cells_union(hp, C)
-    eps = hamming_density(H, T)
-    delta = Fraction(0)
-    delta = max(delta, hp.equitability_deficit())
-    for r in range(2, hp.k + 1):
-        for j in range(1, hp.l + 1):
-            G = hp.class_hypergraph(r, j)
-            d = regularity_deficit(
-                G, cylinder_samples, eps_cut, seed=rng.derive(seed, rng.TAG_CYLINDER, r, j)
-            )
-            if d > delta:
-                delta = d
-    return eps, delta
+    eps = hamming_density(H, cells_union(hp, C))
+    return eps, partition_delta(hp, cylinder_samples, eps_cut, seed)

@@ -21,7 +21,9 @@ from . import rng
 from .combinatorics import (
     arity_offsets,
     cell_codes,
+    cell_digits,
     cell_orbit,
+    cell_weights,
     colex_matrix,
     mask_image,
     position_perms,
@@ -32,7 +34,7 @@ from .hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
     cells_union,
-    regularity_deficit,
+    partition_delta,
 )
 
 _EXHAUSTIVE_CAP = 10**7
@@ -60,18 +62,11 @@ class DecompositionReport:
 
 def _perm_weight_vectors(k: int, l: int) -> np.ndarray:
     """Row p: weight of digit position m-1 in the p-permuted cell code."""
-    perms = position_perms(k)
-    width = (1 << k) - 1
-    w = np.empty((len(perms), width), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        for m in range(1, width + 1):
-            w[p, m - 1] = l ** (mask_image(m, perm) - 1)
-    return w
-
-
-def _decode_cell(code: int, k: int, l: int) -> tuple:
-    width = (1 << k) - 1
-    return tuple((code // l**i) % l + 1 for i in range(width))
+    w = cell_weights(k, l)
+    return np.array(
+        [[w[mask_image(m, perm) - 1] for m in range(1, 1 << k)] for perm in position_perms(k)],
+        dtype=np.int64,
+    )
 
 
 def _majority_structure(codes, edge, k, l, wvec):
@@ -79,30 +74,14 @@ def _majority_structure(codes, edge, k, l, wvec):
     landing in it are edges (ties excluded). Optimal for fixed labels."""
     # an orbit is named by the least code among its cells' permutations
     uniq, inv = np.unique(codes, return_inverse=True)
-    digits = uniq[:, None] // l ** np.arange(wvec.shape[1]) % l
-    canon = (digits @ wvec.T).min(axis=1)[inv]
+    canon = (cell_digits(uniq, k, l) @ wvec.T).min(axis=1)[inv]
     uniq, inv = np.unique(canon, return_inverse=True)
     sizes = np.bincount(inv)
     edges_in = np.bincount(inv, weights=edge).astype(np.int64)
     cells = set()
-    for idx in np.flatnonzero(2 * edges_in > sizes):
-        cells |= cell_orbit(_decode_cell(int(uniq[idx]), k, l), k)
+    for cell in (cell_digits(uniq[2 * edges_in > sizes], k, l) + 1).tolist():
+        cells |= cell_orbit(tuple(cell), k)
     return CombinatorialStructure(k, l, cells)
-
-
-def _partition_delta(hp, cylinder_samples, eps_cut, seed):
-    delta = hp.equitability_deficit()
-    for r in range(2, hp.k + 1):
-        for j in range(1, hp.l + 1):
-            d = regularity_deficit(
-                hp.class_hypergraph(r, j),
-                cylinder_samples,
-                eps_cut,
-                seed=rng.derive(seed, rng.TAG_CYLINDER, r, j),
-            )
-            if d > delta:
-                delta = d
-    return delta
 
 
 def _labels_to_hp(n, k, l, labels_flat):
@@ -129,7 +108,7 @@ class _SearchState:
         order = np.argsort(flat, kind="stable")
         # flat position m * nrows + row holds digit m of that row's code
         self.csr_rows = order % self.nrows
-        self.csr_wts = l ** (order // self.nrows)
+        self.csr_wts = cell_weights(self.k, l)[order // self.nrows]
         self.indptr = np.searchsorted(flat[order], np.arange(self.total + 1))
         self.labels = None
         self.codes = None
@@ -282,7 +261,7 @@ def refine(
     eps_cnt, labels, structure = best
     hp = _labels_to_hp(n, k, l, labels)
     eps = Fraction(eps_cnt, comb(n, k))
-    delta = _partition_delta(hp, cylinder_samples, eps_cut, seed)
+    delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     return DecompositionReport(
         hp=hp, structure=structure, eps=eps, delta=delta, seed=seed, trace=trace
     )
@@ -353,7 +332,7 @@ def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
     eps = Fraction(miss, comb(n, 2))
     check = cells_union(hp, structure)
     assert Fraction(len(check.edges ^ H.edges), comb(n, 2)) == eps
-    delta = _partition_delta(hp, cylinder_samples, eps_cut, seed)
+    delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     trace = [{"mode": "exhaustive", "labelings": l**n, "structures": 1 << n_orb}]
     return DecompositionReport(
         hp=hp, structure=structure, eps=eps, delta=delta, seed=seed, trace=trace

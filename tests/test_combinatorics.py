@@ -10,7 +10,10 @@ from hyperlim.combinatorics import (
     arity_offsets,
     comb_table,
     cell_codes,
+    cell_digits,
+    cell_grid,
     cell_orbit,
+    cell_weights,
     colex_matrix,
     colex_rank,
     colex_rank_rows,
@@ -88,6 +91,42 @@ def test_subset_counters_match_scalar_counter():
                     sub = tuple(s[b] for b in mask_bits(m))
                     assert table[m - 1, i] == coords.counter(sub)
                     assert table[m - 1, i] == arity_offsets(n, k)[len(sub) - 1] + colex_rank(sub)
+
+
+def scalar_cell_code(cell, l: int) -> int:
+    """Cell code of a tuple of 1-based levels, one digit at a time."""
+    code = 0
+    p = 1
+    for x in cell:
+        code += (x - 1) * p
+        p *= l
+    return code
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_cell_digits_invert_cell_weights(k, l):
+    width = (1 << k) - 1
+    w = cell_weights(k, l)
+    assert w.tolist() == [l**i for i in range(width)]
+    rs = np.random.default_rng(k * 10 + l)
+    cells = rs.integers(1, l + 1, size=(50, width))
+    codes = np.array([scalar_cell_code(c, l) for c in cells.tolist()], dtype=np.int64)
+    assert ((cells - 1) * w).sum(axis=1).tolist() == codes.tolist()
+    assert np.array_equal(cell_digits(codes, k, l), cells - 1)
+    assert cell_digits(int(codes[0]), k, l).tolist() == (cells[0] - 1).tolist()
+    # the top code decodes to the top level everywhere
+    assert cell_digits(l**width - 1, k, l).tolist() == [l - 1] * width
+
+
+def test_cell_grid_axes_are_mask_levels():
+    for k, l in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        width = (1 << k) - 1
+        codes = np.arange(l**width)
+        grid = cell_grid(codes, k, l)
+        assert grid.shape == (l,) * width
+        for cell in itertools.product(range(1, l + 1), repeat=width):
+            assert grid[tuple(x - 1 for x in cell)] == scalar_cell_code(cell, l)
 
 
 def test_cell_codes_match_scalar_sum():

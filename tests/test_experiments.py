@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernels import DIFFERENTIAL, hypergraphs
+from test_kernels import hypergraphs
 
 from hyperlim import experiments
 from hyperlim.hypergraph import Hypergraph, is_isomorphic
@@ -162,7 +162,7 @@ def host_and_pattern(draw):
     return G, draw(hypergraphs(k, draw(st.integers(0, 5)))), False
 
 
-@settings(DIFFERENTIAL, max_examples=200)
+@settings(max_examples=200)
 @given(host_and_pattern())
 def test_hereditary_check_matches_subset_scan(case):
     G, F, planted = case
@@ -176,8 +176,9 @@ def test_hereditary_refuses_oversized_scan_before_sampling(monkeypatch):
     drawn = []
     monkeypatch.setattr(experiments, "sample_w", lambda *a, **kw: drawn.append(a))
     # C(200, 3) = 1313400 vertex triples exceed the cap for the constrained triangle
-    with pytest.raises(ValueError, match="induced scan exceeds the cap"):
+    with pytest.raises(ValueError, match="induced scan exceeds the cap") as exc:
         hereditary_experiment(Wbip, [EDGE2, TRI], n=200, trials=3, seed=0)
+    assert "n=200" in str(exc.value) and "F1 on 3 vertices" in str(exc.value)
     assert not drawn
     # only constrained patterns are measured: C(200, 4) exceeds it too
     C4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])

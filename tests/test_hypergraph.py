@@ -187,7 +187,7 @@ def masks(draw):
     return k, n, draw(st.lists(bits, min_size=m, max_size=m))
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(masks(), st.randoms(use_true_random=False))
 def test_from_member_matches_edge_constructor(case, rnd):
     k, n, mask = case

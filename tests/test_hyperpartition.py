@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
+from test_combinatorics import scalar_cell_code
 
 from hyperlim.combinatorics import cell_orbit, colex_rank, mask_bits
 from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
+    LevelMapDistribution,
     cell_coordinate,
     cells_union,
     empirical_level_maps,
@@ -103,22 +106,21 @@ def test_structure_measure_and_from_top_labels():
 
 
 def test_member_table_agrees_with_cells():
-    for seed, k, l in [(0, 2, 2), (1, 2, 3), (2, 3, 2)]:
-        import random as pyrandom
-
-        prng = pyrandom.Random(seed)
+    for k, l in itertools.product((1, 2, 3, 4), repeat=2):
         width = (1 << k) - 1
-        pool = list(itertools.product(range(1, l + 1), repeat=width))
+        prng = random.Random(k * 10 + l)
         chosen = set()
-        for c in prng.sample(pool, min(len(pool), 5)):
-            chosen |= cell_orbit(c, k)
+        for _ in range(4):
+            chosen |= cell_orbit(tuple(prng.randint(1, l) for _ in range(width)), k)
         C = CombinatorialStructure(k, l, chosen)
+        if l**width > 1 << 24:
+            with pytest.raises(ValueError, match="size cap"):
+                C.member_table()
+            continue
         table = C.member_table()
-        for cell in itertools.product(range(1, l + 1), repeat=width):
-            code = 0
-            for m, lab in enumerate(cell):
-                code += (lab - 1) * l**m
-            assert bool(table[code]) == (cell in C.cells)
+        assert table.shape == (l**width,)
+        assert set(np.flatnonzero(table).tolist()) == {scalar_cell_code(c, l) for c in chosen}
+        assert CombinatorialStructure.empty(k, l).member_table().sum() == 0
 
 
 def test_cells_union_matches_direct_membership():
@@ -243,3 +245,11 @@ def test_structure_roundtrip():
     C = CombinatorialStructure.from_top_labels(3, 2, {1})
     back = CombinatorialStructure.from_obj(C.to_obj())
     assert back.cells == C.cells and back.k == C.k and back.l == C.l
+
+
+def test_distribution_missing_a_simplex_is_refused():
+    dist = empirical_level_maps(3, Hyperpartition.round_robin(6, 2, 2), exhaustive=True)
+    short = LevelMapDistribution(3, 2, 2, dist.simplices[:-1], dist.maps[:, :-1], dist.counts, dist.total)
+    tri = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="do not list the subset"):
+        structure_density(tri, CombinatorialStructure.all_cells(2, 2), short)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from test_hyperpartition import brute_structure_density
 
 from hyperlim import kernels, rng
-from hyperlim.combinatorics import comb_table
+from hyperlim.combinatorics import comb_table, mask_bits
 from hyperlim.hypergraph import (
     Hypergraph,
     _grouped_constraints,
@@ -17,15 +18,15 @@ from hyperlim.hypergraph import (
     hom,
     injective_hom_brute,
 )
-from hyperlim.hypergraphon import _mc_constraint_arrays, builtin_w, density
+from hyperlim.hypergraphon import builtin_w, density
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
+    Hyperpartition,
     LevelMapDistribution,
+    _constraint_cells,
+    empirical_level_maps,
     structure_density,
 )
-
-# deterministic draws keep the suite replayable
-DIFFERENTIAL = settings(derandomize=True, deadline=None)
 
 
 def brute_hom(F, H, injective=False):
@@ -71,7 +72,7 @@ def structures(draw, k, l):
     return CombinatorialStructure(k, l, [c for c, b in zip(cells, keep) if b], symmetrize=True)
 
 
-@settings(DIFFERENTIAL, max_examples=200)
+@settings(max_examples=200)
 @given(pattern_and_host())
 def test_hom_matches_brute_random(pair):
     F, H = pair
@@ -81,7 +82,7 @@ def test_hom_matches_brute_random(pair):
 
 # sizes keep the brute force over l**(subsets of V(F)) labelings small
 @pytest.mark.parametrize("k, l, n", [(2, 2, 0), (2, 2, 1), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 2, 4)])
-@settings(DIFFERENTIAL, max_examples=5)
+@settings(max_examples=5)
 @given(data=st.data())
 def test_structure_density_matches_brute_random(k, l, n, data):
     F, C = data.draw(hypergraphs(k, n)), data.draw(structures(k, l))
@@ -107,7 +108,7 @@ def pattern_structure_maps(draw):
     return draw(hypergraphs(k, v)), draw(structures(k, l)), draw(st.booleans())
 
 
-@settings(DIFFERENTIAL, max_examples=60)
+@settings(max_examples=60)
 @given(pattern_structure_maps())
 def test_structure_density_matches_uniform_distribution(case):
     F, C, induced = case
@@ -115,6 +116,52 @@ def test_structure_density_matches_uniform_distribution(case):
     assert structure_density(F, C, induced=induced) == structure_density(
         F, C, dist, induced=induced
     )
+
+
+def scalar_distribution_density(F, C, dist, induced):
+    """Weight of the label maps realizing F in C, one constraint and mask at
+    a time, finding each subset's column by a linear search of simplices."""
+    k = C.k
+    cons = itertools.combinations(range(F.n), k) if induced else F.sorted_edges()
+    cons = list(cons)
+    hit = 0
+    for row, cnt in zip(dist.maps.tolist(), dist.counts.tolist()):
+        ok = True
+        for c in cons:
+            cell = tuple(
+                row[dist.simplices.index(tuple(c[b] for b in mask_bits(m)))]
+                for m in range(1, 1 << k)
+            )
+            if (cell in C.cells) != F.is_edge(c):
+                ok = False
+                break
+        hit += cnt * ok
+    return Fraction(hit, dist.total)
+
+
+@st.composite
+def sampled_distribution_cases(draw):
+    k, l = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k, 7))
+    v = draw(st.integers(0, min(n, 5)))
+    hp = Hyperpartition.uniform_random(n, k, l, seed=draw(st.integers(0, 2**32)))
+    dist = empirical_level_maps(v, hp, samples=draw(st.integers(1, 200)), seed=draw(st.integers(0, 2**32)))
+    # the same distribution with its simplex columns listed in another order
+    perm = draw(st.permutations(range(len(dist.simplices))))
+    shuffled = LevelMapDistribution(
+        v, k, l, tuple(dist.simplices[i] for i in perm), dist.maps[:, list(perm)],
+        dist.counts, dist.total,
+    )
+    return draw(hypergraphs(k, v)), draw(structures(k, l)), dist, shuffled, draw(st.booleans())
+
+
+@settings(max_examples=100)
+@given(sampled_distribution_cases())
+def test_distribution_density_matches_scalar_lookup(case):
+    F, C, dist, shuffled, induced = case
+    want = scalar_distribution_density(F, C, dist, induced)
+    assert structure_density(F, C, dist, induced=induced) == want
+    assert structure_density(F, C, shuffled, induced=induced) == want
 
 
 def scalar_induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
@@ -190,7 +237,7 @@ def induced_search_case(draw):
     return args, draw(st.booleans()), draw(st.sampled_from([kernels.FRONTIER_CAP, 1, 3, 8]))
 
 
-@settings(DIFFERENTIAL, max_examples=300)
+@settings(max_examples=300)
 @given(induced_search_case())
 def test_induced_count_matches_scalar_search(case):
     args, injective, cap = case
@@ -317,7 +364,7 @@ def test_eval_maps_count_duplicate_image_fails_constraint():
 
 def scalar_mc_hits(F, W, samples, seed, induced):
     """Hit count of the step Monte Carlo sweep, one scalar hash per counter."""
-    simp, cidx, flags, _ = _mc_constraint_arrays(F, W.k, induced)
+    simp, cidx, flags = _constraint_cells(F, W.k, induced)
     nsim = len(simp)
     key = rng.derive(seed, rng.TAG_MC)
     member = W.member_table()

@@ -13,6 +13,8 @@ from hyperlim.hyperpartition import (
 )
 from hyperlim.hypergraphon import StepHypergraphon, builtin_w, step_from_structure, structure_of
 from hyperlim.metrics import (
+    _REFINE_CAP,
+    _refined_member,
     closeness,
     d1,
     delta1_upper,
@@ -20,6 +22,7 @@ from hyperlim.metrics import (
     delta_w_lower,
     hamming_density,
 )
+from hyperlim.regularity import refine
 
 EDGE = Hypergraph(2, 2, [(0, 1)])
 TRI = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
@@ -55,6 +58,32 @@ def test_d1_matches_brute_on_mixed_levels():
     pairs += [(rand_step(3, 2, 500), rand_step(3, 2, 501))]
     for U, W in pairs:
         assert d1(U, W).value == brute_d1(U, W)
+
+
+def coded_refined_member(structure, L):
+    """The L-level refinement's member table, decoding every fine code and
+    re-encoding its coarse cell."""
+    width = (1 << structure.k) - 1
+    total = L**width
+    codes = np.arange(total, dtype=np.int64)
+    l = structure.l
+    coarse = np.zeros(total, dtype=np.int64)
+    for i in range(width):
+        d = (codes // L**i) % L
+        coarse += (d * l // L) * l**i
+    return structure.member_table()[coarse]
+
+
+@pytest.mark.parametrize("k, l", [(2, 2), (2, 3), (3, 2)])
+def test_refined_member_matches_code_oracle(k, l):
+    width = (1 << k) - 1
+    C = structure_of(rand_step(k, l, 40 + k * l))
+    for L in range(l, _REFINE_CAP, l):
+        if L**width > _REFINE_CAP:
+            with pytest.raises(ValueError, match="too large"):
+                _refined_member(C, L)
+            break
+        assert np.array_equal(_refined_member(C, L), coded_refined_member(C, L))
 
 
 def test_d1_frozen_examples():
@@ -191,3 +220,11 @@ def test_closeness_eps_is_hamming_to_cells_union():
     H2 = Hypergraph(2, 12, edges)
     eps2, _ = closeness(H2, C, hp, seed=1)
     assert eps2 == Fraction(1, 66)
+
+
+def test_closeness_delta_is_the_refine_delta():
+    # refine and closeness score a partition with the same partition_delta
+    for k, l, n, s in [(2, 3, 14, 4), (3, 2, 8, 5)]:
+        H = Hypergraph.random(k, n, Fraction(1, 2), seed=s)
+        rep = refine(H, l, iterations=4, seed=s)
+        assert closeness(H, rep.structure, rep.hp, cylinder_samples=32, seed=s)[1] == rep.delta

@@ -129,7 +129,7 @@ def restricted_inputs(draw):
     return Hyperpartition(n, k, l, labels), draw(structures(k, l)), draw(st.integers(0, 2**32))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(restricted_inputs())
 def test_restricted_sample_matches_label_oracle(case):
     hp, C, seed = case
