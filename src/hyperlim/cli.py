@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .hypergraph import Hypergraph, densities, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, structure_density
-from .hypergraphon import GeneralHypergraphon, StepHypergraphon, builtin_w, density
+from .hypergraphon import StepHypergraphon, builtin_w, density
 
 OUT_DIR_ENV = "HYPERLIM_OUT"
 

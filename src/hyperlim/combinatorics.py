@@ -36,29 +36,6 @@ def colex_rank(subset) -> int:
     return r
 
 
-def colex_unrank(rank: int, r: int) -> tuple:
-    """Inverse of colex_rank for r-subsets."""
-    out = []
-    for i in range(r, 0, -1):
-        a = i - 1
-        while comb(a + 1, i) <= rank:
-            a += 1
-        out.append(a)
-        rank -= comb(a, i)
-    out.reverse()
-    return tuple(out)
-
-
-def subsets_colex(n: int, r: int):
-    """Yield the r-subsets of range(n) in colex order."""
-    if r == 0:
-        yield ()
-        return
-    for last in range(r - 1, n):
-        for rest in subsets_colex(last, r - 1):
-            yield rest + (last,)
-
-
 @lru_cache(maxsize=None)
 def comb_table(n: int, r: int) -> np.ndarray:
     """Binomial table, shape (n+1, r+1); entry [a, b] is C(a, b)."""

@@ -6,8 +6,9 @@ order. Ordered k-tuples with distinct entries then acquire a cell
 coordinate: the tuple of labels of their position subsets. A combinatorial
 structure is a permutation-closed set of cells; its union pulled back
 through a hyperpartition is an ordinary hypergraph. _constraint_cells lists
-the simplex at each mask of every pattern constraint, for the density under
-a level-map distribution here and the Monte Carlo density in hypergraphon.
+the simplex at each mask of every pattern constraint, for both structure
+densities here (uniform, and under a level-map distribution) and the Monte
+Carlo density in hypergraphon.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .combinatorics import (
     cell_grid,
     cell_orbit,
     cell_weights,
+    colex_matrix,
     colex_rank,
     colex_rank_rows,
     comb_table,
     falling,
     mask_bits,
     subset_counters,
-    subsets_colex,
 )
 from .hypergraph import Hypergraph
 
@@ -404,7 +405,7 @@ def _level_simplices(v: int, k: int) -> tuple:
     """Subsets of range(v) of arity 1..k, arity-major, colex within."""
     out = []
     for r in range(1, min(k, v) + 1):
-        out.extend(subsets_colex(v, r))
+        out.extend(map(tuple, colex_matrix(v, r).tolist()))
     return tuple(out)
 
 
@@ -445,23 +446,21 @@ def structure_density(
     k, l = structure.k, structure.l
     if distribution is not None:
         return _distribution_density(F, structure, distribution, induced)
-    cons, flags = _constraints(F, induced)
-    if not cons:
+    simplices, cidx, flags = _constraint_cells(F, k, induced)
+    if not len(cidx):
         return Fraction(1)
-    width = (1 << k) - 2
+    # the variables are the simplices of arity below k, listed first; those
+    # that no constraint reads are free variables of the contraction
+    nvars = sum(len(s) < k for s in simplices)
     # admissible top labels per lower labelling: the top mask is the last
     # axis of the level grid
     inside = cell_grid(structure.member_table(), k, l).sum(axis=-1, dtype=np.int64)
-    tables = {True: inside, False: l - inside}
-    lower = {}  # variable number of each proper sub-simplex
-    factors = []
-    for c, flag in zip(cons, flags):
-        subs = (tuple(c[b] for b in mask_bits(m)) for m in range(1, width + 1))
-        factors.append(([lower.setdefault(s, len(lower)) for s in subs], tables[flag]))
-    count = kernels.contract(factors, len(lower), l)
+    tables = (l - inside, inside)
+    factors = [(row[:-1], tables[flag]) for row, flag in zip(cidx.tolist(), flags)]
+    count = kernels.contract(factors, nvars, l)
     if count is None:
         raise ValueError("exact structure density instance too large")
-    return Fraction(count, l ** (len(lower) + len(cons)))
+    return Fraction(count, l ** (nvars + len(cidx)))
 
 
 def _distribution_density(F, structure, dist, induced):

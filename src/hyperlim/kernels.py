@@ -3,9 +3,9 @@ exact counts, one frontier search for the counts whose constraint graph is
 complete, two constraint filters (_keep for vertex maps against a
 hypergraph, shared by the search and eval_maps_count; cells_keep for rows
 of simplex levels against a structure, shared by mc_step_count and the
-densities under a level-map distribution), and the random map generators.
-Randomness enters only through splitmix64 counters (see rng), which keeps
-results independent of evaluation order.
+densities under a level-map distribution), and the random injective-map
+generator. Randomness enters only through splitmix64 counters (see rng),
+which keeps results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels, and the map generators that feed eval_maps_count
+# vectorized kernels, and the injective-map generator
 
 
 def mc_step_count(samples, nsim, k, l, key, cidx, flags, member) -> int:
@@ -192,9 +192,3 @@ def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
         picks[:, j] = d
     return picks
 
-
-def uniform_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
-    """budget uniform random maps [v] -> [n] (with replacement)."""
-    ctr = np.arange(budget * v, dtype=np.uint64)
-    h = rng.np_mix64(key, ctr)
-    return (h % np.uint64(n)).astype(np.int64).reshape(budget, v)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import kernels, rng
 from .combinatorics import cell_digits, cell_grid, cell_weights, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
@@ -71,20 +71,6 @@ def _refined_member(structure: CombinatorialStructure, L: int) -> np.ndarray:
     for i in range(width):
         grid = np.repeat(grid, L // l, axis=i)
     return grid.ravel(order="F")
-
-
-def _refined_rows(structure: CombinatorialStructure, L: int) -> np.ndarray:
-    """Refined boxes of the structure as 0-based digit rows, shape (m, width)."""
-    width = (1 << structure.k) - 1
-    step = L // structure.l
-    rows = []
-    for cell in sorted(structure.cells):
-        axes = [range((c - 1) * step, c * step) for c in cell]
-        for combo in product(*axes):
-            rows.append(combo)
-    if not rows:
-        return np.zeros((0, width), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
 
 
 def _shared(U: StepHypergraphon, W: StepHypergraphon):
@@ -244,25 +230,6 @@ def delta_metric_estimate(
     )
 
 
-def _arity_of_digit(k: int) -> list:
-    return [len(mask_bits(m)) for m in range(1, 1 << k)]
-
-
-def _sym_diff_count(memU, rowsW, perms, arities, weights) -> int:
-    """|U Δ sigma(W)| by pushing W's refined boxes through the relabeling;
-    weights are the cell-code digit weights at the refined level count."""
-    cnt_u = int(memU.sum())
-    cnt_w = rowsW.shape[0]
-    if cnt_w == 0:
-        return cnt_u
-    codes = np.zeros(cnt_w, dtype=np.int64)
-    for i, w in enumerate(weights):
-        sig = perms[arities[i] - 1]
-        codes += sig[rowsW[:, i]] * w
-    overlap = int(memU[codes].sum())
-    return cnt_u + cnt_w - 2 * overlap
-
-
 def delta1_upper(
     U: StepHypergraphon,
     W: StepHypergraphon,
@@ -277,25 +244,23 @@ def delta1_upper(
     width = (1 << k) - 1
     if budget <= 0:
         raise ValueError("budget must be positive")
-    memU = _refined_member(structure_of(U), L) != 0
-    rowsW = _refined_rows(structure_of(W), L)
-    arities = _arity_of_digit(k)
-    weights = cell_weights(k, L)
+    gridU, gridW = (cell_grid(_refined_member(structure_of(V), L), k, L) for V in (U, W))
+    arities = [len(mask_bits(m)) for m in range(1, 1 << k)]
     denom = L**width
 
     def value_of(perms):
-        return _sym_diff_count(memU, rowsW, perms, arities, weights)
+        """|U Δ sigma(W)|: sigma sends level d of mask m to perms[arity(m) - 1][d]."""
+        return int((gridU[np.ix_(*(perms[a - 1] for a in arities))] != gridW).sum())
 
     total_space = factorial(L) ** k
     if total_space <= budget:
         best = None
         best_perms = None
+        # lexicographic order, so the first minimizer is the least one
         for combo in product(permutations(range(L)), repeat=k):
-            perms = [np.array(p, dtype=np.int64) for p in combo]
-            v = value_of(perms)
-            key = tuple(tuple(int(x) for x in p) for p in combo)
-            if best is None or v < best or (v == best and key < best_perms):
-                best, best_perms = v, key
+            v = value_of(combo)
+            if best is None or v < best:
+                best, best_perms = v, combo
         return DistanceReport(
             value=Fraction(best, denom),
             kind="upper_bound",
@@ -309,9 +274,9 @@ def delta1_upper(
     best_perms = None
     ridx = 0
     while evals < budget:
-        gen = np.random.Generator(np.random.PCG64(rng.derive(seed, rng.TAG_RESTART, ridx)))
+        # a uniform injective map [L] -> [L] is a uniform permutation
+        perms = kernels.injective_maps(k, L, L, rng.derive(seed, rng.TAG_RESTART, ridx))
         ridx += 1
-        perms = [gen.permutation(L).astype(np.int64) for _ in range(k)]
         cur = value_of(perms)
         evals += 1
         improved = True

@@ -186,12 +186,6 @@ class _SearchState:
         return accepted
 
 
-def _random_labels(n, k, l, seed) -> np.ndarray:
-    gen = np.random.Generator(np.random.PCG64(seed))
-    total = arity_offsets(n, k)[-1]
-    return gen.integers(1, l + 1, size=total, dtype=np.int64)
-
-
 def refine(
     H: Hypergraph,
     l: int,
@@ -229,10 +223,14 @@ def refine(
     state = _SearchState(H, l)
     best = None
     trace = []
-    ridx = 0
-    state.set_labels(_random_labels(n, k, l, rng.derive(seed, rng.TAG_INIT, ridx)))
-    it = 0
-    while it < iterations:
+    ridx = -1
+    accepted = 0
+    for it in range(iterations):
+        if accepted == 0:
+            # first start, or a local optimum: spend remaining budget elsewhere
+            ridx += 1
+            start = Hyperpartition.uniform_random(n, k, l, rng.derive(seed, rng.TAG_INIT, ridx))
+            state.set_labels(start.flat_labels())
         if structure is not None:
             current = structure
         else:
@@ -251,13 +249,8 @@ def refine(
                 "best_eps": f"{Fraction(best[0], state.nrows)}",
             }
         )
-        it += 1
         if best[0] == 0:
             break
-        if accepted == 0:
-            # local optimum for this start; spend remaining budget elsewhere
-            ridx += 1
-            state.set_labels(_random_labels(n, k, l, rng.derive(seed, rng.TAG_INIT, ridx)))
     eps_cnt, labels, structure = best
     hp = _labels_to_hp(n, k, l, labels)
     eps = Fraction(eps_cnt, comb(n, k))

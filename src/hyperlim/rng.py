@@ -4,6 +4,10 @@ Every random decision in the package is a pure function of (seed, counter)
 through the splitmix64 output mix, so samplers have no sequential state:
 any subset of a stream can be evaluated in any order, on any thread count,
 with bit-identical results. Scalar and vectorized forms agree exactly.
+The restarts of the local searches are counters too: refine draws its start
+labels with Hyperpartition.uniform_random, and delta1_upper its start
+permutations with kernels.injective_maps, so seeded output does not depend
+on numpy's Generator streams.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from math import exp, sqrt
 from statistics import median
 
 import numpy as np
+from test_kernels import uniform_maps
 
 from hyperlim import rng, kernels
 from hyperlim.combinatorics import comb_table, mask_bits
@@ -233,7 +234,7 @@ def test_criterion_08_desk_scale_counting():
         for s in range(10):
             hp = Hyperpartition.uniform_random(n, 2, 2, seed=s)
             T = cells_union(hp, C)
-            maps = kernels.uniform_maps(samples, 3, n, rng.derive(s, rng.TAG_INJECTIVE))
+            maps = uniform_maps(samples, 3, n, rng.derive(s, rng.TAG_INJECTIVE))
             est = kernels.eval_maps_count(maps, edges, flags, T.member_array(), ct, 2) / samples
             stderr = sqrt(est * (1 - est) / samples)
             assert stderr <= 0.01

@@ -17,16 +17,38 @@ from hyperlim.combinatorics import (
     colex_matrix,
     colex_rank,
     colex_rank_rows,
-    colex_unrank,
     falling,
     mask_bits,
     mask_image,
     permute_cell,
     set_partitions,
     subset_counters,
-    subsets_colex,
 )
 from hyperlim.sampling import CoordinateSystem
+
+
+def colex_unrank(rank: int, r: int) -> tuple:
+    """Inverse of colex_rank for r-subsets."""
+    out = []
+    for i in range(r, 0, -1):
+        a = i - 1
+        while comb(a + 1, i) <= rank:
+            a += 1
+        out.append(a)
+        rank -= comb(a, i)
+    out.reverse()
+    return tuple(out)
+
+
+def subsets_colex(n: int, r: int):
+    """Yield the r-subsets of range(n) in colex order: the oracle for
+    colex_matrix."""
+    if r == 0:
+        yield ()
+        return
+    for last in range(r - 1, n):
+        for rest in subsets_colex(last, r - 1):
+            yield rest + (last,)
 
 
 def brute_colex(n, r):

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_combinatorics import subsets_colex
 
 from hyperlim.cli import _dump_hypergraph
-from hyperlim.combinatorics import subsets_colex
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,

@@ -313,27 +313,36 @@ def test_injective_maps_rows_are_injective_and_seeded():
 
 
 def test_injective_maps_uniform_over_pairs():
-    # all 6 ordered pairs of {0,1,2} should appear about equally
-    maps = kernels.injective_maps(6000, 2, 3, 77)
-    counts = {}
-    for a, b in maps.tolist():
-        counts[(a, b)] = counts.get((a, b), 0) + 1
-    assert set(counts) == {(a, b) for a in range(3) for b in range(3) if a != b}
-    for c in counts.values():
-        assert abs(c - 1000) < 160  # 4 sigma ~ 115
+    # the 6 ordered pairs of {0,1,2}, and the 6 permutations of it (which
+    # the delta1_upper restarts draw), should each appear about equally
+    for v in (2, 3):
+        maps = kernels.injective_maps(6000, v, 3, 77)
+        counts = {}
+        for row in maps.tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        assert set(counts) == set(itertools.permutations(range(3), v))
+        for c in counts.values():
+            assert abs(c - 1000) < 160  # 4 sigma ~ 115
+
+
+def uniform_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
+    """budget uniform random maps [v] -> [n] (with replacement)."""
+    ctr = np.arange(budget * v, dtype=np.uint64)
+    h = rng.np_mix64(key, ctr)
+    return (h % np.uint64(n)).astype(np.int64).reshape(budget, v)
 
 
 def test_uniform_maps_range_and_determinism():
-    maps = kernels.uniform_maps(500, 3, 7, 123)
+    maps = uniform_maps(500, 3, 7, 123)
     assert maps.shape == (500, 3)
     assert maps.min() >= 0 and maps.max() < 7
-    assert np.array_equal(maps, kernels.uniform_maps(500, 3, 7, 123))
+    assert np.array_equal(maps, uniform_maps(500, 3, 7, 123))
 
 
 def test_eval_maps_count_matches_python_loop():
     F = Hypergraph(2, 3, [(0, 1), (1, 2)])
     H = Hypergraph.random(2, 6, 0.5, seed=9)
-    maps = kernels.uniform_maps(400, F.n, H.n, 55)
+    maps = uniform_maps(400, F.n, H.n, 55)
     edges = np.array(F.sorted_edges(), dtype=np.int64)
     flags = np.ones(edges.shape[0], dtype=np.int64)
     ct = comb_table(H.n, F.k)

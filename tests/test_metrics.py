@@ -1,10 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import permutations, product
+from math import factorial, lcm
 
 import numpy as np
 import pytest
 
+from hyperlim.combinatorics import cell_weights, mask_bits
 from hyperlim.hypergraph import Hypergraph, blowup, densities
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
@@ -173,6 +176,61 @@ def test_delta_metric_estimate_zero_for_equivalent():
     assert delta_metric_estimate(TRI, blowup(TRI, 2), 3).value == 0
 
 
+def refined_rows(structure, L):
+    """Refined boxes of the structure as 0-based digit rows, shape (m, width)."""
+    width = (1 << structure.k) - 1
+    step = L // structure.l
+    rows = []
+    for cell in sorted(structure.cells):
+        axes = [range((c - 1) * step, c * step) for c in cell]
+        for combo in product(*axes):
+            rows.append(combo)
+    if not rows:
+        return np.zeros((0, width), dtype=np.int64)
+    return np.array(rows, dtype=np.int64)
+
+
+def sym_diff_count(memU, rowsW, perms, arities, weights):
+    """|U Δ sigma(W)| by pushing W's refined boxes through the relabeling;
+    weights are the cell-code digit weights at the refined level count."""
+    cnt_u = int(memU.sum())
+    cnt_w = rowsW.shape[0]
+    if cnt_w == 0:
+        return cnt_u
+    codes = np.zeros(cnt_w, dtype=np.int64)
+    for i, w in enumerate(weights):
+        sig = perms[arities[i] - 1]
+        codes += sig[rowsW[:, i]] * w
+    overlap = int(memU[codes].sum())
+    return cnt_u + cnt_w - 2 * overlap
+
+
+@pytest.mark.parametrize(
+    "k, lU, lW", [(2, 1, 2), (2, 2, 2), (2, 2, 4), (2, 3, 3), (2, 4, 4), (3, 1, 2), (3, 2, 2), (3, 3, 3)]
+)
+def test_delta1_upper_exhaustive_matches_box_oracle(k, lU, lW):
+    # the least |U Δ sigma(W)| over every relabeling, pushing W's refined
+    # boxes through sigma; the witness is the lexicographically least minimizer
+    L = lcm(lU, lW)
+    width = (1 << k) - 1
+    arities = [len(mask_bits(m)) for m in range(1, 1 << k)]
+    for t in range(3):
+        U = rand_step(k, lU, 900 + 10 * t + lU)
+        W = rand_step(k, lW, 950 + 10 * t + lW)
+        memU = _refined_member(structure_of(U), L) != 0
+        rowsW = refined_rows(structure_of(W), L)
+        best = None
+        for combo in product(permutations(range(L)), repeat=k):
+            perms = [np.array(p, dtype=np.int64) for p in combo]
+            v = sym_diff_count(memU, rowsW, perms, arities, cell_weights(k, L))
+            if best is None or v < best[0]:
+                best = (v, [list(p) for p in combo])
+        rep = delta1_upper(U, W)
+        assert factorial(L) ** k <= 4096 and rep.budget["mode"] == "exhaustive"
+        assert rep.value == Fraction(best[0], L**width)
+        assert rep.witness == {"perms": best[1], "levels": L}
+
+
 def test_delta1_upper_recovers_level_swap():
     for t in range(6):
         U = rand_step(2, 2, 6000 + t)
@@ -185,6 +243,13 @@ def test_delta1_upper_recovers_level_swap():
         assert len(rep.witness["perms"]) == 2
 
 
+# sha256 of the sorted-key JSON hill-climb reports below, by budget
+HILL_CLIMB_SHA256 = {
+    20: "ee0325ac356df9b15a808056957bcb0438c9ce054c975cb22282ddf1814dce2c",
+    400: "0dc62a7ec6a253bc294800576f48e124b0ec50ddc67249ffe18a6bbea27c37c0",
+}
+
+
 def test_delta1_upper_hill_climb_budget():
     U = rand_step(2, 4, 42)
     swapped = {(a, b, 5 - c) for (a, b, c) in structure_of(U).cells}
@@ -192,6 +257,10 @@ def test_delta1_upper_hill_climb_budget():
     r = delta1_upper(U, Wsw, budget=400)  # below the (4!)^2 permutation space
     assert r.budget["mode"] == "hill_climb"
     assert 0 <= r.value <= 1
+    # the restarts draw from counters, so the report bytes are pinned
+    for b, want in HILL_CLIMB_SHA256.items():
+        blob = json.dumps(delta1_upper(U, Wsw, budget=b).to_obj(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == want
     r2 = delta1_upper(U, Wsw, budget=600)
     assert r2.budget["mode"] == "exhaustive" and r2.value == 0
 

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -70,3 +72,34 @@ def test_level_of_uniform_over_levels():
     assert counts.sum() == 8000
     # each level ~1000, 4 sigma ~ 120
     assert np.all(np.abs(counts - 1000) < 150)
+
+
+def numpy_or_stdlib_random_uses(tree):
+    """Lines of a module that import random, or reach numpy.random."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(n == "random" or n.split(".")[:2] in (["numpy", "random"], ["np", "random"]) for n in names):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_package_draws_only_from_counters():
+    # every random decision comes from splitmix64 counters, never from the
+    # random module or numpy's Generator streams
+    files = sorted(Path(rng.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = numpy_or_stdlib_random_uses(ast.parse(path.read_text(), str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
