@@ -4,10 +4,12 @@ Vertex subsets are identified with their colex rank so per-arity label data
 can live in flat numpy arrays. Offset by the number of subsets of smaller
 arity (arity_offsets), a rank becomes a global counter over every subset of
 arity <= k. subset_counters lists those counters for the sub-subsets of
-every k-subset, and cell_codes reads per-subset levels through them. Subsets
-of the position set {1..k} are bitmasks: bit i-1 set means position i is in
-the subset, so masks run from 1 to 2**k - 1 and cell coordinates are tuples
-indexed by mask - 1. This module alone knows the cell code that indexes
+every k-subset, and cell_codes reads per-subset levels through them;
+_cell_member_count does the same in cache-sized blocks of k-subsets and
+looks each block's codes up in a member table. Subsets of the position set
+{1..k} are bitmasks: bit i-1 set means position i is in the subset, so
+masks run from 1 to 2**k - 1 and cell coordinates are tuples indexed by
+mask - 1. This module alone knows the cell code that indexes
 every member table: digit m-1 is the 0-based level of mask m.
 """
 
@@ -156,6 +158,43 @@ def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
     for row, w in zip(table, cell_weights(k, l)):
         code += levels[row] * w
     return code
+
+
+# k-subsets per block of _cell_member_count: a block's int64 codes (512 KB)
+# and its gathers stay in cache, where whole C(n, k) arrays do not
+CELL_BLOCK = 1 << 16
+
+
+def _cell_member_count(cells, level, n: int, out=None) -> int:
+    """Count the k-subsets of range(n) whose cell code is marked in cells.
+
+    cells is anything with k, l and a member_table() over cell codes (a step
+    hypergraphon or a combinatorial structure). level(lo, hi) gives the
+    0-based levels of the subsets with global counters lo..hi-1. The levels
+    of arity < k are read once; the k-subsets go by in colex order,
+    CELL_BLOCK at a time, each block assembling the same codes as cell_codes
+    from the subset_counters rows of its lower masks (the top row is the
+    k-subsets' own counters, offset by their arity). With out, the member
+    entry of every k-subset is written there.
+    """
+    k, l = cells.k, cells.l
+    table = subset_counters(n, k)  # refuses an oversized n before any level is read
+    member = cells.member_table()
+    rows = table.shape[1]
+    top = arity_offsets(n, k)[k - 1]
+    low = level(0, top)
+    w = cell_weights(k, l)
+    count = 0
+    for a in range(0, rows, CELL_BLOCK):
+        b = min(a + CELL_BLOCK, rows)
+        code = level(top + a, top + b) * w[-1]
+        for row, wm in zip(table[:-1], w[:-1]):
+            code += np.take(low, row[a:b]) * wm
+        hit = np.take(member, code)
+        count += int(np.count_nonzero(hit))
+        if out is not None:
+            out[a:b] = hit
+    return count
 
 
 def mask_bits(mask: int) -> tuple:

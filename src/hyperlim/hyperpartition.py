@@ -23,9 +23,9 @@ import numpy as np
 
 from . import kernels, rng
 from .combinatorics import (
+    _cell_member_count,
     _check_rows,
     arity_offsets,
-    cell_codes,
     cell_grid,
     cell_orbit,
     cell_weights,
@@ -305,10 +305,10 @@ def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hyperg
     structure (well defined because the structure is permutation-closed)."""
     if hp.k != structure.k or hp.l != structure.l:
         raise ValueError("hyperpartition and structure disagree on (k, l)")
-    n, k, l = hp.n, hp.k, hp.l
-    return Hypergraph.from_member(
-        k, n, structure.member_table()[cell_codes(hp.flat_labels() - 1, n, k, l)]
-    )
+    flat = hp.flat_labels() - 1
+    mask = np.empty(_check_rows(hp.n, hp.k), dtype=np.uint8)
+    _cell_member_count(structure, lambda lo, hi: flat[lo:hi], hp.n, mask)
+    return Hypergraph.from_member(hp.k, hp.n, mask)
 
 
 # ---------------------------------------------------------------------------

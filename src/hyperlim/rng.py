@@ -70,12 +70,15 @@ def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
 
 def np_level_of(h: np.ndarray, l: int) -> np.ndarray:
     """Vectorized level_of; exact via 32-bit split (no float rounding)."""
-    lo32 = np.uint64(0xFFFFFFFF)
-    hi = h >> np.uint64(32)
-    lo = h & lo32
-    ul = np.uint64(l)
-    lev = (hi * ul + ((lo * ul) >> np.uint64(32))) >> np.uint64(32)
-    return lev.astype(np.int64)
+    ul, s32 = np.uint64(l), np.uint64(32)
+    lo = h & np.uint64(0xFFFFFFFF)
+    lo *= ul
+    lo >>= s32
+    lev = h >> s32
+    lev *= ul
+    lev += lo
+    lev >>= s32
+    return lev.view(np.int64)  # a level is below l, so its bits read the same
 
 
 def np_u01(h: np.ndarray) -> np.ndarray:

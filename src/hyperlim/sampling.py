@@ -19,14 +19,14 @@ import numpy as np
 
 from . import rng
 from .combinatorics import (
+    _cell_member_count,
+    _check_rows,
     arity_offsets,
-    cell_codes,
     colex_matrix,
     colex_rank,
     colex_rank_rows,
     comb_table,
     mask_bits,
-    subset_counters,
 )
 from .hypergraph import Hypergraph
 from .hyperpartition import Hyperpartition
@@ -140,16 +140,27 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     return Hypergraph.from_member(k, n, distinct & (member[ranks] != 0))
 
 
-def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp) -> np.ndarray:
-    k, l = W.k, W.l
-    subset_counters(n, k)  # refuses an oversized n before anything is hashed
+def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp, out=None) -> int:
+    """Edge count of the step sample; with out, its edge mask is written there.
+
+    The k-subsets are streamed through combinatorics._cell_member_count in
+    blocks. Each block may be evaluated alone: a subset's level is a pure
+    function of (key, global counter), or its hyperpartition label, so a
+    block reads the same counters and the same levels as a whole-array pass
+    would, and gives the same bytes at any block size and thread count.
+    """
     if hp is None:
-        # one hash per subset, at its global counter
-        ctr = np.arange(arity_offsets(n, k)[-1], dtype=np.uint64)
-        levels = rng.np_level_of(rng.np_mix64(key, ctr), l)
+
+        def level(lo, hi):  # one hash per subset, at its global counter
+            return rng.np_level_of(rng.np_mix64(key, np.arange(lo, hi, dtype=np.uint64)), W.l)
+
     else:
-        levels = hp.flat_labels() - 1
-    return W.member_table()[cell_codes(levels, n, k, l)]
+        flat = hp.flat_labels() - 1
+
+        def level(lo, hi):
+            return flat[lo:hi]
+
+    return _cell_member_count(W, level, n, out)
 
 
 def sample_w_edge_count(
@@ -157,10 +168,7 @@ def sample_w_edge_count(
 ) -> int:
     """Edge count of the step sample without materializing the hypergraph."""
     _validate_sample_w(W, n, hp)
-    key = rng.derive(seed, rng.TAG_LEVELS)
-    if comb(n, W.k) == 0:
-        return 0
-    return int(_step_edge_mask(W, n, key, hp).sum())
+    return _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), hp)
 
 
 def _validate_sample_w(W, n, hp):
@@ -188,11 +196,9 @@ def sample_w(
     _validate_sample_w(W, n, hp)
     k = W.k
     if isinstance(W, StepHypergraphon):
-        key = rng.derive(seed, rng.TAG_LEVELS)
-        if comb(n, k) == 0:
-            sample = Hypergraph(k, n)
-        else:
-            sample = Hypergraph.from_member(k, n, _step_edge_mask(W, n, key, hp))
+        mask = np.empty(_check_rows(n, k), dtype=np.uint8)
+        _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), hp, mask)
+        sample = Hypergraph.from_member(k, n, mask)
         if hp is not None:
             _assert_restricted(W, n, seed, hp)
         source = {

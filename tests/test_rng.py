@@ -53,10 +53,10 @@ def test_numpy_variants_match_scalar():
     us = rng.np_u01(hs)
     for i in range(0, 1000, 37):
         assert float(us[i]) == rng.u01(rng.mix64(key, i))
-    for l in (2, 3, 10):
+    for l in (1, 2, 3, 10, 1000, 2**31 - 1):
         levs = rng.np_level_of(hs, l)
-        for i in range(0, 1000, 37):
-            assert int(levs[i]) == rng.level_of(rng.mix64(key, i), l)
+        assert levs.dtype == np.int64
+        assert levs.tolist() == [rng.level_of(rng.mix64(key, i), l) for i in range(1000)]
 
 
 def test_u01_mean_sane():

@@ -1,16 +1,27 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import structures
 
-from hyperlim import rng
-from hyperlim.combinatorics import arity_offsets, colex_rank, mask_bits
+from hyperlim import combinatorics, rng
+from hyperlim.combinatorics import (
+    arity_offsets,
+    cell_codes,
+    cell_digits,
+    cell_weights,
+    colex_rank,
+    mask_bits,
+    mask_image,
+    position_perms,
+)
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from hyperlim.hypergraphon import (
@@ -159,6 +170,66 @@ def test_sampler_golden_checksums():
     G = sample_w(builtin_w("example1", 3), 40, 13, hp=hp).sample
     assert (len(G.edges), _checksum(G)) == (4879, "8c6d1e3a2da67821")
     assert sample_w_edge_count(builtin_w("example2", 3), 40, 5) == 1102
+
+
+def test_multi_block_goldens():
+    # C(2000, 2) and C(120, 3) k-sets span several CELL_BLOCK blocks; pinned
+    # from the whole-array sampler that came before the blocked one
+    assert combinatorics.CELL_BLOCK < comb(120, 3) < comb(2000, 2)
+    assert sample_w_edge_count(builtin_w("example1", 2), 2000, 0) == 999024
+    assert sample_w_edge_count(builtin_w("example1", 3), 120, 4) == 140110
+    hp = Hyperpartition.uniform_random(120, 3, 2, seed=5)
+    assert sample_w_edge_count(builtin_w("example1", 3), 120, 6, hp=hp) == 140634
+
+
+@lru_cache(maxsize=None)
+def half_of_the_orbits(k, l, seed):
+    """Step hypergraphon of about half the S_k-orbits of cells, by seed."""
+    width = (1 << k) - 1
+    digits = cell_digits(np.arange(l**width), k, l)
+    orbit = np.full(l**width, l**width)
+    for perm in position_perms(k):
+        image = [mask_image(m, perm) - 1 for m in range(1, 1 << k)]
+        moved = np.empty_like(digits)
+        moved[:, image] = digits
+        orbit = np.minimum(orbit, moved @ cell_weights(k, l))
+    keep = np.random.default_rng(seed).random(l**width) < 0.5
+    return step_from_structure(CombinatorialStructure(k, l, map(tuple, digits[keep[orbit]] + 1)))
+
+
+def whole_array_mask(W, n, seed, hp):
+    """The step sample's member entries from one pass over all subsets."""
+    if hp is None:
+        ctr = np.arange(arity_offsets(n, W.k)[-1], dtype=np.uint64)
+        levels = rng.np_level_of(rng.np_mix64(rng.derive(seed, rng.TAG_LEVELS), ctr), W.l)
+    else:
+        levels = hp.flat_labels() - 1
+    return W.member_table()[cell_codes(levels, n, W.k, W.l)] != 0
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.integers(0, 2),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from([1, 3, 7, None]),
+)
+def test_blocked_sample_matches_whole_array(k, l, n, wseed, seed, restricted, block):
+    W = half_of_the_orbits(k, l, wseed)
+    hp = Hyperpartition.uniform_random(n, k, l, seed) if restricted else None
+    want = whole_array_mask(W, n, seed, hp)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(combinatorics, "CELL_BLOCK", block)
+        count = sample_w_edge_count(W, n, seed, hp=hp)
+        got = sample_w(W, n, seed, hp=hp).sample.member_array()
+        union = cells_union(hp, structure_of(W)).member_array() if restricted else want
+    assert count == int(want.sum())
+    assert np.array_equal(got, want)
+    assert np.array_equal(union, want)
 
 
 def test_edge_count_fast_path_agrees():
