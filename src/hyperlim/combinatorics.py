@@ -15,6 +15,7 @@ every member table: digit m-1 is the 0-based level of mask m.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from itertools import permutations
 from math import comb
@@ -108,7 +109,9 @@ def arity_offsets(n: int, k: int) -> list:
     return out
 
 
-@lru_cache(maxsize=4)
+_counters_lock = threading.Lock()
+
+
 def subset_counters(n: int, k: int) -> np.ndarray:
     """Counters of the sub-subsets of every k-subset, shape (2**k - 1, C(n, k)).
 
@@ -117,6 +120,12 @@ def subset_counters(n: int, k: int) -> np.ndarray:
     of mask m. Rows are contiguous so that each mask is one gather; entries
     are int32 while the subset total allows. Cached and read-only.
     """
+    with _counters_lock:  # lru_cache builds unlocked, so each thread that missed would build
+        return _subset_counters(n, k)
+
+
+@lru_cache(maxsize=4)
+def _subset_counters(n: int, k: int) -> np.ndarray:
     rows = _check_rows(n, k)
     offs = arity_offsets(n, k)
     table = np.empty(((1 << k) - 1, rows), dtype=np.int32 if offs[k] < 1 << 31 else np.int64)
@@ -129,6 +138,10 @@ def subset_counters(n: int, k: int) -> np.ndarray:
     table[-1] = np.arange(offs[k - 1], offs[k])
     table.setflags(write=False)
     return table
+
+
+subset_counters.cache_info = _subset_counters.cache_info
+subset_counters.cache_clear = _subset_counters.cache_clear
 
 
 def cell_weights(k: int, l: int) -> np.ndarray:

@@ -9,10 +9,11 @@ here certifies the existence theorems; the report carries estimates only.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from typing import Optional
 
 import numpy as np
@@ -38,6 +39,8 @@ from .hyperpartition import (
 )
 
 _EXHAUSTIVE_CAP = 10**7
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class _SearchState:
         # flat position m * nrows + row holds digit m of that row's code
         self.csr_rows = order % self.nrows
         self.csr_wts = cell_weights(self.k, l)[order // self.nrows]
-        self.indptr = np.searchsorted(flat[order], np.arange(self.total + 1))
+        self.indptr = np.searchsorted(flat[order], np.arange(self.total + 1)).tolist()
         self.labels = None
         self.codes = None
         self.member = None
@@ -124,65 +127,67 @@ class _SearchState:
     def eps_count(self) -> int:
         return int((self.edge != self.member[self.codes]).sum())
 
-    def arity_counts(self):
-        out = []
-        for r in range(1, self.k + 1):
-            seg = self.labels[self.offs[r - 1] : self.offs[r]]
-            out.append(np.bincount(seg, minlength=self.l + 1)[1:].astype(np.int64))
-        return out
-
-    def sweep(self, lam: Fraction) -> int:
+    def sweep(self, p: int, q: int) -> int:
         """One colex-ordered pass of single-subset relabel moves. A move is
-        accepted iff the objective eps + lam*equitability strictly drops and
-        eps itself does not increase. Returns accepted-move count."""
-        if self.l == 1:
+        accepted iff the objective eps + (p/q)*equitability strictly drops
+        and eps itself does not increase; ties go to the smallest label.
+        Returns accepted-move count. With D the lcm of the C(n, r) and q > 0,
+        objectives are compared as the integers eps*q*D + p*nrows*max_r
+        (max - min label count of arity r)*D/C(n, r)."""
+        n, k, l = self.n, self.k, self.l
+        if l == 1:
             return 0
-        counts = self.arity_counts()
-        csizes = [comb(self.n, r) for r in range(1, self.k + 1)]
-
-        def arity_def(r_idx):
-            c = counts[r_idx]
-            return Fraction(int(c.max() - c.min()), csizes[r_idx])
-
-        defs = [arity_def(i) for i in range(self.k)]
+        sizes = [comb(n, r) for r in range(1, k + 1)]
+        D = lcm(*sizes)
+        eps_w, def_w = q * D, p * self.nrows
+        offs = self.offs
+        counts = [np.bincount(self.labels[lo:hi], minlength=l + 1)[1:].tolist() for lo, hi in zip(offs, offs[1:])]
+        scaled = [(max(c) - min(c)) * (D // s) for c, s in zip(counts, sizes)]
         eps_cnt = self.eps_count()
+        labels = self.labels.tolist()
+        member, edge, codes = self.member, self.edge, self.codes
+        shifts = np.arange(1, l + 1)
+        top, w_top = offs[k - 1], int(cell_weights(k, l)[-1])
         accepted = 0
-        for r in range(1, self.k + 1):
-            for g in range(self.offs[r - 1], self.offs[r]):
-                a = int(self.labels[g])
-                lo, hi = self.indptr[g], self.indptr[g + 1]
-                rows = self.csr_rows[lo:hi]
-                wts = self.csr_wts[lo:hi]
-                cur_codes = self.codes[rows]
-                cur_bad = int((self.edge[rows] != self.member[cur_codes]).sum())
-                cur_equit = max(defs)
-                cur_obj = Fraction(eps_cnt, self.nrows) + lam * cur_equit
-                best = None
-                for b in range(1, self.l + 1):
-                    if b == a:
+        for r in range(1, k + 1):
+            c, unit = counts[r - 1], D // sizes[r - 1]
+            other = max(scaled[: r - 1] + scaled[r:], default=0)
+            if r == k:
+                # a k-subset is the one row it labels, and lower labels no
+                # longer move: tabulate every label of every row
+                base = codes - (self.labels[top:] - 1) * w_top
+                table = (member[base[:, None] + (shifts - 1) * w_top] != edge[:, None]).tolist()
+            for g in range(offs[r - 1], offs[r]):
+                a = labels[g]
+                if r == k:
+                    rows, wts = g - top, w_top
+                    bad = table[rows]
+                else:
+                    lo, hi = self.indptr[g], self.indptr[g + 1]
+                    rows, wts = self.csr_rows[lo:hi], self.csr_wts[lo:hi]
+                    cand = codes[rows] + (shifts - a)[:, None] * wts
+                    bad = (member[cand] != edge[rows]).sum(axis=1).tolist()
+                cur_bad = bad[a - 1]
+                best_obj = eps_cnt * eps_w + def_w * max(other, scaled[r - 1])
+                best = 0
+                c[a - 1] -= 1
+                for b in range(1, l + 1):
+                    if b == a or bad[b - 1] > cur_bad:
                         continue
-                    new_codes = cur_codes + (b - a) * wts
-                    new_bad = int((self.edge[rows] != self.member[new_codes]).sum())
-                    new_eps = eps_cnt - cur_bad + new_bad
-                    if new_eps > eps_cnt:
-                        continue
-                    c = counts[r - 1].copy()
-                    c[a - 1] -= 1
                     c[b - 1] += 1
-                    new_def = Fraction(int(c.max() - c.min()), csizes[r - 1])
-                    new_equit = max(max(d for i, d in enumerate(defs) if i != r - 1), new_def) if self.k > 1 else new_def
-                    new_obj = Fraction(new_eps, self.nrows) + lam * new_equit
-                    if new_obj < cur_obj and (best is None or new_obj < best[0]):
-                        best = (new_obj, b, new_codes, new_eps, new_def)
-                if best is not None:
-                    _, b, new_codes, new_eps, new_def = best
-                    self.labels[g] = b
-                    self.codes[rows] = new_codes
-                    counts[r - 1][a - 1] -= 1
-                    counts[r - 1][b - 1] += 1
-                    defs[r - 1] = new_def
-                    eps_cnt = new_eps
+                    new_def = (max(c) - min(c)) * unit
+                    c[b - 1] -= 1
+                    obj = (eps_cnt - cur_bad + bad[b - 1]) * eps_w + def_w * max(other, new_def)
+                    if obj < best_obj:
+                        best_obj, best, best_def = obj, b, new_def
+                c[(best or a) - 1] += 1
+                if best:
+                    labels[g] = best
+                    codes[rows] += (best - a) * wts
+                    scaled[r - 1] = best_def
+                    eps_cnt += bad[best - 1] - cur_bad
                     accepted += 1
+        self.labels[:] = labels
         return accepted
 
 
@@ -219,6 +224,7 @@ def refine(
             raise ValueError("exhaustive mode searches structures itself")
         return _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut)
     n, k = H.n, H.k
+    lam = Fraction(lam)
     wvec = _perm_weight_vectors(k, l)
     state = _SearchState(H, l)
     best = None
@@ -229,6 +235,8 @@ def refine(
         if accepted == 0:
             # first start, or a local optimum: spend remaining budget elsewhere
             ridx += 1
+            best_eps = None if best is None else Fraction(best[0], state.nrows)
+            _log.debug("refine restart %d at iteration %d, best eps %s", ridx, it, best_eps)
             start = Hyperpartition.uniform_random(n, k, l, rng.derive(seed, rng.TAG_INIT, ridx))
             state.set_labels(start.flat_labels())
         if structure is not None:
@@ -236,7 +244,7 @@ def refine(
         else:
             current = _majority_structure(state.codes, state.edge, k, l, wvec)
         state.set_structure(current)
-        accepted = state.sweep(lam)
+        accepted = state.sweep(lam.numerator, lam.denominator)
         eps_cnt = state.eps_count()
         if best is None or eps_cnt < best[0]:
             best = (eps_cnt, state.labels.copy(), current)

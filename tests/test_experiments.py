@@ -2,6 +2,8 @@ import csv
 import itertools
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from test_kernels import hypergraphs
 
 from hyperlim import experiments
+from hyperlim.combinatorics import subset_counters
 from hyperlim.hypergraph import Hypergraph, is_isomorphic
 from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import builtin_w, density, step_from_structure, structure_of
@@ -37,6 +40,30 @@ def test_concentration_bound_formula_and_replay():
     assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(again.to_obj(), sort_keys=True)
     threaded = concentration_experiment(W1, EDGE2, n=200, eps=0.1, trials=20, seed=9, threads=4)
     assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(threaded.to_obj(), sort_keys=True)
+
+
+def test_trial_threads_build_the_counters_once():
+    # both trial threads need subset_counters(2000, 2) at once; one builds it
+    # and the other waits for the cached table
+    subset_counters.cache_clear()
+    W1 = builtin_w("example1", 2)
+    rep = concentration_experiment(W1, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=2)
+    assert subset_counters.cache_info().misses == 1
+    serial = concentration_experiment(W1, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=1)
+    assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(serial.to_obj(), sort_keys=True)
+
+
+def test_counter_builds_under_thread_stress():
+    subset_counters.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = [f.result(timeout=60) for f in [pool.submit(subset_counters, 90, 3) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert subset_counters.cache_info().misses == 1
+    assert all(t is tables[0] for t in tables)
 
 
 def test_concentration_huge_eps_has_empty_tail():

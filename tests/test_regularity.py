@@ -1,9 +1,18 @@
+import ast
 import hashlib
 import json
+import logging
 from fractions import Fraction
+from itertools import product
+from math import comb
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperlim import regularity
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
@@ -11,7 +20,7 @@ from hyperlim.hyperpartition import (
     cells_union,
 )
 from hyperlim.metrics import hamming_density
-from hyperlim.regularity import refine
+from hyperlim.regularity import _majority_structure, _perm_weight_vectors, _SearchState, refine
 
 
 def report_sha256(rep):
@@ -120,3 +129,146 @@ def test_argument_validation():
         refine(H, 2, iterations=0, seed=0)
     with pytest.raises(ValueError):
         refine(Hypergraph(3, 2), 2, seed=0)  # fewer vertices than arity
+
+
+def test_more_report_goldens():
+    # pinned with the Fraction sweep that the integer sweep replaced
+    assort = CombinatorialStructure(2, 3, {(a, a, c) for a in (1, 2, 3) for c in (1, 2, 3)})
+    T = cells_union(Hyperpartition.round_robin(30, 2, 3), assort)
+    noise = Hypergraph.random(2, 30, Fraction(1, 10), seed=5)
+    noisy = Hypergraph(2, 30, T.edges ^ noise.edges)
+    rep = refine(noisy, 3, iterations=10, seed=1)
+    assert report_sha256(rep) == "b4709e8716e5e9e8961d3038b95084244b10b9363e3d47d1b5f4c8703db77b38"
+    rep = refine(Hypergraph.random(3, 12, Fraction(1, 2), seed=3), 3, iterations=6, seed=4)
+    assert report_sha256(rep) == "ff4513c60e0b7e31b24209b33f77ee99b12147165c9ff5776cfb6a143bd4e15b"
+    Hp, _, _ = planted_instance(12)
+    rep = refine(Hp, 2, iterations=10, seed=7, lam=0)
+    assert report_sha256(rep) == "7710587afcf06cfc0e45da680adad33802d78605a37b63f678650babc4743a97"
+    rep = refine(Hp, 2, iterations=10, seed=7, lam=Fraction(1, 3))
+    assert report_sha256(rep) == "949a088dc327623222bdb118445c84c80ffeeffe694f4bc67f9da7cdd5e3054c"
+
+
+def test_restarts_log_at_debug_only(caplog):
+    H = Hypergraph.random(2, 12, Fraction(1, 2), seed=9)
+    quiet = refine(H, 2, iterations=10, seed=2)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.regularity"):
+        loud = refine(H, 2, iterations=10, seed=2)
+    assert report_sha256(loud) == report_sha256(quiet)
+    want, best = [], None
+    for i, row in enumerate(loud.trace):
+        if i == 0 or row["restart"] != loud.trace[i - 1]["restart"]:
+            want.append(f"refine restart {row['restart']} at iteration {row['iteration']}, best eps {best}")
+        best = row["best_eps"]
+    assert len(want) > 1
+    assert [r.getMessage() for r in caplog.records] == want
+    assert {r.name for r in caplog.records} == {"hyperlim.regularity"}
+
+
+# The Fraction sweep that _SearchState.sweep replaced, kept as its slow oracle.
+def arity_counts(self):
+    out = []
+    for r in range(1, self.k + 1):
+        seg = self.labels[self.offs[r - 1] : self.offs[r]]
+        out.append(np.bincount(seg, minlength=self.l + 1)[1:].astype(np.int64))
+    return out
+
+
+def fraction_sweep(self, lam: Fraction) -> int:
+    """One colex-ordered pass of single-subset relabel moves. A move is
+    accepted iff the objective eps + lam*equitability strictly drops and
+    eps itself does not increase. Returns accepted-move count."""
+    if self.l == 1:
+        return 0
+    counts = arity_counts(self)
+    csizes = [comb(self.n, r) for r in range(1, self.k + 1)]
+
+    def arity_def(r_idx):
+        c = counts[r_idx]
+        return Fraction(int(c.max() - c.min()), csizes[r_idx])
+
+    defs = [arity_def(i) for i in range(self.k)]
+    eps_cnt = self.eps_count()
+    accepted = 0
+    for r in range(1, self.k + 1):
+        for g in range(self.offs[r - 1], self.offs[r]):
+            a = int(self.labels[g])
+            lo, hi = self.indptr[g], self.indptr[g + 1]
+            rows = self.csr_rows[lo:hi]
+            wts = self.csr_wts[lo:hi]
+            cur_codes = self.codes[rows]
+            cur_bad = int((self.edge[rows] != self.member[cur_codes]).sum())
+            cur_equit = max(defs)
+            cur_obj = Fraction(eps_cnt, self.nrows) + lam * cur_equit
+            best = None
+            for b in range(1, self.l + 1):
+                if b == a:
+                    continue
+                new_codes = cur_codes + (b - a) * wts
+                new_bad = int((self.edge[rows] != self.member[new_codes]).sum())
+                new_eps = eps_cnt - cur_bad + new_bad
+                if new_eps > eps_cnt:
+                    continue
+                c = counts[r - 1].copy()
+                c[a - 1] -= 1
+                c[b - 1] += 1
+                new_def = Fraction(int(c.max() - c.min()), csizes[r - 1])
+                new_equit = max(max(d for i, d in enumerate(defs) if i != r - 1), new_def) if self.k > 1 else new_def
+                new_obj = Fraction(new_eps, self.nrows) + lam * new_equit
+                if new_obj < cur_obj and (best is None or new_obj < best[0]):
+                    best = (new_obj, b, new_codes, new_eps, new_def)
+            if best is not None:
+                _, b, new_codes, new_eps, new_def = best
+                self.labels[g] = b
+                self.codes[rows] = new_codes
+                counts[r - 1][a - 1] -= 1
+                counts[r - 1][b - 1] += 1
+                defs[r - 1] = new_def
+                eps_cnt = new_eps
+                accepted += 1
+    return accepted
+
+
+def random_structure(k, l, seed):
+    width = (1 << k) - 1
+    keep = np.random.default_rng(seed).random(l**width) < 0.5
+    cells = product(range(1, l + 1), repeat=width)
+    return CombinatorialStructure(k, l, [c for c, b in zip(cells, keep) if b], symmetrize=True)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, 4),
+    st.integers(0, 5),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(5, 2)]),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_integer_sweep_matches_fraction_oracle(k, l, extra, lam, seed, majority):
+    n = k + extra
+    H = Hypergraph.random(k, n, Fraction(1, 2), seed)
+    start = Hyperpartition.uniform_random(n, k, l, seed).flat_labels()
+    fast, slow = _SearchState(H, l), _SearchState(H, l)
+    for state in (fast, slow):
+        state.set_labels(start.copy())
+    if majority:
+        C = _majority_structure(fast.codes, fast.edge, k, l, _perm_weight_vectors(k, l))
+    else:
+        C = random_structure(k, l, seed)
+    for state in (fast, slow):
+        state.set_structure(C)
+    assert fast.sweep(lam.numerator, lam.denominator) == fraction_sweep(slow, lam)
+    assert np.array_equal(fast.labels, slow.labels)
+    assert np.array_equal(fast.codes, slow.codes)
+    assert fast.eps_count() == slow.eps_count()
+
+
+def test_sweep_never_names_fraction():
+    # the sweep compares scaled integers; a Fraction there is the slow path back
+    tree = ast.parse(Path(regularity.__file__).read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchState")
+    sweep = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "sweep")
+    named = {n.id for n in ast.walk(sweep) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(sweep) if isinstance(n, ast.Attribute)}
+    assert "comb" in named and "Fraction" not in named
