@@ -10,7 +10,9 @@ looks each block's codes up in a member table. Subsets of the position set
 {1..k} are bitmasks: bit i-1 set means position i is in the subset, so
 masks run from 1 to 2**k - 1 and cell coordinates are tuples indexed by
 mask - 1. This module alone knows the cell code that indexes
-every member table: digit m-1 is the 0-based level of mask m.
+every member table: digit m-1 is the 0-based level of mask m. mask_perms
+holds the action of permuting the k positions on those digits, the one
+orbit layer for closure checks, symmetrizing and orbit codes.
 """
 
 from __future__ import annotations
@@ -226,25 +228,27 @@ def mask_image(mask: int, perm) -> int:
     return im
 
 
-def permute_cell(cell: tuple, k: int, perm) -> tuple:
-    """Push a cell coordinate forward along a position permutation.
-
-    The image assigns to mask perm(m) the label the original assigned to m,
-    so coordinates of permuted tuples match permuted coordinates.
-    """
-    out = [0] * len(cell)
-    for m in range(1, 1 << k):
-        out[mask_image(m, perm) - 1] = cell[m - 1]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def position_perms(k: int) -> tuple:
     return tuple(permutations(range(k)))
 
 
-def cell_orbit(cell: tuple, k: int) -> frozenset:
-    return frozenset(permute_cell(cell, k, p) for p in position_perms(k))
+@lru_cache(maxsize=None)
+def mask_perms(k: int) -> np.ndarray:
+    """The S_k action on mask digits, shape (k!, 2**k - 1), read-only.
+
+    Row p is the axis order for which cell_grid(member).transpose(row)
+    pushes every cell along position permutation p: the image gives mask
+    mask_image(m, p) the level the original gave mask m. The rows run over
+    the whole group, so cell_digits(codes) @ w[mask_perms(k)].T lists the
+    orbit codes of each cell (w the cell_weights).
+    """
+    rows = np.empty((len(position_perms(k)), (1 << k) - 1), dtype=np.intp)
+    for row, perm in zip(rows, position_perms(k)):
+        for m in range(1, 1 << k):
+            row[mask_image(m, perm) - 1] = m - 1
+    rows.setflags(write=False)
+    return rows
 
 
 def set_partitions(items: tuple):

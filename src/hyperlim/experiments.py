@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ from .sampling import sample_w, sample_w_edge_count
 _EXACT_T0_CAP = 10**8
 # most vertex subsets C(n, |V(F)|) a constrained hereditary pattern may span
 _SCAN_CAP = 10**6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,7 @@ def _t0_of_sample(F, W, n, trial_seed, budget):
     G = sample_w(W, n, trial_seed).sample
     if n**F.n <= _EXACT_T0_CAP:
         return hom(F, G, "injective") / falling(n, F.n), 0.0
+    _log.debug("t0 by Monte Carlo: n**|V(F)| = %d**%d exceeds the exact cap %d", n, F.n, _EXACT_T0_CAP)
     est = _injective_hits(F, G.member_array(), n, k, trial_seed, budget) / budget
     return est, (est * (1 - est) / budget) ** 0.5
 

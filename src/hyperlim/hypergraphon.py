@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import mask_bits, mask_image, position_perms
+from .combinatorics import cell_grid, mask_bits, mask_image, position_perms
 from .hypergraph import Hypergraph
 from .hyperpartition import (
     CombinatorialStructure,
@@ -33,28 +33,33 @@ _BUILTIN_MAX_K = 4
 class StepHypergraphon:
     """Union of half-open level boxes, closed under position permutations."""
 
-    __slots__ = ("k", "l", "boxes", "_structure")
+    __slots__ = ("k", "l", "_structure")
 
     def __init__(self, k: int, l: int, boxes, symmetrize: bool = False):
-        structure = CombinatorialStructure(k, l, boxes, symmetrize=symmetrize)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "boxes", structure.cells)
+        self._adopt(CombinatorialStructure(k, l, boxes, symmetrize=symmetrize))
+
+    def _adopt(self, structure: CombinatorialStructure):
+        object.__setattr__(self, "k", structure.k)
+        object.__setattr__(self, "l", structure.l)
         object.__setattr__(self, "_structure", structure)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepHypergraphon is immutable")
 
+    @property
+    def boxes(self) -> frozenset:
+        return self._structure.cells
+
     def __eq__(self, other):
         if not isinstance(other, StepHypergraphon):
             return NotImplemented
-        return (self.k, self.l, self.boxes) == (other.k, other.l, other.boxes)
+        return self._structure == other._structure
 
     def __hash__(self):
-        return hash((self.k, self.l, self.boxes))
+        return hash(self._structure)
 
     def __repr__(self):
-        return f"StepHypergraphon(k={self.k}, l={self.l}, boxes={len(self.boxes)})"
+        return f"StepHypergraphon(k={self.k}, l={self.l}, boxes={np.count_nonzero(self.member_table())})"
 
     @property
     def measure(self) -> Fraction:
@@ -64,9 +69,8 @@ class StepHypergraphon:
         return self._structure.member_table()
 
     def complement(self) -> "StepHypergraphon":
-        every = product(range(1, self.l + 1), repeat=(1 << self.k) - 1)
-        return StepHypergraphon(
-            self.k, self.l, (c for c in every if c not in self.boxes)
+        return step_from_structure(
+            CombinatorialStructure.from_member(self.k, self.l, 1 - self.member_table())
         )
 
     def to_obj(self) -> dict:
@@ -120,7 +124,7 @@ class GeneralHypergraphon:
 
 
 def _levels_of(values, count: int, l: int, what: str) -> tuple:
-    """Exact 1-based levels of the first count mask coordinates of a point,
+    """Exact 0-based levels of the first count mask coordinates of a point,
     given as a mask-indexed dict or a sequence."""
     if isinstance(values, dict):
         seq = [values[m] for m in range(1, count + 1)]
@@ -130,17 +134,21 @@ def _levels_of(values, count: int, l: int, what: str) -> tuple:
         raise ValueError(f"{what} needs {count} coordinates")
     cell = []
     for x in seq:
-        fx = Fraction(x)
-        if not 0 <= fx < 1:
+        p, q = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
+        if not 0 <= p < q:
             raise ValueError("point coordinates must lie in [0, 1)")
-        cell.append(int(fx * l) + 1)
+        cell.append(p * l // q)
     return tuple(cell)
+
+
+def _grid(W: StepHypergraphon) -> np.ndarray:
+    return cell_grid(W.member_table(), W.k, W.l)
 
 
 def contains(W, p) -> bool:
     """Pointwise membership; half-open boxes, exact at level boundaries."""
     if isinstance(W, StepHypergraphon):
-        return _levels_of(p, (1 << W.k) - 1, W.l, "point") in W.boxes
+        return bool(_grid(W)[_levels_of(p, (1 << W.k) - 1, W.l, "point")])
     return W.contains_point(p if isinstance(p, dict) else _as_point_dict(W.k, p))
 
 
@@ -160,37 +168,26 @@ def builtin_w(kind: str, k: int) -> StepHypergraphon:
         raise ValueError("k must be a positive integer")
     if kind in ("example1", "example2") and k > _BUILTIN_MAX_K:
         raise ValueError(f"builtin {kind} capped at k <= {_BUILTIN_MAX_K}")
-    width = (1 << k) - 1
     if kind == "full":
-        return StepHypergraphon(k, 1, [tuple([1] * width)])
+        return step_from_structure(CombinatorialStructure.all_cells(k, 1))
     if kind == "empty":
-        return StepHypergraphon(k, 1, [])
+        return step_from_structure(CombinatorialStructure.empty(k, 1))
     if kind == "example1":
-        full_mask = (1 << k) - 1
-        boxes = []
-        for lower in product((1, 2), repeat=width - 1):
-            cell = list(lower[: full_mask - 1]) + [1] + list(lower[full_mask - 1 :])
-            boxes.append(tuple(cell))
-        return StepHypergraphon(k, 2, boxes)
+        return step_from_structure(CombinatorialStructure.from_top_labels(k, 2, {1}))
     if kind == "example2":
         if k < 2:
             raise ValueError("example2 requires k >= 2")
-        pinned = {m for m in range(1, width + 1) if len(mask_bits(m)) == k - 1}
-        free = [m for m in range(1, width + 1) if m not in pinned]
-        boxes = []
-        for assign in product((1, 2), repeat=len(free)):
-            cell = [0] * width
-            for m in pinned:
-                cell[m - 1] = 1
-            for m, lab in zip(free, assign):
-                cell[m - 1] = lab
-            boxes.append(tuple(cell))
-        return StepHypergraphon(k, 2, boxes)
+        # level 1 on every mask of k - 1 positions, any level elsewhere
+        grid = np.zeros((2,) * ((1 << k) - 1), dtype=np.uint8)
+        grid[tuple(0 if len(mask_bits(m)) == k - 1 else slice(None) for m in range(1, 1 << k))] = 1
+        return step_from_structure(CombinatorialStructure.from_member(k, 2, grid.ravel(order="F")))
     raise ValueError(f"unknown builtin kind {kind!r}")
 
 
 def step_from_structure(structure: CombinatorialStructure) -> StepHypergraphon:
-    return StepHypergraphon(structure.k, structure.l, structure.cells)
+    W = object.__new__(StepHypergraphon)
+    W._adopt(structure)
+    return W
 
 
 def structure_of(W: StepHypergraphon) -> CombinatorialStructure:
@@ -261,13 +258,8 @@ def projected_value(W: StepHypergraphon, q) -> Fraction:
     q maps each proper mask to a coordinate; the result is the fraction of
     full-mask levels whose completed cell is a box.
     """
-    l = W.l
-    cell = _levels_of(q, (1 << W.k) - 2, l, "projected point")
-    hits = 0
-    for top in range(1, l + 1):
-        if cell + (top,) in W.boxes:
-            hits += 1
-    return Fraction(hits, l)
+    levels = _levels_of(q, (1 << W.k) - 2, W.l, "projected point")
+    return Fraction(int(_grid(W)[levels].sum()), W.l)
 
 
 def density_via_projection(F: Hypergraph, W: StepHypergraphon) -> Fraction:
@@ -279,20 +271,13 @@ def density_via_projection(F: Hypergraph, W: StepHypergraphon) -> Fraction:
     if W.k != 2 or F.k != 2:
         raise ValueError("projection formula implemented for k = 2")
     l = W.l
-    grid = {}
-    for a in range(1, l + 1):
-        for b in range(1, l + 1):
-            hits = 0
-            for top in range(1, l + 1):
-                if (a, b, top) in W.boxes:
-                    hits += 1
-            grid[(a, b)] = Fraction(hits, l)
+    grid = [[Fraction(h, l) for h in row] for row in _grid(W).sum(axis=-1, dtype=np.int64).tolist()]
     total = Fraction(0)
     edges = sorted(F.edges)
-    for assign in product(range(1, l + 1), repeat=F.n):
+    for assign in product(range(l), repeat=F.n):
         p = Fraction(1)
         for u, v in edges:
-            p *= grid[(assign[u], assign[v])]
+            p *= grid[assign[u]][assign[v]]
             if p == 0:
                 break
         total += p

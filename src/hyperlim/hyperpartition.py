@@ -13,6 +13,7 @@ Carlo density in hypergraphon.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -27,7 +28,6 @@ from .combinatorics import (
     _check_rows,
     arity_offsets,
     cell_grid,
-    cell_orbit,
     cell_weights,
     colex_matrix,
     colex_rank,
@@ -35,6 +35,7 @@ from .combinatorics import (
     comb_table,
     falling,
     mask_bits,
+    mask_perms,
     subset_counters,
 )
 from .hypergraph import Hypergraph
@@ -174,94 +175,128 @@ def cell_coordinate(hp: Hyperpartition, tup) -> tuple:
     return tuple(out)
 
 
-class CombinatorialStructure:
-    """Permutation-closed set of cells over labels 1..l at arity k."""
+def member_size(k, l) -> int:
+    """Length l**(2**k - 1) of the member table at arity k over l levels.
 
-    __slots__ = ("k", "l", "cells", "_member")
+    k and l must be integers >= 1. The table holds at most _MEMBER_CAP
+    cells, and cell_grid gives it one axis per mask, at most 63 of them;
+    k is checked before 2**k is formed, so a huge k costs nothing.
+    """
+    for name, v in (("k", k), ("l", l)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    size = int(l) ** ((1 << int(k)) - 1) if k <= 6 else None
+    if size is None or size > _MEMBER_CAP:
+        raise ValueError(
+            f"k={k}, l={l}: the member table of l**(2**k - 1) cells exceeds the"
+            f" size cap of {_MEMBER_CAP} cells on at most 63 mask axes"
+        )
+    return size
+
+
+class CombinatorialStructure:
+    """Permutation-closed set of cells over labels 1..l at arity k.
+
+    Stored as its member table, a read-only uint8 indicator over the
+    mixed-radix cell codes; the S_k action on it is combinatorics.mask_perms.
+    """
+
+    __slots__ = ("k", "l", "_member", "_cells")
 
     def __init__(self, k: int, l: int, cells, symmetrize: bool = False):
-        if k < 1 or l < 1:
-            raise ValueError("need k >= 1 and l >= 1")
+        member = np.zeros(member_size(k, l), dtype=np.uint8)
         width = (1 << k) - 1
-        norm = set()
+        norm = []
         for c in cells:
             c = tuple(int(x) for x in c)
             if len(c) != width:
                 raise ValueError(f"cell {c} must have {width} entries")
             if any(not 1 <= x <= l for x in c):
                 raise ValueError(f"cell {c} has labels outside 1..{l}")
-            norm.add(c)
+            norm.append(c)
+        member[(np.array(norm, dtype=np.int64).reshape(-1, width) - 1) @ cell_weights(k, l)] = 1
+        self._adopt(k, l, member, symmetrize)
+
+    @classmethod
+    def from_member(cls, k: int, l: int, member) -> "CombinatorialStructure":
+        """Structure of a member table over cell codes; raises unless the
+        table has length l**(2**k - 1) and is S_k-closed."""
+        self = object.__new__(cls)
+        self._adopt(k, l, np.asarray(member), False)
+        return self
+
+    def _adopt(self, k, l, member, symmetrize):
+        size = member_size(k, l)
+        if member.shape != (size,):
+            raise ValueError(f"member table must have shape ({size},), got {member.shape}")
+        grid = cell_grid(member != 0, k, l)
         if symmetrize:
-            closed = set()
-            for c in norm:
-                closed |= cell_orbit(c, k)
-            norm = closed
+            closed = np.zeros_like(grid)
+            for row in mask_perms(k):
+                closed |= grid.transpose(row)
+            grid = closed
         else:
-            for c in norm:
-                if not cell_orbit(c, k) <= norm:
+            for row in mask_perms(k):
+                moved = grid.transpose(row)
+                if not np.array_equal(grid, moved):
+                    c = tuple((np.argwhere(grid > moved)[0] + 1).tolist())
                     raise ValueError(
                         f"cells not S_k-closed: {c} present without its"
                         " coordinate permutations (pass symmetrize=True)"
                     )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "cells", frozenset(norm))
-        object.__setattr__(self, "_member", None)
+        member = grid.ravel(order="F").astype(np.uint8)
+        member.setflags(write=False)
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "l", int(l))
+        object.__setattr__(self, "_member", member)
+        object.__setattr__(self, "_cells", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CombinatorialStructure is immutable")
 
+    @property
+    def cells(self) -> frozenset:
+        """The cells as tuples of levels 1..l, one entry per mask (cached)."""
+        if self._cells is None:
+            grid = cell_grid(self._member, self.k, self.l)
+            object.__setattr__(self, "_cells", frozenset(map(tuple, (np.argwhere(grid) + 1).tolist())))
+        return self._cells
+
     def __eq__(self, other):
         if not isinstance(other, CombinatorialStructure):
             return NotImplemented
-        return (self.k, self.l, self.cells) == (other.k, other.l, other.cells)
+        return (self.k, self.l) == (other.k, other.l) and np.array_equal(self._member, other._member)
 
     def __hash__(self):
-        return hash((self.k, self.l, self.cells))
+        return hash((self.k, self.l, self._member.tobytes()))
 
     def __repr__(self):
-        return f"CombinatorialStructure(k={self.k}, l={self.l}, cells={len(self.cells)})"
+        return f"CombinatorialStructure(k={self.k}, l={self.l}, cells={np.count_nonzero(self._member)})"
 
     @property
     def measure(self) -> Fraction:
-        return Fraction(len(self.cells), self.l ** ((1 << self.k) - 1))
+        return Fraction(int(np.count_nonzero(self._member)), self._member.size)
 
     def member_table(self) -> np.ndarray:
-        """uint8 indicator over mixed-radix cell codes (cached)."""
-        if self._member is None:
-            size = self.l ** ((1 << self.k) - 1)
-            if size > _MEMBER_CAP:
-                raise ValueError("cell table exceeds the size cap")
-            m = np.zeros(size, dtype=np.uint8)
-            cells = np.array(list(self.cells), dtype=np.int64)
-            cells = cells.reshape(len(self.cells), (1 << self.k) - 1)
-            m[(cells - 1) @ cell_weights(self.k, self.l)] = 1
-            m.setflags(write=False)
-            object.__setattr__(self, "_member", m)
+        """uint8 indicator over mixed-radix cell codes (read-only)."""
         return self._member
 
     @classmethod
     def all_cells(cls, k, l):
-        from itertools import product as iproduct
-
-        return cls(k, l, iproduct(range(1, l + 1), repeat=(1 << k) - 1))
+        return cls.from_member(k, l, np.ones(member_size(k, l), dtype=np.uint8))
 
     @classmethod
     def empty(cls, k, l):
-        return cls(k, l, ())
+        return cls.from_member(k, l, np.zeros(member_size(k, l), dtype=np.uint8))
 
     @classmethod
     def from_top_labels(cls, k, l, top_labels):
         """Cells whose full-mask label lies in top_labels (always closed)."""
-        from itertools import product as iproduct
-
-        tops = set(int(x) for x in top_labels)
-        width = (1 << k) - 1
-        cells = []
-        for lower in iproduct(range(1, l + 1), repeat=width - 1):
-            for t in tops:
-                cells.append(lower + (t,))
-        return cls(k, l, cells)
+        tops = sorted({int(t) - 1 for t in top_labels})
+        if not set(tops) <= set(range(l)):
+            raise ValueError(f"top labels must lie in 1..{l}")
+        # the full mask is the most significant digit of a cell code
+        return cls.from_member(k, l, np.isin(np.arange(member_size(k, l)) // l ** ((1 << k) - 2), tops))
 
     def to_obj(self) -> dict:
         return cells_to_obj(self.k, self.l, self.cells, "cells")
@@ -288,6 +323,10 @@ def cells_from_obj(obj, field: str) -> tuple:
     for name in ("k", "l", field):
         if name not in obj:
             raise ValueError(f"{what} object is missing field {name!r}")
+    try:
+        member_size(obj["k"], obj["l"])
+    except ValueError as exc:
+        raise ValueError(f"{what} object: {exc}") from None
     width = (1 << obj["k"]) - 1
     cells = []
     for i, c in enumerate(obj[field]):

@@ -23,11 +23,9 @@ from .combinatorics import (
     arity_offsets,
     cell_codes,
     cell_digits,
-    cell_orbit,
     cell_weights,
     colex_matrix,
-    mask_image,
-    position_perms,
+    mask_perms,
     subset_counters,
 )
 from .hypergraph import Hypergraph
@@ -35,6 +33,7 @@ from .hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
     cells_union,
+    member_size,
     partition_delta,
 )
 
@@ -63,28 +62,19 @@ class DecompositionReport:
         }
 
 
-def _perm_weight_vectors(k: int, l: int) -> np.ndarray:
-    """Row p: weight of digit position m-1 in the p-permuted cell code."""
-    w = cell_weights(k, l)
-    return np.array(
-        [[w[mask_image(m, perm) - 1] for m in range(1, 1 << k)] for perm in position_perms(k)],
-        dtype=np.int64,
-    )
-
-
-def _majority_structure(codes, edge, k, l, wvec):
+def _majority_structure(codes, edge, k, l):
     """Per-orbit majority vote: include an orbit iff over half of the k-sets
     landing in it are edges (ties excluded). Optimal for fixed labels."""
     # an orbit is named by the least code among its cells' permutations
+    orbit_w = cell_weights(k, l)[mask_perms(k)].T
     uniq, inv = np.unique(codes, return_inverse=True)
-    canon = (cell_digits(uniq, k, l) @ wvec.T).min(axis=1)[inv]
+    canon = (cell_digits(uniq, k, l) @ orbit_w).min(axis=1)[inv]
     uniq, inv = np.unique(canon, return_inverse=True)
     sizes = np.bincount(inv)
     edges_in = np.bincount(inv, weights=edge).astype(np.int64)
-    cells = set()
-    for cell in (cell_digits(uniq[2 * edges_in > sizes], k, l) + 1).tolist():
-        cells |= cell_orbit(tuple(cell), k)
-    return CombinatorialStructure(k, l, cells)
+    member = np.zeros(member_size(k, l), dtype=np.uint8)
+    member[cell_digits(uniq[2 * edges_in > sizes], k, l) @ orbit_w] = 1
+    return CombinatorialStructure.from_member(k, l, member)
 
 
 def _labels_to_hp(n, k, l, labels_flat):
@@ -225,7 +215,6 @@ def refine(
         return _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut)
     n, k = H.n, H.k
     lam = Fraction(lam)
-    wvec = _perm_weight_vectors(k, l)
     state = _SearchState(H, l)
     best = None
     trace = []
@@ -242,7 +231,7 @@ def refine(
         if structure is not None:
             current = structure
         else:
-            current = _majority_structure(state.codes, state.edge, k, l, wvec)
+            current = _majority_structure(state.codes, state.edge, k, l)
         state.set_structure(current)
         accepted = state.sweep(lam.numerator, lam.denominator)
         eps_cnt = state.eps_count()
@@ -309,11 +298,9 @@ def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
         if best[0] == 0:
             break
     miss, vl, smask = best
-    cells = set()
-    for i, rep in enumerate(orbit_reps):
-        if smask >> i & 1:
-            cells |= cell_orbit(rep, 2)
-    structure = CombinatorialStructure(2, l, cells)
+    chosen = [rep for i, rep in enumerate(orbit_reps) if smask >> i & 1]
+    structure = CombinatorialStructure(2, l, chosen, symmetrize=True)
+    cells = structure.cells
     vert = np.array(vl, dtype=np.int64)
     pair_labels = np.empty(comb(n, 2), dtype=np.int64)
     rows = colex_matrix(n, 2)

@@ -78,6 +78,28 @@ def test_validate_asymmetric_structure_exits_2(files, capsys):
     assert "not S_k-closed" in err
 
 
+@pytest.mark.parametrize(
+    "header, named",
+    [
+        ({"k": "2", "l": 2}, "k must be an integer >= 1, got '2'"),
+        ({"k": True, "l": 2}, "k must be an integer >= 1, got True"),
+        ({"k": 2, "l": 2.5}, "l must be an integer >= 1, got 2.5"),
+        ({"k": 2, "l": 0}, "l must be an integer >= 1, got 0"),
+        ({"k": 40, "l": 2}, f"k=40, l=2: the member table of l**(2**k - 1) cells exceeds the size cap of {1 << 24}"),
+        ({"k": 3, "l": 11}, f"k=3, l=11: the member table of l**(2**k - 1) cells exceeds the size cap of {1 << 24}"),
+    ],
+)
+@pytest.mark.parametrize("flag, field", [("--structure", "cells"), ("--W", "boxes")])
+def test_validate_malformed_header_exits_2_naming_it(files, capsys, header, named, flag, field):
+    bad = files["dir"] + "/header.json"
+    with open(bad, "w") as fh:
+        json.dump({**header, field: []}, fh)
+    assert main(["validate", flag, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
 def test_validate_good_inputs(files, capsys):
     good = files["dir"] + "/good.json"
     with open(good, "w") as fh:

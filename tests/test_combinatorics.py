@@ -1,9 +1,14 @@
+import ast
 import itertools
 import tracemalloc
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from orbit_oracle import cell_orbit, permute_cell
+
+import hyperlim
 
 from hyperlim.combinatorics import (
     ROW_CAP,
@@ -12,7 +17,6 @@ from hyperlim.combinatorics import (
     cell_codes,
     cell_digits,
     cell_grid,
-    cell_orbit,
     cell_weights,
     colex_matrix,
     colex_rank,
@@ -20,7 +24,8 @@ from hyperlim.combinatorics import (
     falling,
     mask_bits,
     mask_image,
-    permute_cell,
+    mask_perms,
+    position_perms,
     set_partitions,
     subset_counters,
 )
@@ -256,6 +261,67 @@ def test_permute_cell_composition():
     q = (2, 0, 1)
     pq = tuple(q[p[i]] for i in range(k))
     assert permute_cell(permute_cell(cell, k, p), k, q) == permute_cell(cell, k, pq)
+
+
+def test_mask_perms_transpose_grids_like_permute_cell():
+    # row p of mask_perms moves every cell of a level grid exactly as the
+    # tuple oracle moves it along position_perms(k)[p]
+    for k, l in ((1, 3), (2, 3), (3, 2), (3, 3), (4, 2)):
+        width = (1 << k) - 1
+        member = np.zeros(l**width, dtype=np.uint8)
+        member[np.random.default_rng(10 * k + l).integers(0, l**width, 40)] = 1
+        cells = [tuple(c) for c in (np.argwhere(cell_grid(member, k, l)) + 1).tolist()]
+        assert mask_perms(k).shape == (factorial(k), width)
+        for row, perm in zip(mask_perms(k), position_perms(k)):
+            moved = np.zeros_like(member)
+            moved[[scalar_cell_code(permute_cell(c, k, perm), l) for c in cells]] = 1
+            assert np.array_equal(cell_grid(moved, k, l), cell_grid(member, k, l).transpose(row))
+
+
+def test_mask_perms_weights_list_orbit_codes():
+    for k, l in ((1, 2), (2, 3), (3, 2), (3, 3)):
+        width = (1 << k) - 1
+        w = cell_weights(k, l)
+        codes = np.arange(l**width)
+        orbits = cell_digits(codes, k, l) @ w[mask_perms(k)].T
+        for code, row in zip(codes.tolist(), orbits.tolist()):
+            cell = tuple((cell_digits(code, k, l) + 1).tolist())
+            assert set(row) == {scalar_cell_code(c, l) for c in cell_orbit(cell, k)}
+
+
+def tuple_orbit_names(tree):
+    """Lines of a module that define, import or name the tuple orbit helpers."""
+    banned = {"permute_cell", "cell_orbit"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.asname or a.name for a in node.names] + [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if banned.intersection(n.rsplit(".", 1)[-1] for n in names):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_package_has_no_tuple_orbit_path():
+    # every orbit, closure check and symmetrize reads combinatorics.mask_perms;
+    # permute_cell and cell_orbit live in tests/orbit_oracle.py as the oracle
+    files = sorted(Path(hyperlim.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = tuple_orbit_names(ast.parse(path.read_text(), str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    oracle = ast.parse((Path(__file__).parent / "orbit_oracle.py").read_text())
+    assert tuple_orbit_names(oracle)
 
 
 def test_set_partitions_bell_counts():

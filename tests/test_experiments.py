@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +41,24 @@ def test_concentration_bound_formula_and_replay():
     assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(again.to_obj(), sort_keys=True)
     threaded = concentration_experiment(W1, EDGE2, n=200, eps=0.1, trials=20, seed=9, threads=4)
     assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(threaded.to_obj(), sort_keys=True)
+
+
+def test_monte_carlo_t0_logs_at_debug_only(caplog):
+    W1 = builtin_w("example1", 2)
+
+    def report(n):
+        rep = concentration_experiment(W1, TRI, n=n, eps=0.1, trials=2, t0_sample_budget=500, seed=3, threads=2)
+        return json.dumps(rep.to_obj(), sort_keys=True)
+
+    quiet = report(470)  # 470**3 is just over the exact cap of 10**8
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.experiments"):
+        loud = report(470)
+        report(40)  # exact t0: nothing to say
+    assert loud == quiet
+    want = "t0 by Monte Carlo: n**|V(F)| = 470**3 exceeds the exact cap 100000000"
+    assert [r.getMessage() for r in caplog.records] == [want, want]
+    assert {r.name for r in caplog.records} == {"hyperlim.experiments"}
 
 
 def test_trial_threads_build_the_counters_once():

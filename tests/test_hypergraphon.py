@@ -1,7 +1,12 @@
+import hashlib
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlim.combinatorics import mask_bits
 from hyperlim.hypergraph import Hypergraph
@@ -9,6 +14,7 @@ from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import (
     GeneralHypergraphon,
     StepHypergraphon,
+    _levels_of,
     builtin_w,
     contains,
     density,
@@ -162,3 +168,91 @@ def test_example2_measures():
     e = Hypergraph.single_edge(3)
     # one 3-edge constrains its three 2-subsets
     assert density(e, W) == Fraction(1, 8)
+
+
+# sha256 of the sorted-key JSON of builtin_w(kind, k).complement().to_obj(),
+# pinned while complements were built by listing tuple cells
+COMPLEMENT_GOLDENS = {
+    ("full", 1): "543cfc7ddb9b560abd88d3b42340671221df6a47a7e4320034ca2ebabbac2a34",
+    ("full", 2): "dd2157e84dc11625a5f00c2ae9c8a362af9c676d9b303dfee4799e0d4bd5bad3",
+    ("full", 3): "e15710230101726ad724a99f4a13cc145c2ca2cf04fe3a8b0bf88b25ea29403e",
+    ("full", 4): "7be8be27e310c9ed2af7de3ec1ae1e74c35f0ad42070bc28dcae3006cbb73a74",
+    ("empty", 1): "0c210e5f80349bc0c96002fbecc985a7fc56c796c18a8657d3e0dd5de9ca26ed",
+    ("empty", 2): "f8b7f2e502392214fa5a78da19b7a0c0fb54f997a171d8bb6dbc92327030e9aa",
+    ("empty", 3): "d7fedf237aa5ae593f2e63fd32e3059fa24b373e41f1836ae66173247be162db",
+    ("empty", 4): "c2b7ef2d82c3156f410b0052090f8b19856fd13f1d63ec5b4a910391bb7aad1f",
+    ("example1", 1): "fd81678ebcdab1765bb39b46496110957cd2e206035e290b2b4a7041adc2fb3f",
+    ("example1", 2): "6b1b42159bbc0816153629f22734fefdf294958f22c4572dd1afc1e0a47e4b0d",
+    ("example1", 3): "f7f42a5c53fde7485b982f790378c7a4e8ce07185c7f38208e29607736cc96a9",
+    ("example1", 4): "9054cef8458241851fd44dde670c973660c10cba829539907ae5a8a18552e3aa",
+    ("example2", 2): "4be593cbeef4d3c993bf0035dc5adf29130e399d3718d591255608b4b0003b70",
+    ("example2", 3): "737caf38c6d3c481d0b25d56df209ac17ecaab75e25118a75cd229f36d158c06",
+    ("example2", 4): "b4778369ce1f8b170ee947ffa0a23937b081c72e682f08444ca05bb83a5c29a6",
+}
+
+
+def test_builtin_complement_goldens():
+    for (kind, k), want in COMPLEMENT_GOLDENS.items():
+        W = builtin_w(kind, k)
+        blob = json.dumps(W.complement().to_obj(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, (kind, k)
+        assert W.complement().complement() == W
+
+
+def test_example1_boxes_are_the_full_mask_at_level_1():
+    for k in range(1, 5):
+        width = (1 << k) - 1
+        want = {c for c in itertools.product((1, 2), repeat=width) if c[-1] == 1}
+        assert builtin_w("example1", k).boxes == want
+
+
+def fraction_levels(values, l):
+    """The old reading: 0-based level int(Fraction(x) * l) of each coordinate."""
+    out = []
+    for x in values:
+        fx = Fraction(x)
+        if not 0 <= fx < 1:
+            raise ValueError("point coordinates must lie in [0, 1)")
+        out.append(int(fx * l))
+    return tuple(out)
+
+
+def on_boundary(l):
+    return st.integers(0, l - 1).flatmap(lambda j: st.sampled_from([Fraction(j, l), j / l]))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda l: st.tuples(
+            st.just(l),
+            st.lists(
+                st.one_of(
+                    st.floats(0, 1, exclude_max=True),
+                    st.fractions(0, 1, max_denominator=10**6).filter(lambda f: f < 1),
+                    st.just(0),
+                    on_boundary(l),
+                    st.floats(-2, 2),
+                ),
+                min_size=1,
+                max_size=7,
+            ),
+        )
+    )
+)
+def test_integer_levels_match_fraction_reading(case):
+    l, values = case
+    try:
+        want = fraction_levels(values, l)
+    except ValueError:
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            _levels_of(values, len(values), l, "point")
+        return
+    assert _levels_of(values, len(values), l, "point") == want
+
+
+def test_levels_refuse_what_fractions_refuse():
+    assert _levels_of(["0.25", Fraction(1, 2)], 2, 4, "point") == (1, 2)
+    for bad, err in ((math.nan, ValueError), (math.inf, OverflowError), ("half", ValueError), (True, ValueError)):
+        with pytest.raises(err):
+            _levels_of([bad], 1, 2, "point")

@@ -1,13 +1,18 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from orbit_oracle import cell_orbit
 from test_combinatorics import scalar_cell_code
 
-from hyperlim.combinatorics import cell_orbit, colex_rank, mask_bits
+from hyperlim.combinatorics import colex_rank, mask_bits
 from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
@@ -112,15 +117,63 @@ def test_member_table_agrees_with_cells():
         chosen = set()
         for _ in range(4):
             chosen |= cell_orbit(tuple(prng.randint(1, l) for _ in range(width)), k)
-        C = CombinatorialStructure(k, l, chosen)
         if l**width > 1 << 24:
             with pytest.raises(ValueError, match="size cap"):
-                C.member_table()
+                CombinatorialStructure(k, l, chosen)
             continue
+        C = CombinatorialStructure(k, l, chosen)
         table = C.member_table()
         assert table.shape == (l**width,)
         assert set(np.flatnonzero(table).tolist()) == {scalar_cell_code(c, l) for c in chosen}
         assert CombinatorialStructure.empty(k, l).member_table().sum() == 0
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_symmetrize_and_closure_match_the_tuple_oracle(data):
+    k = data.draw(st.integers(1, 4))
+    l = data.draw(st.integers(1, 2 if k == 4 else 4))
+    cell = st.tuples(*[st.integers(1, l)] * ((1 << k) - 1))
+    cells = set(data.draw(st.lists(cell, max_size=10)))
+    orbits = set().union(*(cell_orbit(c, k) for c in cells))
+    C = CombinatorialStructure(k, l, cells, symmetrize=True)
+    assert C.cells == orbits
+    assert CombinatorialStructure.from_member(k, l, C.member_table()) == C
+    assert C.measure == Fraction(len(orbits), l ** ((1 << k) - 1))
+    if orbits == cells:
+        assert CombinatorialStructure(k, l, cells).cells == cells
+        return
+    with pytest.raises(ValueError, match="not S_k-closed") as exc:
+        CombinatorialStructure(k, l, cells)
+    # the message names a present cell whose orbit is not all present
+    assert any(f"{c} present" in str(exc.value) for c in cells if not cell_orbit(c, k) <= cells)
+
+
+def test_member_tables_of_the_wrong_shape_are_refused():
+    with pytest.raises(ValueError, match="shape"):
+        CombinatorialStructure.from_member(2, 2, np.zeros(7, dtype=np.uint8))
+    with pytest.raises(ValueError, match="not S_k-closed"):
+        CombinatorialStructure.from_member(2, 2, np.eye(1, 8, 2, dtype=np.uint8)[0])
+    for k, l in ((0, 2), (2, 0), (True, 2), (2, 2.0), ("2", 2)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            CombinatorialStructure(k, l, [])
+    for k, l in ((3, 11), (5, 2), (40, 2), (7, 1), (10**12, 1)):
+        with pytest.raises(ValueError, match=f"k={k}, l={l}: .*size cap of {1 << 24}"):
+            CombinatorialStructure.empty(k, l)
+
+
+# sha256 of the sorted-key JSON of to_obj(), pinned while structures were
+# still built from tuple orbits
+STRUCTURE_GOLDENS = [
+    (lambda: CombinatorialStructure.from_top_labels(3, 4, {1, 2}), "f41b947302ef635283c37e260eb7fb2c8dd86ce1a00e1efe85ca7e11fc0143ce"),
+    (lambda: CombinatorialStructure.all_cells(2, 3), "973b0f7be68b1af8f1342e13376ec7b2cc8c2e0b6f8c0914efaaa082621c4006"),
+]
+
+
+def test_structure_serialization_goldens():
+    for build, want in STRUCTURE_GOLDENS:
+        blob = json.dumps(build().to_obj(), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == want
 
 
 def test_cells_union_matches_direct_membership():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_oracle import cell_orbit
 
 from hyperlim import regularity
 from hyperlim.hypergraph import Hypergraph
@@ -20,7 +21,7 @@ from hyperlim.hyperpartition import (
     cells_union,
 )
 from hyperlim.metrics import hamming_density
-from hyperlim.regularity import _majority_structure, _perm_weight_vectors, _SearchState, refine
+from hyperlim.regularity import _majority_structure, _SearchState, refine
 
 
 def report_sha256(rep):
@@ -148,6 +149,33 @@ def test_more_report_goldens():
     assert report_sha256(rep) == "949a088dc327623222bdb118445c84c80ffeeffe694f4bc67f9da7cdd5e3054c"
 
 
+def test_k3_l3_report_golden():
+    # pinned while _majority_structure still built its cells from tuple orbits
+    T = cells_union(Hyperpartition.round_robin(12, 3, 3), CombinatorialStructure.from_top_labels(3, 3, {1}))
+    noisy = Hypergraph(3, 12, T.edges ^ Hypergraph.random(3, 12, Fraction(1, 10), seed=6).edges)
+    rep = refine(noisy, 3, iterations=6, seed=11)
+    assert report_sha256(rep) == "43c4aa88e9f4902b37570bd638dfb4cd0835dd62123a009085be0d67bd8ffc47"
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_majority_structure_matches_tuple_orbit_vote(data):
+    k = data.draw(st.integers(1, 4))
+    l = data.draw(st.integers(1, 2 if k == 4 else 4))
+    width = (1 << k) - 1
+    rows = data.draw(st.integers(1, 60))
+    codes = np.array(data.draw(st.lists(st.integers(0, l**width - 1), min_size=rows, max_size=rows)))
+    edge = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    votes = {}
+    for code, e in zip(codes.tolist(), edge.tolist()):
+        cell = tuple(code // l**i % l + 1 for i in range(width))
+        tally = votes.setdefault(cell_orbit(cell, k), [0, 0])
+        tally[0] += 1
+        tally[1] += e
+    want = set().union(*(orbit for orbit, (size, hits) in votes.items() if 2 * hits > size))
+    assert _majority_structure(codes, edge, k, l).cells == want
+
+
 def test_restarts_log_at_debug_only(caplog):
     H = Hypergraph.random(2, 12, Fraction(1, 2), seed=9)
     quiet = refine(H, 2, iterations=10, seed=2)
@@ -253,7 +281,7 @@ def test_integer_sweep_matches_fraction_oracle(k, l, extra, lam, seed, majority)
     for state in (fast, slow):
         state.set_labels(start.copy())
     if majority:
-        C = _majority_structure(fast.codes, fast.edge, k, l, _perm_weight_vectors(k, l))
+        C = _majority_structure(fast.codes, fast.edge, k, l)
     else:
         C = random_structure(k, l, seed)
     for state in (fast, slow):
