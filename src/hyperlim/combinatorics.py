@@ -5,14 +5,15 @@ can live in flat numpy arrays. Offset by the number of subsets of smaller
 arity (arity_offsets), a rank becomes a global counter over every subset of
 arity <= k. subset_counters lists those counters for the sub-subsets of
 every k-subset, and cell_codes reads per-subset levels through them;
-_cell_member_count does the same in cache-sized blocks of k-subsets and
-looks each block's codes up in a member table. Subsets of the position set
-{1..k} are bitmasks: bit i-1 set means position i is in the subset, so
-masks run from 1 to 2**k - 1 and cell coordinates are tuples indexed by
-mask - 1. This module alone knows the cell code that indexes
-every member table: digit m-1 is the 0-based level of mask m. mask_perms
-holds the action of permuting the k positions on those digits, the one
-orbit layer for closure checks, symmetrizing and orbit codes.
+_cell_member_count does the same in cache-sized blocks of k-subsets, reads
+only the masks its member table depends on, and looks each block's codes
+up in that table. Subsets of the position set {1..k} are bitmasks: bit i-1
+set means position i is in the subset, so masks run from 1 to 2**k - 1 and
+cell coordinates are tuples indexed by mask - 1. This module alone knows
+the cell code that indexes every member table: digit m-1 is the 0-based
+level of mask m. mask_perms holds the action of permuting the k positions
+on those digits, the one orbit layer for closure checks, symmetrizing and
+orbit codes.
 """
 
 from __future__ import annotations
@@ -180,30 +181,68 @@ def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
 CELL_BLOCK = 1 << 16
 
 
+def _used_axes(member: np.ndarray, k: int, l: int):
+    """(used, reduced): the 0-based mask axes on which membership can change,
+    ascending, and the member table over those axes alone.
+
+    Axis m-1 is unused when the level grid equals its slice at level 0 of
+    mask m broadcast along that axis; such a digit never moves a cell in or
+    out. The reduced table is the grid with every unused axis dropped, read
+    as a cell code whose i-th used axis weighs l**i.
+    """
+    grid = cell_grid(member, k, l)
+    used = []
+    for m in range(grid.ndim):
+        first = grid[(slice(None),) * m + (slice(0, 1),)]
+        if (grid == first).all():
+            grid = first  # the later axes are then checked on this slice alone
+        else:
+            used.append(m)
+    reduced = grid.ravel(order="F")  # unused axes now have length 1
+    reduced.setflags(write=False)
+    return tuple(used), reduced
+
+
 def _cell_member_count(cells, level, n: int, out=None) -> int:
     """Count the k-subsets of range(n) whose cell code is marked in cells.
 
-    cells is anything with k, l and a member_table() over cell codes (a step
-    hypergraphon or a combinatorial structure). level(lo, hi) gives the
-    0-based levels of the subsets with global counters lo..hi-1. The levels
-    of arity < k are read once; the k-subsets go by in colex order,
-    CELL_BLOCK at a time, each block assembling the same codes as cell_codes
-    from the subset_counters rows of its lower masks (the top row is the
-    k-subsets' own counters, offset by their arity). With out, the member
-    entry of every k-subset is written there.
+    cells is anything with k, l and used_axes(), which caches _used_axes of
+    its member table (a step hypergraphon or a combinatorial structure), so
+    repeated samples check the table once. level(lo, hi) gives the
+    0-based levels of the subsets with global counters lo..hi-1.
+
+    Only the masks on which membership can change are read, and the codes
+    index the member table reduced to their axes (_used_axes). When a lower
+    mask is used, the levels of arity < k are read once and subset_counters
+    is built; otherwise neither happens. The k-subsets go by in colex
+    order, CELL_BLOCK at a time: a block reads its own top-arity levels
+    only when the full mask is used, and gathers each used lower mask
+    through its subset_counters row. With out, the member entry of every
+    k-subset is written there.
     """
     k, l = cells.k, cells.l
-    table = subset_counters(n, k)  # refuses an oversized n before any level is read
-    member = cells.member_table()
-    rows = table.shape[1]
+    used, member = cells.used_axes()
+    weights = {m: l**i for i, m in enumerate(used)}
+    top_w = weights.pop((1 << k) - 2, None)  # the full mask's axis is the last
     top = arity_offsets(n, k)[k - 1]
-    low = level(0, top)
-    w = cell_weights(k, l)
+    if weights:
+        table = subset_counters(n, k)  # refuses an oversized n before any level is read
+        rows = table.shape[1]
+        low = level(0, top)
+        gathers = [(table[m], wm) for m, wm in weights.items()]
+    else:
+        rows = _check_rows(n, k)
+        gathers = []
     count = 0
     for a in range(0, rows, CELL_BLOCK):
         b = min(a + CELL_BLOCK, rows)
-        code = level(top + a, top + b) * w[-1]
-        for row, wm in zip(table[:-1], w[:-1]):
+        if top_w is None:
+            code = np.zeros(b - a, dtype=np.int64)
+        elif gathers:
+            code = level(top + a, top + b) * top_w
+        else:  # the top mask alone: its level is the code
+            code = level(top + a, top + b)
+        for row, wm in gathers:
             code += np.take(low, row[a:b]) * wm
         hit = np.take(member, code)
         count += int(np.count_nonzero(hit))
@@ -247,6 +286,20 @@ def mask_perms(k: int) -> np.ndarray:
     for row, perm in zip(rows, position_perms(k)):
         for m in range(1, 1 << k):
             row[mask_image(m, perm) - 1] = m - 1
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def adjacent_mask_perms(k: int) -> np.ndarray:
+    """The rows of mask_perms(k) for the k-1 adjacent transpositions (i i+1).
+
+    They generate S_k, so a level grid equal to its transposes by these rows
+    is equal to its transposes by every row.
+    """
+    perms = position_perms(k)
+    swaps = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)) for i in range(k - 1)]
+    rows = mask_perms(k)[[perms.index(p) for p in swaps]]
     rows.setflags(write=False)
     return rows
 

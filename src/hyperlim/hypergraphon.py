@@ -68,13 +68,16 @@ class StepHypergraphon:
     def member_table(self) -> np.ndarray:
         return self._structure.member_table()
 
+    def used_axes(self) -> tuple:
+        return self._structure.used_axes()
+
     def complement(self) -> "StepHypergraphon":
         return step_from_structure(
             CombinatorialStructure.from_member(self.k, self.l, 1 - self.member_table())
         )
 
     def to_obj(self) -> dict:
-        return cells_to_obj(self.k, self.l, self.boxes, "boxes")
+        return cells_to_obj(self.k, self.l, self._structure.sorted_cells(), "boxes")
 
     @classmethod
     def from_obj(cls, obj, symmetrize: bool = False) -> "StepHypergraphon":

@@ -26,6 +26,8 @@ from . import kernels, rng
 from .combinatorics import (
     _cell_member_count,
     _check_rows,
+    _used_axes,
+    adjacent_mask_perms,
     arity_offsets,
     cell_grid,
     cell_weights,
@@ -201,7 +203,7 @@ class CombinatorialStructure:
     mixed-radix cell codes; the S_k action on it is combinatorics.mask_perms.
     """
 
-    __slots__ = ("k", "l", "_member", "_cells")
+    __slots__ = ("k", "l", "_member", "_cells", "_used")
 
     def __init__(self, k: int, l: int, cells, symmetrize: bool = False):
         member = np.zeros(member_size(k, l), dtype=np.uint8)
@@ -235,7 +237,9 @@ class CombinatorialStructure:
             for row in mask_perms(k):
                 closed |= grid.transpose(row)
             grid = closed
-        else:
+        elif not all(np.array_equal(grid, grid.transpose(row)) for row in adjacent_mask_perms(k)):
+            # the adjacent transpositions generate S_k; the whole group is
+            # scanned only to name the same cell whichever generator failed
             for row in mask_perms(k):
                 moved = grid.transpose(row)
                 if not np.array_equal(grid, moved):
@@ -250,6 +254,7 @@ class CombinatorialStructure:
         object.__setattr__(self, "l", int(l))
         object.__setattr__(self, "_member", member)
         object.__setattr__(self, "_cells", None)
+        object.__setattr__(self, "_used", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CombinatorialStructure is immutable")
@@ -258,8 +263,7 @@ class CombinatorialStructure:
     def cells(self) -> frozenset:
         """The cells as tuples of levels 1..l, one entry per mask (cached)."""
         if self._cells is None:
-            grid = cell_grid(self._member, self.k, self.l)
-            object.__setattr__(self, "_cells", frozenset(map(tuple, (np.argwhere(grid) + 1).tolist())))
+            object.__setattr__(self, "_cells", frozenset(map(tuple, self.sorted_cells())))
         return self._cells
 
     def __eq__(self, other):
@@ -281,6 +285,13 @@ class CombinatorialStructure:
         """uint8 indicator over mixed-radix cell codes (read-only)."""
         return self._member
 
+    def used_axes(self) -> tuple:
+        """(used, reduced): the mask axes membership depends on, and the
+        member table over them (combinatorics._used_axes; cached)."""
+        if self._used is None:
+            object.__setattr__(self, "_used", _used_axes(self._member, self.k, self.l))
+        return self._used
+
     @classmethod
     def all_cells(cls, k, l):
         return cls.from_member(k, l, np.ones(member_size(k, l), dtype=np.uint8))
@@ -298,8 +309,12 @@ class CombinatorialStructure:
         # the full mask is the most significant digit of a cell code
         return cls.from_member(k, l, np.isin(np.arange(member_size(k, l)) // l ** ((1 << k) - 2), tops))
 
+    def sorted_cells(self) -> list:
+        """The cells in ascending order, read off the level grid."""
+        return (np.argwhere(cell_grid(self._member, self.k, self.l)) + 1).tolist()
+
     def to_obj(self) -> dict:
-        return cells_to_obj(self.k, self.l, self.cells, "cells")
+        return cells_to_obj(self.k, self.l, self.sorted_cells(), "cells")
 
     @classmethod
     def from_obj(cls, obj, symmetrize: bool = False) -> "CombinatorialStructure":
@@ -307,12 +322,10 @@ class CombinatorialStructure:
 
 
 def cells_to_obj(k: int, l: int, cells, field: str) -> dict:
-    """Serialize sorted cells as mask-keyed dicts under the given field."""
-    return {
-        "k": k,
-        "l": l,
-        field: [{str(m + 1): c[m] for m in range(len(c))} for c in sorted(cells)],
-    }
+    """Serialize cells, given in ascending order, as mask-keyed dicts under
+    the given field."""
+    keys = [str(m) for m in range(1, 1 << k)]
+    return {"k": k, "l": l, field: [dict(zip(keys, c)) for c in cells]}
 
 
 def cells_from_obj(obj, field: str) -> tuple:

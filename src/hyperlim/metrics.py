@@ -9,6 +9,7 @@ hyperpartition) triple. Every report labels its guarantee honestly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -24,6 +25,8 @@ from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
 from .hypergraphon import StepHypergraphon, density, structure_of
 
 _REFINE_CAP = 1 << 22
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -274,6 +277,8 @@ def delta1_upper(
     best_perms = None
     ridx = 0
     while evals < budget:
+        best_d1 = None if best is None else Fraction(best, denom)
+        _log.debug("delta1_upper restart %d after %d evaluations, best d1 %s", ridx, evals, best_d1)
         # a uniform injective map [L] -> [L] is a uniform permutation
         perms = kernels.injective_maps(k, L, L, rng.derive(seed, rng.TAG_RESTART, ridx))
         ridx += 1

@@ -69,8 +69,16 @@ def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
 
 
 def np_level_of(h: np.ndarray, l: int) -> np.ndarray:
-    """Vectorized level_of; exact via 32-bit split (no float rounding)."""
-    ul, s32 = np.uint64(l), np.uint64(32)
+    """Vectorized level_of; exact via 32-bit split (no float rounding).
+
+    For l = 2**j the level is the top j bits of h, taken by one shift.
+    """
+    ul, s32 = np.uint64(l), np.uint64(32)  # refuses l >= 2**64
+    if l & (l - 1) == 0:
+        j = l.bit_length() - 1
+        if j <= 0:
+            return np.zeros(h.shape, dtype=np.int64)
+        return (h >> np.uint64(64 - j)).view(np.int64)
     lo = h & np.uint64(0xFFFFFFFF)
     lo *= ul
     lo >>= s32

@@ -3,7 +3,7 @@
 Every coordinate is a pure function of (seed, subset counter), so samples
 are reproducible byte for byte and independent of evaluation order. For a
 step hypergraphon the edge decision is exact integer arithmetic on hashed
-levels; floats only surface for general membership predicates and asserts.
+levels; floats only surface for general membership predicates.
 """
 
 from __future__ import annotations
@@ -199,8 +199,6 @@ def sample_w(
         mask = np.empty(_check_rows(n, k), dtype=np.uint8)
         _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), hp, mask)
         sample = Hypergraph.from_member(k, n, mask)
-        if hp is not None:
-            _assert_restricted(W, n, seed, hp)
         source = {
             "kind": "step",
             "n": n,
@@ -229,23 +227,3 @@ def sample_w(
     sample = Hypergraph(k, n, edges)
     source = {"kind": "general", "n": n, "k": k, "restricted": False}
     return SampleRecord(sample=sample, seed=seed, source=source)
-
-
-def _assert_restricted(W, n, seed, hp):
-    # spot-check the restriction invariant on a deterministic subset slice
-    coords = CoordinateSystem(n, W.k, seed, restriction=hp)
-    checked = 0
-    for r in range(1, W.k + 1):
-        m = comb(n, r)
-        if m == 0:
-            continue
-        step = max(1, m // 512)
-        km = colex_matrix(n, r)
-        for i in range(0, m, step):
-            sub = tuple(int(v) for v in km[i])
-            x = coords.exact_value(sub)
-            g = hp.label(sub)
-            assert Fraction(g - 1, hp.l) <= x < Fraction(g, hp.l)
-            checked += 1
-            if checked >= 2048:
-                return

@@ -12,6 +12,7 @@ import hyperlim
 
 from hyperlim.combinatorics import (
     ROW_CAP,
+    adjacent_mask_perms,
     arity_offsets,
     comb_table,
     cell_codes,
@@ -276,6 +277,23 @@ def test_mask_perms_transpose_grids_like_permute_cell():
             moved = np.zeros_like(member)
             moved[[scalar_cell_code(permute_cell(c, k, perm), l) for c in cells]] = 1
             assert np.array_equal(cell_grid(moved, k, l), cell_grid(member, k, l).transpose(row))
+
+
+def test_adjacent_mask_perms_generate_the_group():
+    # composing transposes composes axis orders: t(a).t(b) is t(a[b])
+    for k in range(1, 6):
+        gens = adjacent_mask_perms(k)
+        assert gens.shape == (k - 1, (1 << k) - 1)
+        seen = {tuple(range((1 << k) - 1))}
+        frontier = list(seen)
+        while frontier:
+            row = np.array(frontier.pop())
+            for g in gens:
+                nxt = tuple(row[g].tolist())
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        assert seen == {tuple(r) for r in mask_perms(k).tolist()}
 
 
 def test_mask_perms_weights_list_orbit_codes():

@@ -17,6 +17,7 @@ from hyperlim.combinatorics import subset_counters
 from hyperlim.hypergraph import Hypergraph, is_isomorphic
 from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import builtin_w, density, step_from_structure, structure_of
+from hyperlim.sampling import sample_w_edge_count
 from hyperlim.experiments import (
     concentration_experiment,
     counting_experiment,
@@ -62,14 +63,22 @@ def test_monte_carlo_t0_logs_at_debug_only(caplog):
 
 
 def test_trial_threads_build_the_counters_once():
-    # both trial threads need subset_counters(2000, 2) at once; one builds it
-    # and the other waits for the cached table
+    # example2 reads the singleton masks, so both trial threads need
+    # subset_counters(2000, 2) at once; one builds it and the other waits
+    # for the cached table
     subset_counters.cache_clear()
-    W1 = builtin_w("example1", 2)
-    rep = concentration_experiment(W1, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=2)
+    W2 = builtin_w("example2", 2)
+    rep = concentration_experiment(W2, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=2)
     assert subset_counters.cache_info().misses == 1
-    serial = concentration_experiment(W1, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=1)
+    serial = concentration_experiment(W2, EDGE2, n=2000, eps=0.08, trials=4, seed=0, threads=1)
     assert json.dumps(rep.to_obj(), sort_keys=True) == json.dumps(serial.to_obj(), sort_keys=True)
+
+
+def test_top_only_sampler_builds_no_counters():
+    # example1 reads only the full mask, so no lower mask is gathered
+    subset_counters.cache_clear()
+    assert sample_w_edge_count(builtin_w("example1", 2), 2000, 0) == 999024
+    assert subset_counters.cache_info().misses == 0
 
 
 def test_counter_builds_under_thread_stress():

@@ -149,6 +149,22 @@ def test_symmetrize_and_closure_match_the_tuple_oracle(data):
     assert any(f"{c} present" in str(exc.value) for c in cells if not cell_orbit(c, k) <= cells)
 
 
+def test_closure_error_golden_text():
+    # pinned while closure was checked over all of S_k; the check over the
+    # adjacent transpositions names the same cell
+    cases = [
+        ([(2, 1, 1, 1, 1, 1, 1), (1, 2, 1, 1, 1, 1, 1)], "(1, 2, 1, 1, 1, 1, 1)"),
+        ([(1, 2, 1, 1, 1, 2, 2), (1, 1, 1, 2, 2, 1, 2)], "(1, 1, 1, 2, 2, 1, 2)"),
+    ]
+    for cells, named in cases:
+        with pytest.raises(ValueError) as exc:
+            CombinatorialStructure(3, 2, cells)
+        assert str(exc.value) == (
+            f"cells not S_k-closed: {named} present without its coordinate"
+            " permutations (pass symmetrize=True)"
+        )
+
+
 def test_member_tables_of_the_wrong_shape_are_refused():
     with pytest.raises(ValueError, match="shape"):
         CombinatorialStructure.from_member(2, 2, np.zeros(7, dtype=np.uint8))

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import logging
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, lcm
@@ -263,6 +265,26 @@ def test_delta1_upper_hill_climb_budget():
         assert hashlib.sha256(blob).hexdigest() == want
     r2 = delta1_upper(U, Wsw, budget=600)
     assert r2.budget["mode"] == "exhaustive" and r2.value == 0
+
+
+def test_delta1_upper_restarts_log_at_debug_only(caplog):
+    U = rand_step(2, 4, 42)
+    Wsw = StepHypergraphon(2, 4, {(a, b, 5 - c) for (a, b, c) in structure_of(U).cells})
+    quiet = delta1_upper(U, Wsw, budget=400)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.metrics"):
+        loud = delta1_upper(U, Wsw, budget=400)
+    assert json.dumps(loud.to_obj(), sort_keys=True) == json.dumps(quiet.to_obj(), sort_keys=True)
+    assert {r.name for r in caplog.records} == {"hyperlim.metrics"}
+    pattern = re.compile(r"delta1_upper restart (\d+) after (\d+) evaluations, best d1 (\S+)")
+    rows = [pattern.fullmatch(r.getMessage()).groups() for r in caplog.records]
+    assert len(rows) > 1
+    assert [int(i) for i, _, _ in rows] == list(range(len(rows)))
+    evals = [int(e) for _, e, _ in rows]
+    assert evals[0] == 0 and evals == sorted(set(evals)) and evals[-1] < 400
+    bests = [Fraction(b) for _, _, b in rows[1:]]
+    assert rows[0][2] == "None" and bests == sorted(bests, reverse=True)
+    assert loud.value <= bests[-1]
 
 
 def test_delta1_chain_inequalities():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hyperlim import rng
 
@@ -53,10 +54,15 @@ def test_numpy_variants_match_scalar():
     us = rng.np_u01(hs)
     for i in range(0, 1000, 37):
         assert float(us[i]) == rng.u01(rng.mix64(key, i))
-    for l in (1, 2, 3, 10, 1000, 2**31 - 1):
+    before = hs.copy()
+    # powers of two take the shift path, which must leave its input alone
+    for l in (1, 2, 3, 4, 8, 10, 1000, 2**31 - 1, 2**32, 2**63):
         levs = rng.np_level_of(hs, l)
         assert levs.dtype == np.int64
         assert levs.tolist() == [rng.level_of(rng.mix64(key, i), l) for i in range(1000)]
+        assert np.array_equal(hs, before)
+    with pytest.raises(OverflowError):
+        rng.np_level_of(hs, 2**64)
 
 
 def test_u01_mean_sane():

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_kernels import structures
 
@@ -197,11 +197,34 @@ def half_of_the_orbits(k, l, seed):
     return step_from_structure(CombinatorialStructure(k, l, map(tuple, digits[keep[orbit]] + 1)))
 
 
+@lru_cache(maxsize=None)
+def on_some_arities(k, l, seed):
+    """Step hypergraphon of a random grid that reads only the masks of the
+    arities r with bit r-1 of seed set, then symmetrized (S_k keeps each
+    arity's masks)."""
+    grid = np.random.default_rng(seed).random((l,) * ((1 << k) - 1)) < 0.5
+    for m in range(1, 1 << k):
+        if not seed >> (len(mask_bits(m)) - 1) & 1:
+            grid = np.broadcast_to(grid.take([0], axis=m - 1), grid.shape)
+    cells = map(tuple, np.argwhere(grid) + 1)
+    return step_from_structure(CombinatorialStructure(k, l, cells, symmetrize=True))
+
+
+def some_w(kind, k, l, seed):
+    if kind == "orbits":
+        return half_of_the_orbits(k, l, seed)
+    if kind == "arities":
+        return on_some_arities(k, l, seed)
+    return builtin_w(kind, k)
+
+
 def whole_array_mask(W, n, seed, hp):
-    """The step sample's member entries from one pass over all subsets."""
+    """The step sample's member entries from one pass over all subsets, with
+    every level read by the scalar rng.level_of."""
     if hp is None:
-        ctr = np.arange(arity_offsets(n, W.k)[-1], dtype=np.uint64)
-        levels = rng.np_level_of(rng.np_mix64(rng.derive(seed, rng.TAG_LEVELS), ctr), W.l)
+        key = rng.derive(seed, rng.TAG_LEVELS)
+        ctrs = range(arity_offsets(n, W.k)[-1])
+        levels = np.array([rng.level_of(rng.mix64(key, c), W.l) for c in ctrs], dtype=np.int64)
     else:
         levels = hp.flat_labels() - 1
     return W.member_table()[cell_codes(levels, n, W.k, W.l)] != 0
@@ -212,14 +235,18 @@ def whole_array_mask(W, n, seed, hp):
     st.sampled_from([1, 2, 3]),
     st.integers(1, 4),
     st.integers(0, 12),
-    st.integers(0, 2),
+    st.sampled_from(["orbits", "arities", "example1", "example2", "full", "empty"]),
+    st.integers(0, 7),
     st.integers(0, 2**32),
     st.booleans(),
     st.sampled_from([1, 3, 7, None]),
 )
-def test_blocked_sample_matches_whole_array(k, l, n, wseed, seed, restricted, block):
-    W = half_of_the_orbits(k, l, wseed)
-    hp = Hyperpartition.uniform_random(n, k, l, seed) if restricted else None
+def test_blocked_sample_matches_whole_array(k, l, n, kind, wseed, seed, restricted, block):
+    # example1, example2, full and empty ignore whole arities, as do the
+    # "arities" grids, so the sampler reads only some of the masks
+    assume(kind != "example2" or k > 1)
+    W = some_w(kind, k, l, wseed)
+    hp = Hyperpartition.uniform_random(n, k, W.l, seed) if restricted else None
     want = whole_array_mask(W, n, seed, hp)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
@@ -230,6 +257,29 @@ def test_blocked_sample_matches_whole_array(k, l, n, wseed, seed, restricted, bl
     assert count == int(want.sum())
     assert np.array_equal(got, want)
     assert np.array_equal(union, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_used_axes_are_the_masks_membership_reads(k):
+    names = ["example1", "full", "empty"] + (["example2"] if k > 1 else [])
+    want = {
+        "example1": [(1 << k) - 2],
+        "example2": [m - 1 for m in range(1, 1 << k) if len(mask_bits(m)) == k - 1],
+        "full": [],
+        "empty": [],
+    }
+    for name in names:
+        W = builtin_w(name, k)
+        used, reduced = W.used_axes()
+        assert used == tuple(want[name])
+        assert reduced.size == W.l ** len(used)
+    for seed in range(8):
+        W = on_some_arities(k, 3, seed)
+        used, reduced = W.used_axes()
+        assert all(seed >> (len(mask_bits(m + 1)) - 1) & 1 for m in used)
+        # the reduced table read back at every cell gives the full table
+        digits = cell_digits(np.arange(W.member_table().size), k, 3)
+        assert np.array_equal(reduced[digits[:, list(used)] @ 3 ** np.arange(len(used))], W.member_table())
 
 
 def test_edge_count_fast_path_agrees():
@@ -291,10 +341,28 @@ def test_coordinate_system_exact_value_consistency():
 
 
 def test_restricted_coordinates_land_in_class_interval():
-    W = builtin_w("example1", 2)
     hp = Hyperpartition.uniform_random(8, 2, 2, seed=3)
     coords = CoordinateSystem(8, 2, 11, restriction=hp)
     for sub in [(0,), (7,), (0, 3), (5, 6)]:
         g = hp.label(sub)
         ex = coords.exact_value(sub)
         assert Fraction(g - 1, 2) <= ex < Fraction(g, 2)
+    # on a deterministic slice of about 512 subsets per arity of restricted
+    # samples: every coordinate lies in the subinterval its label names, and
+    # a k-set is an edge iff its cell of coordinate levels is a box of W
+    for k, n in ((2, 300), (3, 60)):
+        W = builtin_w("example2", k)
+        for seed in range(2):
+            hp = Hyperpartition.uniform_random(n, k, W.l, seed=seed + 40)
+            sample = sample_w(W, n, seed, hp=hp).sample
+            coords = CoordinateSystem(n, k, seed, restriction=hp)
+            for r in range(1, k + 1):
+                km = combinatorics.colex_matrix(n, r)
+                for i in range(0, comb(n, r), max(1, comb(n, r) // 512)):
+                    sub = tuple(int(v) for v in km[i])
+                    g = hp.label(sub)
+                    assert Fraction(g - 1, hp.l) <= coords.exact_value(sub) < Fraction(g, hp.l)
+                    if r == k:
+                        faces = [tuple(sub[b] for b in mask_bits(m)) for m in range(1, 1 << k)]
+                        cell = tuple(coords.level(f, W.l) + 1 for f in faces)
+                        assert (sub in sample.edges) == (cell in W.boxes)
