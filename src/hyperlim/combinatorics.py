@@ -3,8 +3,9 @@
 Vertex subsets are identified with their colex rank so per-arity label data
 can live in flat numpy arrays. Offset by the number of subsets of smaller
 arity (arity_offsets), a rank becomes a global counter over every subset of
-arity <= k. subset_counters lists those counters for the sub-subsets of
-every k-subset, and cell_codes reads per-subset levels through them;
+arity <= k. subset_counters lists those counters for the proper
+sub-subsets of every k-subset, and cell_codes reads per-subset levels
+through them and the k-subsets' own counters;
 _cell_member_count does the same in cache-sized blocks of k-subsets, reads
 only the masks its member table depends on, and looks each block's codes
 up in that table. Subsets of the position set {1..k} are bitmasks: bit i-1
@@ -116,12 +117,15 @@ _counters_lock = threading.Lock()
 
 
 def subset_counters(n: int, k: int) -> np.ndarray:
-    """Counters of the sub-subsets of every k-subset, shape (2**k - 1, C(n, k)).
+    """Counters of the proper sub-subsets of every k-subset, shape
+    (2**k - 2, C(n, k)).
 
     Row m-1 holds, for the k-subsets of range(n) in colex order, the global
     counter (arity offset plus colex rank) of the subset at the positions
-    of mask m. Rows are contiguous so that each mask is one gather; entries
-    are int32 while the subset total allows. Cached and read-only.
+    of mask m < 2**k - 1. The full mask has no row: its counters are
+    offs[k-1] .. offs[k]-1 in order (arity_offsets). Rows are contiguous so
+    that each mask is one gather; entries are int32 while the subset total
+    allows. Cached and read-only.
     """
     with _counters_lock:  # lru_cache builds unlocked, so each thread that missed would build
         return _subset_counters(n, k)
@@ -131,14 +135,12 @@ def subset_counters(n: int, k: int) -> np.ndarray:
 def _subset_counters(n: int, k: int) -> np.ndarray:
     rows = _check_rows(n, k)
     offs = arity_offsets(n, k)
-    table = np.empty(((1 << k) - 1, rows), dtype=np.int32 if offs[k] < 1 << 31 else np.int64)
+    table = np.empty(((1 << k) - 2, rows), dtype=np.int32 if offs[k] < 1 << 31 else np.int64)
     km = colex_matrix(n, k)
     ct = comb_table(max(n, 1), k)
     for m in range(1, (1 << k) - 1):
         bits = list(mask_bits(m))
         table[m - 1] = offs[len(bits) - 1] + colex_rank_rows(km[:, bits], ct)
-    # the k-subsets themselves are listed in colex order
-    table[-1] = np.arange(offs[k - 1], offs[k])
     table.setflags(write=False)
     return table
 
@@ -169,9 +171,9 @@ def cell_codes(levels: np.ndarray, n: int, k: int, l: int) -> np.ndarray:
     by global counter; digit m-1 of a code is the level of the subset at
     the positions of mask m.
     """
-    table = subset_counters(n, k)
-    code = np.zeros(table.shape[1], dtype=np.int64)
-    for row, w in zip(table, cell_weights(k, l)):
+    offs, weights = arity_offsets(n, k), cell_weights(k, l)
+    code = levels[offs[k - 1] : offs[k]] * weights[-1]  # the k-subsets in colex order
+    for row, w in zip(subset_counters(n, k), weights):
         code += levels[row] * w
     return code
 

@@ -146,7 +146,7 @@ class Hyperpartition:
             "n": self.n,
             "k": self.k,
             "l": self.l,
-            "labels": {str(r): [int(x) for x in self.labels[r]] for r in range(1, self.k + 1)},
+            "labels": {str(r): self.labels[r].tolist() for r in range(1, self.k + 1)},
         }
 
     @classmethod

@@ -57,6 +57,8 @@ def hamming_density(H: Hypergraph, T: Hypergraph) -> Fraction:
     denom = comb(H.n, H.k)
     if denom == 0:
         return Fraction(0)
+    if H._member is not None and T._member is not None:  # both mask-first
+        return Fraction(int(np.count_nonzero(H.member_array() != T.member_array())), denom)
     return Fraction(len(H.edges ^ T.edges), denom)
 
 

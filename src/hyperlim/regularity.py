@@ -93,8 +93,8 @@ class _SearchState:
         self.n, self.k, self.l = H.n, H.k, l
         self.edge = H.member_array().astype(np.int64)
         self.offs = arity_offsets(self.n, self.k)
-        self.total = self.offs[-1]
-        # CSR of (row, digit weight) per global subset counter
+        # CSR of (row, digit weight) per global counter of arity < k; a
+        # k-subset labels only its own row (see sweep)
         table = subset_counters(self.n, self.k)
         self.nrows = table.shape[1]
         flat = table.ravel()
@@ -102,7 +102,7 @@ class _SearchState:
         # flat position m * nrows + row holds digit m of that row's code
         self.csr_rows = order % self.nrows
         self.csr_wts = cell_weights(self.k, l)[order // self.nrows]
-        self.indptr = np.searchsorted(flat[order], np.arange(self.total + 1)).tolist()
+        self.indptr = np.searchsorted(flat[order], np.arange(self.offs[-2] + 1)).tolist()
         self.labels = None
         self.codes = None
         self.member = None

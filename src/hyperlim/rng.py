@@ -59,30 +59,48 @@ def level_of(h: int, l: int) -> int:
     return (h * l) >> 64
 
 
-def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
-    """Vectorized mix64; ctrs is any integer array, result uint64."""
-    c = ctrs.astype(np.uint64, copy=False)
-    z = np.uint64(key & MASK64) + (c + np.uint64(1)) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def np_mix64(key: int, ctrs: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Vectorized mix64; ctrs is any integer array, result uint64.
+
+    Every pass writes into out and scratch, uint64 arrays of ctrs' shape,
+    which are allocated when not given: a caller that hashes block after
+    block passes the same pair each time and allocates nothing per block.
+    out may be ctrs itself when ctrs is uint64; scratch must be neither.
+    """
+    if out is None:
+        out = np.empty(np.shape(ctrs), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    # key + (c + 1) * G, with the + 1 folded into the constant; the unsafe
+    # cast wraps signed counters like astype(uint64)
+    np.multiply(ctrs, np.uint64(_GOLDEN), out=out, dtype=np.uint64, casting="unsafe")
+    out += np.uint64((key + _GOLDEN) & MASK64)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(out, np.uint64(shift), out=scratch)
+        out ^= scratch
+        out *= np.uint64(mult)
+    np.right_shift(out, np.uint64(31), out=scratch)
+    out ^= scratch
+    return out
 
 
-def np_level_of(h: np.ndarray, l: int) -> np.ndarray:
-    """Vectorized level_of; exact via 32-bit split (no float rounding).
+def np_level_of(h: np.ndarray, l: int, out=None) -> np.ndarray:
+    """Vectorized level_of as int64; exact via 32-bit split (no float rounding).
 
-    For l = 2**j the level is the top j bits of h, taken by one shift.
+    With out, a uint64 array of h's shape (h itself allowed), the levels are
+    written there, read as int64. For l = 2**j the level is the top j bits
+    of h, taken by one shift; other l take one temporary for the low half.
     """
     ul, s32 = np.uint64(l), np.uint64(32)  # refuses l >= 2**64
     if l & (l - 1) == 0:
         j = l.bit_length() - 1
-        if j <= 0:
-            return np.zeros(h.shape, dtype=np.int64)
-        return (h >> np.uint64(64 - j)).view(np.int64)
+        if j <= 0:  # l = 1: every level is 0
+            return np.bitwise_and(h, np.uint64(0), out=out).view(np.int64)
+        return np.right_shift(h, np.uint64(64 - j), out=out).view(np.int64)
     lo = h & np.uint64(0xFFFFFFFF)
     lo *= ul
     lo >>= s32
-    lev = h >> s32
+    lev = np.right_shift(h, s32, out=out)
     lev *= ul
     lev += lo
     lev >>= s32

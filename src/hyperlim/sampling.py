@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import combinatorics, rng
 from .combinatorics import (
     _cell_member_count,
     _check_rows,
@@ -148,17 +148,22 @@ def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp, out=None) -> int:
     function of (key, global counter), or its hyperpartition label, so a
     block reads the same counters and the same levels as a whole-array pass
     would, and gives the same bytes at any block size and thread count.
+    Hashed blocks of k-subsets go through one pair of CELL_BLOCK buffers
+    that this call owns, so a sample allocates nothing per block.
     """
-    if hp is None:
-
-        def level(lo, hi):  # one hash per subset, at its global counter
-            return rng.np_level_of(rng.np_mix64(key, np.arange(lo, hi, dtype=np.uint64)), W.l)
-
-    else:
+    if hp is not None:
         flat = hp.flat_labels() - 1
+        return _cell_member_count(W, lambda lo, hi: flat[lo:hi], n, out)
+    top = arity_offsets(n, W.k)[W.k - 1]
+    base = np.arange(min(combinatorics.CELL_BLOCK, _check_rows(n, W.k)), dtype=np.uint64)
+    h, scratch = np.empty_like(base), np.empty_like(base)
 
-        def level(lo, hi):
-            return flat[lo:hi]
+    def level(lo, hi):  # one hash per subset, at its global counter
+        if lo < top:  # the lower arities, kept across blocks: their own array
+            return rng.np_level_of(rng.np_mix64(key, np.arange(lo, hi, dtype=np.uint64)), W.l)
+        ctrs = np.add(base[: hi - lo], np.uint64(lo), out=h[: hi - lo])
+        rng.np_mix64(key, ctrs, out=ctrs, scratch=scratch[: hi - lo])
+        return rng.np_level_of(ctrs, W.l, out=ctrs)  # read before the next block
 
     return _cell_member_count(W, level, n, out)
 

@@ -3,11 +3,13 @@ import json
 import logging
 import re
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial, lcm
+from itertools import combinations, permutations, product
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperlim.combinatorics import cell_weights, mask_bits
 from hyperlim.hypergraph import Hypergraph, blowup, densities
@@ -137,6 +139,43 @@ def test_hamming_density_frozen_and_errors():
     assert hamming_density(TRI, TRI) == 0
     with pytest.raises(ValueError):
         hamming_density(TRI, EDGE)
+
+
+def _host(k, n, marks, build):
+    """The k-subsets of range(n) marked in marks, as a hypergraph built from
+    its edges, from its member mask, or from its edges with the mask cached."""
+    if build == "mask":
+        return Hypergraph.from_member(k, n, np.array(marks, dtype=np.uint8))
+    G = Hypergraph(k, n, [e for e, m in zip(sorted_subsets(n, k), marks) if m])
+    if build == "edges+mask":
+        G.member_array()
+    return G
+
+
+def sorted_subsets(n, k):
+    """The k-subsets of range(n) in colex order."""
+    return sorted(combinations(range(n), k), key=lambda e: e[::-1])
+
+
+@st.composite
+def host_pairs(draw):
+    k, n = draw(st.integers(1, 3)), draw(st.integers(0, 7))
+    rows = comb(n, k)
+    builds = st.sampled_from(["edges", "mask", "edges+mask"])
+    hosts = []
+    for _ in range(2):
+        marks = draw(st.one_of(st.just([0] * rows), st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+        hosts.append(_host(k, n, marks, draw(builds)))
+    return hosts
+
+
+@given(host_pairs())
+def test_hamming_density_matches_edge_set_difference(pair):
+    # hosts built from edges, from masks or one of each, n < k and empty ones
+    H, T = pair
+    got = hamming_density(H, T)
+    rows = comb(H.n, H.k)
+    assert got == (Fraction(len(H.edges ^ T.edges), rows) if rows else 0)
 
 
 def test_hamming_bounds_per_edge_density_gap():

@@ -221,9 +221,13 @@ def fraction_sweep(self, lam: Fraction) -> int:
     for r in range(1, self.k + 1):
         for g in range(self.offs[r - 1], self.offs[r]):
             a = int(self.labels[g])
-            lo, hi = self.indptr[g], self.indptr[g + 1]
-            rows = self.csr_rows[lo:hi]
-            wts = self.csr_wts[lo:hi]
+            if r == self.k:  # a k-subset is digit 2**k - 2 of its own row alone
+                rows = np.array([g - self.offs[r - 1]])
+                wts = np.array([self.l ** ((1 << self.k) - 2)])
+            else:
+                lo, hi = self.indptr[g], self.indptr[g + 1]
+                rows = self.csr_rows[lo:hi]
+                wts = self.csr_wts[lo:hi]
             cur_codes = self.codes[rows]
             cur_bad = int((self.edge[rows] != self.member[cur_codes]).sum())
             cur_equit = max(defs)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperlim import rng
 
@@ -63,6 +65,38 @@ def test_numpy_variants_match_scalar():
         assert np.array_equal(hs, before)
     with pytest.raises(OverflowError):
         rng.np_level_of(hs, 2**64)
+
+
+_BUFFER_LEVELS = (1, 2, 3, 4, 2**32, 2**63)
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([np.int32, np.int64, np.uint64]),
+    st.lists(st.integers(0, 2**31 - 1), max_size=40),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(_BUFFER_LEVELS),
+)
+def test_buffered_variants_match_scalar(dtype, ctr_list, key, l):
+    ctrs = np.array(ctr_list, dtype=dtype)
+    before = ctrs.copy()
+    want = [rng.mix64(key, c) for c in ctr_list]
+    out, scratch = np.full(ctrs.shape, 7, dtype=np.uint64), np.empty(ctrs.shape, dtype=np.uint64)
+    assert rng.np_mix64(key, ctrs, out=out, scratch=scratch) is out
+    assert out.tolist() == want
+    assert np.array_equal(ctrs, before)  # out is another array: ctrs stays
+    assert rng.np_mix64(key, ctrs).tolist() == want
+    levs = np.full(ctrs.shape, 7, dtype=np.uint64)
+    got = rng.np_level_of(out, l, out=levs)
+    assert got.dtype == np.int64
+    assert got.__array_interface__["data"][0] == levs.__array_interface__["data"][0]
+    assert got.tolist() == [rng.level_of(h, l) for h in want]
+    assert out.tolist() == want  # the hashes stay when out is another array
+    # in place: the counters become their hashes, then their levels
+    if dtype is np.uint64:
+        assert rng.np_mix64(key, ctrs, out=ctrs, scratch=scratch) is ctrs
+        assert ctrs.tolist() == want
+        assert rng.np_level_of(ctrs, l, out=ctrs).tolist() == [rng.level_of(h, l) for h in want]
 
 
 def test_u01_mean_sane():

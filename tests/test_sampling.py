@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -167,8 +168,11 @@ def test_sampler_golden_checksums():
     G = sample_w(builtin_w("example1", 3), 40, 12).sample
     assert (len(G.edges), _checksum(G)) == (4960, "943a8a0eb9cd3c96")
     hp = Hyperpartition.uniform_random(40, 3, 2, seed=9)
-    G = sample_w(builtin_w("example1", 3), 40, 13, hp=hp).sample
-    assert (len(G.edges), _checksum(G)) == (4879, "8c6d1e3a2da67821")
+    rec = sample_w(builtin_w("example1", 3), 40, 13, hp=hp)
+    assert (len(rec.sample.edges), _checksum(rec.sample)) == (4879, "8c6d1e3a2da67821")
+    assert rec.source["hp_digest"] == "64973130aae8ab50"
+    hp = Hyperpartition.uniform_random(300, 2, 2, seed=14)
+    assert sample_w(builtin_w("example2", 2), 300, 15, hp=hp).source["hp_digest"] == "8a8a0eadb310a45c"
     assert sample_w_edge_count(builtin_w("example2", 3), 40, 5) == 1102
 
 
@@ -180,6 +184,45 @@ def test_multi_block_goldens():
     assert sample_w_edge_count(builtin_w("example1", 3), 120, 4) == 140110
     hp = Hyperpartition.uniform_random(120, 3, 2, seed=5)
     assert sample_w_edge_count(builtin_w("example1", 3), 120, 6, hp=hp) == 140634
+
+
+def test_multi_block_sample_keeps_its_lower_levels(monkeypatch):
+    # the lower arities' levels are read once and kept across blocks, while
+    # the blocks of k-sets reuse one pair of buffers: with top <= CELL_BLOCK
+    # both reads could share those buffers, and the later blocks would then
+    # overwrite the kept levels
+    checked = 0
+    for k, n, block in ((2, 12, 16), (3, 8, 40)):
+        monkeypatch.setattr(combinatorics, "CELL_BLOCK", block)
+        assert arity_offsets(n, k)[k - 1] <= block < comb(n, k)
+        for l, wseed in itertools.product((2, 3), range(16)):
+            W = on_some_arities(k, l, wseed)
+            used = W.used_axes()[0]
+            if not used or used[-1] != (1 << k) - 2 or len(used) < 2:
+                continue  # reads no lower mask, or not the full mask
+            for seed in range(2):
+                got = sample_w(W, n, seed).sample
+                assert got.edges == brute_sample_w(W, n, seed).edges
+                assert sample_w_edge_count(W, n, seed) == got.edge_count
+                checked += 1
+    assert checked >= 12
+
+
+def test_blocks_reuse_one_hash_buffer(monkeypatch):
+    # every block of a sample hashes into the same buffer, so no per-block
+    # allocation comes back unnoticed
+    W, n = builtin_w("example1", 2), 600
+    assert comb(n, 2) > 2 * combinatorics.CELL_BLOCK
+    mix, addrs = rng.np_mix64, []
+
+    def recording(key, ctrs, out=None, scratch=None):
+        addrs.append(None if out is None else out.__array_interface__["data"][0])
+        return mix(key, ctrs, out=out, scratch=scratch)
+
+    monkeypatch.setattr(rng, "np_mix64", recording)
+    sample_w_edge_count(W, n, 3)
+    assert len(addrs) == -(-comb(n, 2) // combinatorics.CELL_BLOCK)
+    assert None not in addrs and len(set(addrs)) == 1
 
 
 @lru_cache(maxsize=None)
