@@ -48,7 +48,6 @@ _EXPORTS = {
         "structure_of",
     ],
     "sampling": [
-        "CoordinateSystem",
         "SampleRecord",
         "sample_vertex",
         "sample_w",

@@ -385,7 +385,12 @@ def hereditary_experiment(
 ) -> ExperimentReport:
     """Patterns with zero induced density in W must never appear induced in
     hyperpartition-restricted samples. Such a pattern over more than
-    _SCAN_CAP vertex subsets of a sample is refused before any sampling."""
+    _SCAN_CAP vertex subsets of a sample is refused before any sampling.
+
+    The restriction is the round-robin hyperpartition at W's resolution,
+    which fixes every level, so every trial draws the same sample: the cell
+    union of that hyperpartition and W, whatever the trial seed.
+    """
     F_list = list(F_list)
     if not F_list or trials < 1 or n < W.k:
         raise ValueError("need patterns, trials >= 1 and n >= k")

@@ -20,68 +20,25 @@ import numpy as np
 from . import kernels, rng
 from .combinatorics import cell_grid, mask_bits, mask_image, position_perms
 from .hypergraph import Hypergraph
-from .hyperpartition import (
-    CombinatorialStructure,
-    _constraint_cells,
-    cells_from_obj,
-    cells_to_obj,
-)
+from .hyperpartition import CombinatorialStructure, _constraint_cells, structure_density
 
 _BUILTIN_MAX_K = 4
 
 
-class StepHypergraphon:
-    """Union of half-open level boxes, closed under position permutations."""
+class StepHypergraphon(CombinatorialStructure):
+    """Union of half-open level boxes, closed under position permutations:
+    the combinatorial structure whose cells are its boxes. Only the JSON
+    field, the noun in errors, boxes and complement differ."""
 
-    __slots__ = ("k", "l", "_structure")
-
-    def __init__(self, k: int, l: int, boxes, symmetrize: bool = False):
-        self._adopt(CombinatorialStructure(k, l, boxes, symmetrize=symmetrize))
-
-    def _adopt(self, structure: CombinatorialStructure):
-        object.__setattr__(self, "k", structure.k)
-        object.__setattr__(self, "l", structure.l)
-        object.__setattr__(self, "_structure", structure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepHypergraphon is immutable")
+    __slots__ = ()
+    _FIELD, _WHAT = "boxes", "hypergraphon"
 
     @property
     def boxes(self) -> frozenset:
-        return self._structure.cells
-
-    def __eq__(self, other):
-        if not isinstance(other, StepHypergraphon):
-            return NotImplemented
-        return self._structure == other._structure
-
-    def __hash__(self):
-        return hash(self._structure)
-
-    def __repr__(self):
-        return f"StepHypergraphon(k={self.k}, l={self.l}, boxes={np.count_nonzero(self.member_table())})"
-
-    @property
-    def measure(self) -> Fraction:
-        return self._structure.measure
-
-    def member_table(self) -> np.ndarray:
-        return self._structure.member_table()
-
-    def used_axes(self) -> tuple:
-        return self._structure.used_axes()
+        return self.cells
 
     def complement(self) -> "StepHypergraphon":
-        return step_from_structure(
-            CombinatorialStructure.from_member(self.k, self.l, 1 - self.member_table())
-        )
-
-    def to_obj(self) -> dict:
-        return cells_to_obj(self.k, self.l, self._structure.sorted_cells(), "boxes")
-
-    @classmethod
-    def from_obj(cls, obj, symmetrize: bool = False) -> "StepHypergraphon":
-        return cls(*cells_from_obj(obj, "boxes"), symmetrize=symmetrize)
+        return self.from_member(self.k, self.l, 1 - self.member_table())
 
 
 class GeneralHypergraphon:
@@ -172,29 +129,27 @@ def builtin_w(kind: str, k: int) -> StepHypergraphon:
     if kind in ("example1", "example2") and k > _BUILTIN_MAX_K:
         raise ValueError(f"builtin {kind} capped at k <= {_BUILTIN_MAX_K}")
     if kind == "full":
-        return step_from_structure(CombinatorialStructure.all_cells(k, 1))
+        return StepHypergraphon.all_cells(k, 1)
     if kind == "empty":
-        return step_from_structure(CombinatorialStructure.empty(k, 1))
+        return StepHypergraphon.empty(k, 1)
     if kind == "example1":
-        return step_from_structure(CombinatorialStructure.from_top_labels(k, 2, {1}))
+        return StepHypergraphon.from_top_labels(k, 2, {1})
     if kind == "example2":
         if k < 2:
             raise ValueError("example2 requires k >= 2")
         # level 1 on every mask of k - 1 positions, any level elsewhere
         grid = np.zeros((2,) * ((1 << k) - 1), dtype=np.uint8)
         grid[tuple(0 if len(mask_bits(m)) == k - 1 else slice(None) for m in range(1, 1 << k))] = 1
-        return step_from_structure(CombinatorialStructure.from_member(k, 2, grid.ravel(order="F")))
+        return StepHypergraphon.from_member(k, 2, grid.ravel(order="F"))
     raise ValueError(f"unknown builtin kind {kind!r}")
 
 
 def step_from_structure(structure: CombinatorialStructure) -> StepHypergraphon:
-    W = object.__new__(StepHypergraphon)
-    W._adopt(structure)
-    return W
+    return StepHypergraphon._retype(structure)
 
 
 def structure_of(W: StepHypergraphon) -> CombinatorialStructure:
-    return W._structure
+    return CombinatorialStructure._retype(W)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +177,7 @@ def density(
     if mode == "exact":
         if not isinstance(W, StepHypergraphon):
             raise ValueError("exact densities need a step hypergraphon")
-        from .hyperpartition import structure_density
-
-        return structure_density(F, W._structure, induced=induced)
+        return structure_density(F, W, induced=induced)
     if mode != "montecarlo":
         raise ValueError(f"unknown density mode {mode!r}")
     if samples is None or seed is None:

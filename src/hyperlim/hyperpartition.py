@@ -43,8 +43,6 @@ from .combinatorics import (
 from .hypergraph import Hypergraph
 
 _MEMBER_CAP = 1 << 24
-# serialized cell lists: field name -> the object named in error messages
-_CELL_LISTS = {"cells": "structure", "boxes": "hypergraphon"}
 
 
 class Hyperpartition:
@@ -204,6 +202,8 @@ class CombinatorialStructure:
     """
 
     __slots__ = ("k", "l", "_member", "_cells", "_used")
+    # the JSON field that lists the cells, and the noun its errors use
+    _FIELD, _WHAT = "cells", "structure"
 
     def __init__(self, k: int, l: int, cells, symmetrize: bool = False):
         member = np.zeros(member_size(k, l), dtype=np.uint8)
@@ -256,8 +256,17 @@ class CombinatorialStructure:
         object.__setattr__(self, "_cells", None)
         object.__setattr__(self, "_used", None)
 
+    @classmethod
+    def _retype(cls, other: "CombinatorialStructure"):
+        """other as an instance of cls, sharing its member table and caches;
+        the table is closed already, so closure is not checked again."""
+        self = object.__new__(cls)
+        for name in CombinatorialStructure.__slots__:
+            object.__setattr__(self, name, getattr(other, name))
+        return self
+
     def __setattr__(self, name, value):
-        raise AttributeError("CombinatorialStructure is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def cells(self) -> frozenset:
@@ -267,7 +276,7 @@ class CombinatorialStructure:
         return self._cells
 
     def __eq__(self, other):
-        if not isinstance(other, CombinatorialStructure):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.k, self.l) == (other.k, other.l) and np.array_equal(self._member, other._member)
 
@@ -275,7 +284,7 @@ class CombinatorialStructure:
         return hash((self.k, self.l, self._member.tobytes()))
 
     def __repr__(self):
-        return f"CombinatorialStructure(k={self.k}, l={self.l}, cells={np.count_nonzero(self._member)})"
+        return f"{type(self).__name__}(k={self.k}, l={self.l}, {self._FIELD}={np.count_nonzero(self._member)})"
 
     @property
     def measure(self) -> Fraction:
@@ -314,42 +323,33 @@ class CombinatorialStructure:
         return (np.argwhere(cell_grid(self._member, self.k, self.l)) + 1).tolist()
 
     def to_obj(self) -> dict:
-        return cells_to_obj(self.k, self.l, self.sorted_cells(), "cells")
+        """The cells in ascending order as mask-keyed dicts under _FIELD."""
+        keys = [str(m) for m in range(1, 1 << self.k)]
+        return {"k": self.k, "l": self.l, self._FIELD: [dict(zip(keys, c)) for c in self.sorted_cells()]}
 
     @classmethod
-    def from_obj(cls, obj, symmetrize: bool = False) -> "CombinatorialStructure":
-        return cls(*cells_from_obj(obj, "cells"), symmetrize=symmetrize)
-
-
-def cells_to_obj(k: int, l: int, cells, field: str) -> dict:
-    """Serialize cells, given in ascending order, as mask-keyed dicts under
-    the given field."""
-    keys = [str(m) for m in range(1, 1 << k)]
-    return {"k": k, "l": l, field: [dict(zip(keys, c)) for c in cells]}
-
-
-def cells_from_obj(obj, field: str) -> tuple:
-    """(k, l, cells) read back from cells_to_obj's layout."""
-    what = _CELL_LISTS[field]
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} object must be a mapping")
-    for name in ("k", "l", field):
-        if name not in obj:
-            raise ValueError(f"{what} object is missing field {name!r}")
-    try:
-        member_size(obj["k"], obj["l"])
-    except ValueError as exc:
-        raise ValueError(f"{what} object: {exc}") from None
-    width = (1 << obj["k"]) - 1
-    cells = []
-    for i, c in enumerate(obj[field]):
-        if not isinstance(c, dict):
-            raise ValueError(f"{field}[{i}] must be a mapping of mask to label")
+    def from_obj(cls, obj, symmetrize: bool = False):
+        """Read back to_obj's layout; errors name cls._WHAT and cls._FIELD."""
+        what, field = cls._WHAT, cls._FIELD
+        if not isinstance(obj, dict):
+            raise ValueError(f"{what} object must be a mapping")
+        for name in ("k", "l", field):
+            if name not in obj:
+                raise ValueError(f"{what} object is missing field {name!r}")
         try:
-            cells.append(tuple(c[str(m)] for m in range(1, width + 1)))
-        except KeyError as exc:
-            raise ValueError(f"{field}[{i}] is missing mask {exc.args[0]}") from None
-    return obj["k"], obj["l"], cells
+            member_size(obj["k"], obj["l"])
+        except ValueError as exc:
+            raise ValueError(f"{what} object: {exc}") from None
+        width = (1 << obj["k"]) - 1
+        cells = []
+        for i, c in enumerate(obj[field]):
+            if not isinstance(c, dict):
+                raise ValueError(f"{field}[{i}] must be a mapping of mask to label")
+            try:
+                cells.append(tuple(c[str(m)] for m in range(1, width + 1)))
+            except KeyError as exc:
+                raise ValueError(f"{field}[{i}] is missing mask {exc.args[0]}") from None
+        return cls(obj["k"], obj["l"], cells, symmetrize=symmetrize)
 
 
 def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hypergraph:
@@ -548,20 +548,29 @@ def _cylinder_arrays(n: int, r: int, family, seed):
             fams.append(tuple(parts))
         return fams
     fams = []
-    for tup in family:
+    ct = comb_table(max(n, 1), r - 1)
+    for c, tup in enumerate(family):
         tup = tuple(tup)
         if len(tup) != r:
             raise ValueError(f"each cylinder needs {r} parts")
         parts = []
-        for part in tup:
+        for i, part in enumerate(tup):
             if isinstance(part, Hypergraph):
                 if part.k != r - 1 or part.n != n:
                     raise ValueError("cylinder part has the wrong arity or ground set")
                 arr = part.member_array() != 0
             else:
-                arr = np.zeros(base, dtype=bool)
+                rows = []
                 for s in part:
-                    arr[colex_rank(tuple(sorted(s)))] = True
+                    t = sorted(s)
+                    if len(t) != r - 1 or len(set(t)) < len(t) or not all(0 <= v < n for v in t):
+                        raise ValueError(
+                            f"cylinder {c} part {i}: subset {tuple(s)} is not"
+                            f" {r - 1} distinct vertices in range({n})"
+                        )
+                    rows.append(t)
+                arr = np.zeros(base, dtype=bool)
+                arr[colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), ct)] = True
             parts.append(arr)
         fams.append(tuple(parts))
     if not fams:

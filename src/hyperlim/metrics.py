@@ -22,7 +22,7 @@ from . import kernels, rng
 from .combinatorics import cell_digits, cell_grid, cell_weights, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
-from .hypergraphon import StepHypergraphon, density, structure_of
+from .hypergraphon import StepHypergraphon, density
 
 _REFINE_CAP = 1 << 22
 
@@ -95,8 +95,8 @@ def d1(
     L = _shared(U, W)
     width = (1 << U.k) - 1
     if mode == "exact":
-        mU = _refined_member(structure_of(U), L)
-        mW = _refined_member(structure_of(W), L)
+        mU = _refined_member(U, L)
+        mW = _refined_member(W, L)
         diff = mU != mW
         count = int(diff.sum())
         witness = None
@@ -120,7 +120,7 @@ def d1(
 
     def inside(V):
         codes = (rng.np_level_of(h, V.l) * cell_weights(V.k, V.l)).sum(axis=1)
-        return structure_of(V).member_table()[codes] != 0
+        return V.member_table()[codes] != 0
 
     est = float(np.mean(inside(U) != inside(W)))
     stderr = (est * (1 - est) / n) ** 0.5
@@ -249,7 +249,7 @@ def delta1_upper(
     width = (1 << k) - 1
     if budget <= 0:
         raise ValueError("budget must be positive")
-    gridU, gridW = (cell_grid(_refined_member(structure_of(V), L), k, L) for V in (U, W))
+    gridU, gridW = (cell_grid(_refined_member(V, L), k, L) for V in (U, W))
     arities = [len(mask_bits(m)) for m in range(1, 1 << k)]
     denom = L**width
 

@@ -88,23 +88,36 @@ def np_level_of(h: np.ndarray, l: int, out=None) -> np.ndarray:
     """Vectorized level_of as int64; exact via 32-bit split (no float rounding).
 
     With out, a uint64 array of h's shape (h itself allowed), the levels are
-    written there, read as int64. For l = 2**j the level is the top j bits
-    of h, taken by one shift; other l take one temporary for the low half.
+    written there, read as int64; a level past 2**63 - 1, which only
+    l > 2**63 gives, reads as its uint64 bits. For l = 2**j the level is the
+    top j bits of h, taken by one shift. Other l are split like h,
+    l = lh * 2**32 + ll, so no product overflows; for l < 2**32 (lh = 0)
+    that takes one temporary for the low half of h, and two more otherwise.
     """
-    ul, s32 = np.uint64(l), np.uint64(32)  # refuses l >= 2**64
+    np.uint64(l)  # refuses l >= 2**64
     if l & (l - 1) == 0:
         j = l.bit_length() - 1
         if j <= 0:  # l = 1: every level is 0
             return np.bitwise_and(h, np.uint64(0), out=out).view(np.int64)
         return np.right_shift(h, np.uint64(64 - j), out=out).view(np.int64)
-    lo = h & np.uint64(0xFFFFFFFF)
-    lo *= ul
+    s32, m32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+    lh, ll = np.uint64(l >> 32), np.uint64(l & 0xFFFFFFFF)
+    lo = h & m32
+    if lh:  # read h before out, which may be h, overwrites it
+        mid, high = lo * lh, (h >> s32) * lh
+    lo *= ll
     lo >>= s32
     lev = np.right_shift(h, s32, out=out)
-    lev *= ul
-    lev += lo
+    lev *= ll
+    lev += lo  # a = hh * ll + (hl * ll >> 32), below 2**64
+    if lh:  # floor(l * h / 2**64) = hh * lh + (a >> 32) + ((hl * lh + a % 2**32) >> 32)
+        mid += np.bitwise_and(lev, m32, out=lo)
+        mid >>= s32
+        high += mid
     lev >>= s32
-    return lev.view(np.int64)  # a level is below l, so its bits read the same
+    if lh:
+        lev += high
+    return lev.view(np.int64)
 
 
 def np_u01(h: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -23,71 +22,15 @@ from .combinatorics import (
     _check_rows,
     arity_offsets,
     colex_matrix,
-    colex_rank,
     colex_rank_rows,
     comb_table,
-    mask_bits,
+    subset_counters,
 )
 from .hypergraph import Hypergraph
-from .hyperpartition import Hyperpartition
+from .hyperpartition import Hyperpartition, cells_union
 from .hypergraphon import GeneralHypergraphon, StepHypergraphon
 
 _GENERAL_SUBSET_CAP = 2 * 10**5
-
-
-class CoordinateSystem:
-    """Lazy uniform coordinates for the subsets of range(n) of arity <= k.
-
-    With a restricting hyperpartition, the value of S is confined to the
-    g(S)-th of l half-open subintervals; its level at resolution l is then
-    g(S) - 1 by construction.
-    """
-
-    __slots__ = ("n", "k", "seed", "restriction", "_key", "_offsets")
-
-    def __init__(self, n, k, seed, restriction: Optional[Hyperpartition] = None):
-        if restriction is not None and (restriction.n != n or restriction.k != k):
-            raise ValueError("restriction must live on the same ground set")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "restriction", restriction)
-        object.__setattr__(self, "_key", rng.derive(seed, rng.TAG_LEVELS))
-        object.__setattr__(self, "_offsets", arity_offsets(n, k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordinateSystem is immutable")
-
-    def counter(self, subset) -> int:
-        t = tuple(sorted(subset))
-        if len(set(t)) != len(t) or not 1 <= len(t) <= self.k:
-            raise ValueError("subset must have 1..k distinct vertices")
-        if t[0] < 0 or t[-1] >= self.n:
-            raise ValueError("subset leaves the vertex range")
-        return self._offsets[len(t) - 1] + colex_rank(t)
-
-    def exact_value(self, subset) -> Fraction:
-        """The coordinate as an exact dyadic-over-l rational."""
-        h = rng.mix64(self._key, self.counter(subset))
-        u = Fraction(h, 1 << 64)
-        if self.restriction is None:
-            return u
-        g = self.restriction.label(subset)
-        return Fraction(g - 1 + u, self.restriction.l)
-
-    def value(self, subset) -> float:
-        # truncate like u01 so float comparisons agree with exact levels
-        h = rng.mix64(self._key, self.counter(subset))
-        u = rng.u01(h)
-        if self.restriction is None:
-            return u
-        g = self.restriction.label(subset)
-        return (g - 1 + u) / self.restriction.l
-
-    def level(self, subset, l: int) -> int:
-        """Exact level of the coordinate at resolution l."""
-        x = self.exact_value(subset)
-        return int(x * l)
 
 
 @dataclass(frozen=True)
@@ -140,20 +83,17 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     return Hypergraph.from_member(k, n, distinct & (member[ranks] != 0))
 
 
-def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp, out=None) -> int:
+def _step_edge_mask(W: StepHypergraphon, n: int, key: int, out=None) -> int:
     """Edge count of the step sample; with out, its edge mask is written there.
 
     The k-subsets are streamed through combinatorics._cell_member_count in
     blocks. Each block may be evaluated alone: a subset's level is a pure
-    function of (key, global counter), or its hyperpartition label, so a
-    block reads the same counters and the same levels as a whole-array pass
-    would, and gives the same bytes at any block size and thread count.
-    Hashed blocks of k-subsets go through one pair of CELL_BLOCK buffers
-    that this call owns, so a sample allocates nothing per block.
+    function of (key, global counter), so a block reads the same counters
+    and the same levels as a whole-array pass would, and gives the same
+    bytes at any block size and thread count. Hashed blocks of k-subsets go
+    through one pair of CELL_BLOCK buffers that this call owns, so a sample
+    allocates nothing per block.
     """
-    if hp is not None:
-        flat = hp.flat_labels() - 1
-        return _cell_member_count(W, lambda lo, hi: flat[lo:hi], n, out)
     top = arity_offsets(n, W.k)[W.k - 1]
     base = np.arange(min(combinatorics.CELL_BLOCK, _check_rows(n, W.k)), dtype=np.uint64)
     h, scratch = np.empty_like(base), np.empty_like(base)
@@ -171,9 +111,11 @@ def _step_edge_mask(W: StepHypergraphon, n: int, key: int, hp, out=None) -> int:
 def sample_w_edge_count(
     W: StepHypergraphon, n: int, seed: int, hp: Optional[Hyperpartition] = None
 ) -> int:
-    """Edge count of the step sample without materializing the hypergraph."""
+    """Edge count of the step sample; unrestricted, it materializes nothing."""
     _validate_sample_w(W, n, hp)
-    return _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), hp)
+    if hp is not None:
+        return cells_union(hp, W).edge_count
+    return _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS))
 
 
 def _validate_sample_w(W, n, hp):
@@ -195,15 +137,19 @@ def sample_w(
     """Random hypergraph from a hypergraphon: one uniform per subset.
 
     Each subset S of arity <= k receives an independent coordinate (confined
-    to its hyperpartition subinterval when hp is given); a k-set is an edge
-    iff the point assembled from its subset coordinates lies in W.
+    to its hyperpartition subinterval when hp is given, which fixes its level
+    at W's resolution: the sample is then cells_union(hp, W)); a k-set is an
+    edge iff the point assembled from its subset coordinates lies in W.
     """
     _validate_sample_w(W, n, hp)
     k = W.k
     if isinstance(W, StepHypergraphon):
-        mask = np.empty(_check_rows(n, k), dtype=np.uint8)
-        _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), hp, mask)
-        sample = Hypergraph.from_member(k, n, mask)
+        if hp is None:
+            mask = np.empty(_check_rows(n, k), dtype=np.uint8)
+            _step_edge_mask(W, n, rng.derive(seed, rng.TAG_LEVELS), mask)
+            sample = Hypergraph.from_member(k, n, mask)
+        else:
+            sample = cells_union(hp, W)
         source = {
             "kind": "step",
             "n": n,
@@ -215,20 +161,13 @@ def sample_w(
         return SampleRecord(sample=sample, seed=seed, source=source)
     if not isinstance(W, GeneralHypergraphon):
         raise ValueError("W must be a step or general hypergraphon")
-    total = sum(comb(n, r) for r in range(1, k + 1))
-    if total > _GENERAL_SUBSET_CAP:
+    offs = arity_offsets(n, k)
+    if offs[k] > _GENERAL_SUBSET_CAP:
         raise ValueError("general-predicate sampling capped at small n")
-    coords = CoordinateSystem(n, k, seed)
-    from itertools import combinations
-
-    edges = []
-    for e in combinations(range(n), k):
-        p = {}
-        for m in range(1, 1 << k):
-            sub = tuple(e[b] for b in mask_bits(m))
-            p[m] = coords.value(sub)
-        if W.contains_point(p):
-            edges.append(e)
-    sample = Hypergraph(k, n, edges)
+    # the coordinate of every subset, read at its global counter
+    u = rng.np_u01(rng.np_mix64(rng.derive(seed, rng.TAG_LEVELS), np.arange(offs[k]))).tolist()
+    rows = np.vstack([subset_counters(n, k), np.arange(offs[k - 1], offs[k])]).T
+    member = [W.contains_point({m: u[c] for m, c in enumerate(row, 1)}) for row in rows.tolist()]
+    sample = Hypergraph.from_member(k, n, np.array(member, dtype=np.uint8))
     source = {"kind": "general", "n": n, "k": k, "restricted": False}
     return SampleRecord(sample=sample, seed=seed, source=source)

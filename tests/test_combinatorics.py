@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from coordinate_oracle import CoordinateSystem
 from orbit_oracle import cell_orbit, permute_cell
 
 import hyperlim
@@ -30,7 +31,6 @@ from hyperlim.combinatorics import (
     set_partitions,
     subset_counters,
 )
-from hyperlim.sampling import CoordinateSystem
 
 
 def colex_unrank(rank: int, r: int) -> tuple:

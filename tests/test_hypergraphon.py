@@ -53,6 +53,56 @@ def test_structure_roundtrip():
     assert structure_of(back).cells == C.cells
 
 
+def test_a_step_hypergraphon_is_its_structure_retyped():
+    for W in (builtin_w("example2", 3), step_from_structure(CombinatorialStructure.from_top_labels(2, 3, {1, 3}))):
+        C = structure_of(W)
+        assert type(W) is StepHypergraphon and type(C) is CombinatorialStructure
+        assert isinstance(W, CombinatorialStructure)
+        # the retyped object shares the table; equality also asks for the type
+        assert C.member_table() is W.member_table()
+        assert W != C and not W == C and hash(W) == hash(C)
+        assert step_from_structure(C) == W and structure_of(step_from_structure(C)) == C
+        assert set(W.to_obj()) == {"k", "l", "boxes"} and set(C.to_obj()) == {"k", "l", "cells"}
+        assert W.to_obj()["boxes"] == C.to_obj()["cells"]
+        assert type(W.complement()) is StepHypergraphon
+        assert W.complement().complement() == W
+
+
+def test_repr_and_immutability_goldens():
+    W = builtin_w("example2", 3)
+    # pinned from the parent's wrapper class
+    assert repr(W) == "StepHypergraphon(k=3, l=2, boxes=16)"
+    assert repr(structure_of(W)) == "CombinatorialStructure(k=3, l=2, cells=16)"
+    assert repr(W.complement()) == "StepHypergraphon(k=3, l=2, boxes=112)"
+    with pytest.raises(AttributeError, match="^StepHypergraphon is immutable$"):
+        W.k = 3
+    with pytest.raises(AttributeError, match="^CombinatorialStructure is immutable$"):
+        structure_of(W).k = 3
+
+
+_MALFORMED = [
+    ([1, 2], "{what} object must be a mapping"),
+    ({"k": 2, "l": 2}, "{what} object is missing field '{field}'"),
+    ({"l": 2, "cells": [], "boxes": []}, "{what} object is missing field 'k'"),
+    ({"k": 0, "l": 2, "cells": [], "boxes": []}, "{what} object: k must be an integer >= 1, got 0"),
+    ({"k": 2, "l": "2", "cells": [], "boxes": []}, "{what} object: l must be an integer >= 1, got '2'"),
+    ({"k": 2, "l": 2, "cells": [[1, 1, 1]], "boxes": [[1, 1, 1]]}, "{field}[0] must be a mapping of mask to label"),
+    ({"k": 2, "l": 2, "cells": [{"1": 1, "3": 1}], "boxes": [{"1": 1, "3": 1}]}, "{field}[0] is missing mask 2"),
+]
+
+
+@pytest.mark.parametrize("obj, text", _MALFORMED)
+@pytest.mark.parametrize(
+    "cls, what, field",
+    [(CombinatorialStructure, "structure", "cells"), (StepHypergraphon, "hypergraphon", "boxes")],
+)
+def test_cell_list_error_goldens(cls, what, field, obj, text):
+    # texts pinned from the parent's shared cell-list codec
+    with pytest.raises(ValueError) as info:
+        cls.from_obj(obj)
+    assert str(info.value) == text.format(what=what, field=field)
+
+
 def test_builtin_kinds():
     for k in (2, 3):
         assert density(EDGE2 if k == 2 else Hypergraph.single_edge(3), builtin_w("full", k)) == 1

@@ -303,6 +303,25 @@ def test_regularity_deficit_matches_brute_force():
                 assert regularity_deficit(G, family, eps) == want, (r, n, trial, eps)
 
 
+def test_explicit_cylinder_parts_are_checked():
+    G = Hypergraph.random(2, 6, Fraction(1, 2), seed=1)
+    cases = [
+        ([([(0, 1), (2, 3)], [(1, 2)])], r"cylinder 0 part 0: subset \(0, 1\) is not 1 distinct vertices in range\(6\)"),
+        ([([(0,)], [(1,)]), ([(2,)], [(6,)])], r"cylinder 1 part 1: subset \(6,\) is not"),
+        ([([(0,)], [(-1,)])], r"cylinder 0 part 1: subset \(-1,\) is not"),
+    ]
+    for family, text in cases:
+        with pytest.raises(ValueError, match=text):
+            regularity_deficit(G, family, 0)
+    G3 = Hypergraph.random(3, 7, Fraction(1, 2), seed=2)
+    with pytest.raises(ValueError, match=r"cylinder 0 part 2: subset \(4, 4\) is not 2 distinct"):
+        regularity_deficit(G3, [([(0, 1)], [(1, 2)], [(4, 4)])], 0)
+    # valid parts, in any order and as lists: deficits pinned before the check
+    assert regularity_deficit(G, [([(0,), (2,), (3,)], [(1,), (4,)])], 0) == Fraction(2, 15)
+    family = [([(0, 1), (2, 3), (1, 5), (4, 5)], [(1, 2), (4, 6), (0, 6), (3, 5)], [[5, 3], [6, 2], (0, 4), (1, 3)])]
+    assert regularity_deficit(G3, family, Fraction(1, 100)) == Fraction(18, 35)
+
+
 def test_hyperpartition_roundtrip():
     hp = Hyperpartition.uniform_random(8, 2, 3, seed=11)
     back = Hyperpartition.from_obj(hp.to_obj())

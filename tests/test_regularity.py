@@ -15,6 +15,7 @@ from orbit_oracle import cell_orbit
 
 from hyperlim import regularity
 from hyperlim.hypergraph import Hypergraph
+from hyperlim.hypergraphon import step_from_structure, structure_of
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
@@ -111,6 +112,11 @@ def test_pinned_structure_is_kept():
     rep = refine(Hp, 2, iterations=20, seed=5, structure=C0)
     assert rep.structure.cells == C0.cells
     assert rep.eps == 0  # planted labels exist for the pinned structure
+    # pinned to a step hypergraphon's structure, as the planted inverse
+    # experiment does, the report still lists cells, not boxes
+    W = step_from_structure(C0)
+    rep = refine(Hp, 2, iterations=20, seed=5, structure=structure_of(W))
+    assert rep.to_obj()["structure"] == C0.to_obj() == {"k": 2, "l": 2, "cells": W.to_obj()["boxes"]}
 
 
 def test_pinned_structure_validation():

@@ -58,7 +58,7 @@ def test_numpy_variants_match_scalar():
         assert float(us[i]) == rng.u01(rng.mix64(key, i))
     before = hs.copy()
     # powers of two take the shift path, which must leave its input alone
-    for l in (1, 2, 3, 4, 8, 10, 1000, 2**31 - 1, 2**32, 2**63):
+    for l in (1, 2, 3, 4, 8, 10, 1000, 2**31 - 1, 2**32, 3 * 2**32 + 1, 2**63):
         levs = rng.np_level_of(hs, l)
         assert levs.dtype == np.int64
         assert levs.tolist() == [rng.level_of(rng.mix64(key, i), l) for i in range(1000)]
@@ -67,7 +67,8 @@ def test_numpy_variants_match_scalar():
         rng.np_level_of(hs, 2**64)
 
 
-_BUFFER_LEVELS = (1, 2, 3, 4, 2**32, 2**63)
+# l >= 2**32 that is not a power of two splits l as well as h
+_BUFFER_LEVELS = (1, 2, 3, 4, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**32 + 1, 2**63, 2**64 - 1)
 
 
 @settings(max_examples=200)
@@ -75,7 +76,7 @@ _BUFFER_LEVELS = (1, 2, 3, 4, 2**32, 2**63)
     st.sampled_from([np.int32, np.int64, np.uint64]),
     st.lists(st.integers(0, 2**31 - 1), max_size=40),
     st.integers(0, 2**64 - 1),
-    st.sampled_from(_BUFFER_LEVELS),
+    st.one_of(st.sampled_from(_BUFFER_LEVELS), st.integers(2**32, 2**64 - 1)),
 )
 def test_buffered_variants_match_scalar(dtype, ctr_list, key, l):
     ctrs = np.array(ctr_list, dtype=dtype)
@@ -90,13 +91,16 @@ def test_buffered_variants_match_scalar(dtype, ctr_list, key, l):
     got = rng.np_level_of(out, l, out=levs)
     assert got.dtype == np.int64
     assert got.__array_interface__["data"][0] == levs.__array_interface__["data"][0]
-    assert got.tolist() == [rng.level_of(h, l) for h in want]
+    want_levels = [rng.level_of(h, l) for h in want]
+    # a level of l > 2**63 may pass 2**63 - 1: its int64 bits are its uint64 bits
+    assert got.view(np.uint64).tolist() == want_levels
+    assert l > 2**63 or got.tolist() == want_levels
     assert out.tolist() == want  # the hashes stay when out is another array
     # in place: the counters become their hashes, then their levels
     if dtype is np.uint64:
         assert rng.np_mix64(key, ctrs, out=ctrs, scratch=scratch) is ctrs
         assert ctrs.tolist() == want
-        assert rng.np_level_of(ctrs, l, out=ctrs).tolist() == [rng.level_of(h, l) for h in want]
+        assert rng.np_level_of(ctrs, l, out=ctrs).view(np.uint64).tolist() == want_levels
 
 
 def test_u01_mean_sane():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -5,13 +6,16 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from coordinate_oracle import CoordinateSystem
 from test_kernels import structures
 
+import hyperlim
 from hyperlim import combinatorics, rng
 from hyperlim.combinatorics import (
     arity_offsets,
@@ -32,7 +36,6 @@ from hyperlim.hypergraphon import (
     structure_of,
 )
 from hyperlim.sampling import (
-    CoordinateSystem,
     sample_vertex,
     sample_w,
     sample_w_edge_count,
@@ -343,6 +346,45 @@ def test_general_predicate_path_matches_step():
         assert sample_w(W1, 7, seed).sample.edges == sample_w(Wg, 7, seed).sample.edges
 
 
+# symmetric predicates: each reads every arity through a symmetric function
+_PREDICATES = [
+    lambda p: p[max(p)] < 0.5,
+    lambda p: sum(p.values()) % 1.0 < 0.3,
+    lambda p: min(p.values()) > 0.2,
+    lambda p: (p[max(p)] + sum(v for m, v in p.items() if m != max(p)) ** 2) % 1.0 < 0.6,
+    lambda p: len([v for v in p.values() if v < 0.5]) % 2 == 0,
+]
+
+
+def brute_general_sample(W, n, seed):
+    """The general sample with every coordinate read by the scalar oracle."""
+    coords = CoordinateSystem(n, W.k, seed)
+    edges = []
+    for e in combinations(range(n), W.k):
+        p = {m: coords.value(tuple(e[b] for b in mask_bits(m))) for m in range(1, 1 << W.k)}
+        if W.contains_point(p):
+            edges.append(e)
+    return Hypergraph(W.k, n, edges)
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 3), st.integers(0, 9), st.integers(0, len(_PREDICATES) - 1), st.integers(0, 2**64 - 1))
+def test_general_sample_matches_scalar_coordinates(k, n, which, seed):
+    W = GeneralHypergraphon(k, _PREDICATES[which])
+    got = sample_w(W, n, seed).sample
+    want = brute_general_sample(W, n, seed)
+    assert got.edges == want.edges and got.to_obj() == want.to_obj()
+
+
+def test_general_sample_golden():
+    # pinned from the sampler that read one scalar hash per (k-set, mask)
+    W = GeneralHypergraphon(3, lambda p: (p[7] + p[3] * p[5] * p[6] + p[1] + p[2] + p[4]) % 1.0 < 0.5)
+    rec = sample_w(W, 11, 2024)
+    blob = json.dumps(rec.to_obj(), sort_keys=True, separators=(",", ":")).encode()
+    assert rec.sample.edge_count == 91
+    assert hashlib.sha256(blob).hexdigest() == "a01512f41ba237a76840b5badefb845aa6e285d5ad024aa1bb2fb08189d01bee"
+
+
 def test_sample_record_replay_is_byte_identical():
     W1 = builtin_w("example1", 2)
     a = json.dumps(sample_w(W1, 12, 77).to_obj(), sort_keys=True)
@@ -409,3 +451,28 @@ def test_restricted_coordinates_land_in_class_interval():
                         faces = [tuple(sub[b] for b in mask_bits(m)) for m in range(1, 1 << k)]
                         cell = tuple(coords.level(f, W.l) + 1 for f in faces)
                         assert (sub in sample.edges) == (cell in W.boxes)
+
+
+def test_coordinate_system_is_only_a_test_oracle():
+    # the samplers read coordinates through vectorized counter hashes; the
+    # scalar CoordinateSystem lives in tests/coordinate_oracle.py
+    files = sorted(Path(rng.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        hits = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "CoordinateSystem"]
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    oracle = ast.parse((Path(__file__).parent / "coordinate_oracle.py").read_text())
+    assert any(isinstance(n, ast.ClassDef) and n.name == "CoordinateSystem" for n in ast.walk(oracle))
+
+
+def test_every_exported_name_resolves():
+    # the lazy export table is checked by nothing else
+    for name in hyperlim.__all__:
+        assert getattr(hyperlim, name) is not None, name
+    assert "CoordinateSystem" not in hyperlim.__all__
+    with pytest.raises(AttributeError):
+        hyperlim.CoordinateSystem
