@@ -183,7 +183,7 @@ class Hypergraph:
             raise ValueError("p must lie in [0, 1]")
         key = rng.derive(seed, rng.TAG_INIT)
         m = _check_rows(n, k)
-        h = rng.np_mix64(key, np.arange(m, dtype=np.uint64))
+        h = rng.np_mix64_range(key, 0, m)
         if thr >= 1 << 64:
             keep = np.ones(m, dtype=bool)
         else:
@@ -363,6 +363,13 @@ def _hom_count(F: Hypergraph, H: Hypergraph, T) -> int:
     if T is not None:
         got = kernels.contract([(e, T) for e in F.edges], F.n, H.n)
     if got is None:
+        import logging  # here, not at the top: a CLI call that never falls back skips its import
+
+        why = "no host tensor, n**k is over the cap" if T is None else "the contraction refused a step over the cap"
+        logging.getLogger(__name__).debug(
+            "hom by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
+            why, H.n, F.n, kernels.CONTRACT_CAP,
+        )
         got = _search_count(F, H, sorted(F.edges), [1] * len(F.edges))
     return got
 

@@ -91,9 +91,7 @@ class Hyperpartition:
         return f"Hyperpartition(n={self.n}, k={self.k}, l={self.l})"
 
     def label(self, subset) -> int:
-        t = tuple(sorted(subset))
-        if len(set(t)) != len(t):
-            raise ValueError("subset has repeated vertices")
+        t = _vertex_subset(subset, range(1, self.k + 1), self.n, f"1 to {self.k}")
         return int(self.labels[len(t)][colex_rank(t)])
 
     def flat_labels(self) -> np.ndarray:
@@ -128,8 +126,8 @@ class Hyperpartition:
         offs = arity_offsets(n, k)
         labels = {}
         for r in range(1, k + 1):
-            ctr = np.arange(offs[r - 1], offs[r], dtype=np.uint64)
-            labels[r] = rng.np_level_of(rng.np_mix64(key, ctr), l) + 1
+            h = rng.np_mix64_range(key, offs[r - 1], offs[r])
+            labels[r] = rng.np_level_of(h, l, out=h) + 1
         return cls(n, k, l, labels)
 
     @classmethod
@@ -157,17 +155,27 @@ class Hyperpartition:
         return cls(obj["n"], obj["k"], obj["l"], obj["labels"])
 
 
+def _vertex_subset(subset, sizes, n: int, what) -> tuple:
+    """subset as a sorted tuple of ints, or a ValueError naming it unless
+    it holds a number in sizes of distinct vertices of range(n)."""
+    t = tuple(subset)
+    if not (
+        len(t) in sizes
+        and all(isinstance(v, numbers.Integral) and 0 <= v < n for v in t)
+        and len(set(t)) == len(t)
+    ):
+        raise ValueError(f"subset {t} is not {what} distinct vertices in range({n})")
+    return tuple(sorted(int(v) for v in t))
+
+
 def cell_coordinate(hp: Hyperpartition, tup) -> tuple:
     """Cell of an ordered tuple of k distinct vertices.
 
     Position mask m (bit i-1 for position i) maps to the label of the
     vertex subset sitting at those positions; entry m-1 of the result.
     """
-    t = tuple(int(v) for v in tup)
-    if len(t) != hp.k:
-        raise ValueError(f"tuple must have {hp.k} entries")
-    if len(set(t)) != hp.k:
-        raise ValueError("tuple has repeated vertices")
+    t = tuple(tup)
+    _vertex_subset(t, (hp.k,), hp.n, hp.k)
     out = []
     for m in range(1, 1 << hp.k):
         sub = tuple(sorted(t[b] for b in mask_bits(m)))
@@ -543,7 +551,7 @@ def _cylinder_arrays(n: int, r: int, family, seed):
             parts = []
             for i in range(r):
                 key = rng.derive(seed, rng.TAG_CYLINDER, c * r + i)
-                h = rng.np_mix64(key, np.arange(base, dtype=np.uint64))
+                h = rng.np_mix64_range(key, 0, base)
                 parts.append((h >> np.uint64(63)) != 0)
             fams.append(tuple(parts))
         return fams

@@ -12,6 +12,8 @@ on numpy's Generator streams.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -59,6 +61,13 @@ def level_of(h: int, l: int) -> int:
     return (h * l) >> 64
 
 
+def level_start(i: int, l: int) -> int:
+    """Least word h with level_of(h, l) >= i, for 0 <= i <= l: the exact
+    ceil(i * 2**64 / l), so 2**64 for i = l. level_of is monotone in h, so
+    each run of levels is one half-open interval of words."""
+    return -((-i << 64) // l)
+
+
 def np_mix64(key: int, ctrs: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Vectorized mix64; ctrs is any integer array, result uint64.
 
@@ -66,6 +75,7 @@ def np_mix64(key: int, ctrs: np.ndarray, out=None, scratch=None) -> np.ndarray:
     which are allocated when not given: a caller that hashes block after
     block passes the same pair each time and allocates nothing per block.
     out may be ctrs itself when ctrs is uint64; scratch must be neither.
+    Counters that run lo..hi-1 in order hash faster by np_mix64_range.
     """
     if out is None:
         out = np.empty(np.shape(ctrs), dtype=np.uint64)
@@ -75,13 +85,73 @@ def np_mix64(key: int, ctrs: np.ndarray, out=None, scratch=None) -> np.ndarray:
     # cast wraps signed counters like astype(uint64)
     np.multiply(ctrs, np.uint64(_GOLDEN), out=out, dtype=np.uint64, casting="unsafe")
     out += np.uint64((key + _GOLDEN) & MASK64)
+    return _finish(_rounds(out, scratch), scratch)
+
+
+def _rounds(z, scratch):
+    """The two multiply rounds of mix64, in place on the uint64 array z."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.right_shift(out, np.uint64(shift), out=scratch)
-        out ^= scratch
-        out *= np.uint64(mult)
-    np.right_shift(out, np.uint64(31), out=scratch)
-    out ^= scratch
-    return out
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    return z
+
+
+def _finish(z, scratch):
+    """The final xor-shift z ^ (z >> 31) of mix64, in place."""
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
+
+
+# longest table of i * G that ranges of counters hash from
+_STEP_CAP = 1 << 16
+_steps_lock = threading.Lock()
+_steps_table = np.zeros(0, dtype=np.uint64)
+
+
+def _steps(m: int) -> np.ndarray:
+    """The read-only table of i * G for i below a power of two >= min(m,
+    _STEP_CAP). One table serves every thread; it is replaced by a longer
+    one only when a longer range asks, so a process that hashes short
+    ranges alone holds a short one."""
+    global _steps_table
+    with _steps_lock:  # threads that ask at once get the same table
+        if len(_steps_table) < min(m, _STEP_CAP):
+            table = np.arange(min(1 << (m - 1).bit_length(), _STEP_CAP), dtype=np.uint64)
+            table *= np.uint64(_GOLDEN)
+            table.setflags(write=False)
+            _steps_table = table
+        return _steps_table
+
+
+# the final xor-shift of mix64 leaves the top 31 bits of a word alone, so a
+# word before it compares with a multiple of PREMIX_GRAIN as its hash does
+PREMIX_GRAIN = 1 << 33
+
+
+def np_mix64_range(key: int, lo: int, hi: int, out=None, scratch=None) -> np.ndarray:
+    """np_mix64(key, arange(lo, hi)) without the counter array; out and
+    scratch are as in np_mix64, of length hi - lo."""
+    if out is None:
+        out = np.empty(hi - lo, dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    return _finish(_premix64_range(key, lo, hi, out, scratch), scratch)
+
+
+def _premix64_range(key, lo, hi, out, scratch):
+    """np_mix64_range into out up to its final xor-shift: against a multiple
+    of PREMIX_GRAIN each word compares as its hash does.
+
+    The words before the rounds are key + (c + 1) * G for c = lo + i, so
+    every _STEP_CAP counters take one added constant on a slice of _steps.
+    """
+    steps = _steps(hi - lo)
+    for s in range(0, hi - lo, _STEP_CAP):
+        e = min(s + _STEP_CAP, hi - lo)
+        np.add(steps[: e - s], np.uint64((key + (lo + s + 1) * _GOLDEN) & MASK64), out=out[s:e])
+    return _rounds(out, scratch)
 
 
 def np_level_of(h: np.ndarray, l: int, out=None) -> np.ndarray:

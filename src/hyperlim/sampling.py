@@ -67,7 +67,7 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     k = H.k
     member = H.member_array()  # refuses an oversized host before allocating
     key = rng.derive(seed, rng.TAG_VERTEX)
-    h = rng.np_mix64(key, np.arange(n, dtype=np.uint64))
+    h = rng.np_mix64_range(key, 0, n)
     picks = (h % np.uint64(H.n)).astype(np.int64)
     if comb(n, k) == 0:
         return Hypergraph(k, n)
@@ -83,27 +83,86 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     return Hypergraph.from_member(k, n, distinct & (member[ranks] != 0))
 
 
+# most level changes the full-mask thresholds take: each costs a compare and
+# an xor pass, and past four the level shift and member gather of a
+# power-of-two l cost less
+_THRESHOLD_CAP = 4
+
+
+def _level_bounds(flips, l: int):
+    """(bounds, premixed): the least word of level i for each i in flips,
+    as uint64, and whether all of them are multiples of rng.PREMIX_GRAIN,
+    so that words need no final xor-shift to be compared with them."""
+    bounds = [rng.level_start(int(i), l) for i in flips]
+    return [np.uint64(b) for b in bounds], all(b % rng.PREMIX_GRAIN == 0 for b in bounds)
+
+
+def _threshold_hits(words, first: bool, bounds, out, tmp):
+    """Into the bool array out: first XOR whether an odd number of bounds
+    lie at or below each word; tmp is a bool array of words' shape."""
+    (np.less if first else np.greater_equal)(words, bounds[0], out=out)
+    for b in bounds[1:]:
+        out ^= np.greater_equal(words, b, out=tmp)
+    return out
+
+
+def _top_thresholds(W):
+    """(first, bounds, premixed) of the hash thresholds of W's member table
+    when that table reads the full mask alone, through at most
+    _THRESHOLD_CAP level changes; None otherwise.
+
+    level_of is monotone in the hash, so the marked levels are runs of
+    hash words between rng.level_start bounds: first is whether level 0 is
+    marked, and a word's mark flips at every bound at or below it.
+    """
+    used, member = W.used_axes()
+    if used != ((1 << W.k) - 2,):
+        return None
+    flips = np.flatnonzero(member[1:] != member[:-1]) + 1
+    if len(flips) > _THRESHOLD_CAP:
+        return None
+    return (bool(member[0]),) + _level_bounds(flips, W.l)
+
+
 def _step_edge_mask(W: StepHypergraphon, n: int, key: int, out=None) -> int:
     """Edge count of the step sample; with out, its edge mask is written there.
 
-    The k-subsets are streamed through combinatorics._cell_member_count in
-    blocks. Each block may be evaluated alone: a subset's level is a pure
-    function of (key, global counter), so a block reads the same counters
-    and the same levels as a whole-array pass would, and gives the same
-    bytes at any block size and thread count. Hashed blocks of k-subsets go
-    through one pair of CELL_BLOCK buffers that this call owns, so a sample
-    allocates nothing per block.
+    Each block of k-subsets may be evaluated alone: a subset's level is a
+    pure function of (key, global counter), so a block reads the same
+    counters and the same levels as a whole-array pass would, and gives the
+    same bytes at any block size and thread count. Blocks of k-subsets are
+    hashed into one pair of CELL_BLOCK buffers that this call owns, so a
+    sample allocates nothing per block.
+
+    A member table with _top_thresholds computes no level: a k-subset is an
+    edge when its hash word lies in a marked run, and bounds that are
+    multiples of rng.PREMIX_GRAIN (those of every power-of-two l <= 2**31)
+    are compared before the final xor-shift. Other tables go through
+    combinatorics._cell_member_count.
     """
-    top = arity_offsets(n, W.k)[W.k - 1]
-    base = np.arange(min(combinatorics.CELL_BLOCK, _check_rows(n, W.k)), dtype=np.uint64)
-    h, scratch = np.empty_like(base), np.empty_like(base)
+    k, l = W.k, W.l
+    top = arity_offsets(n, k)[k - 1]
+    rows, block = _check_rows(n, k), combinatorics.CELL_BLOCK
+    h = np.empty(min(block, rows), dtype=np.uint64)
+    scratch = np.empty_like(h)
+    runs = _top_thresholds(W)
+    if runs is not None:
+        first, bounds, premixed = runs
+        mix = rng._premix64_range if premixed else rng.np_mix64_range
+        hits, tmp = np.empty(len(h), dtype=bool), np.empty(len(h), dtype=bool)
+        count = 0
+        for a in range(0, rows, block):
+            m = min(block, rows - a)
+            words = mix(key, top + a, top + a + m, h[:m], scratch[:m])
+            dst = hits[:m] if out is None else out[a : a + m].view(np.bool_)
+            count += int(np.count_nonzero(_threshold_hits(words, first, bounds, dst, tmp[:m])))
+        return count
 
     def level(lo, hi):  # one hash per subset, at its global counter
         if lo < top:  # the lower arities, kept across blocks: their own array
-            return rng.np_level_of(rng.np_mix64(key, np.arange(lo, hi, dtype=np.uint64)), W.l)
-        ctrs = np.add(base[: hi - lo], np.uint64(lo), out=h[: hi - lo])
-        rng.np_mix64(key, ctrs, out=ctrs, scratch=scratch[: hi - lo])
-        return rng.np_level_of(ctrs, W.l, out=ctrs)  # read before the next block
+            return rng.np_level_of(rng.np_mix64_range(key, lo, hi), l)
+        words = rng.np_mix64_range(key, lo, hi, h[: hi - lo], scratch[: hi - lo])
+        return rng.np_level_of(words, l, out=words)  # read before the next block
 
     return _cell_member_count(W, level, n, out)
 
@@ -165,7 +224,7 @@ def sample_w(
     if offs[k] > _GENERAL_SUBSET_CAP:
         raise ValueError("general-predicate sampling capped at small n")
     # the coordinate of every subset, read at its global counter
-    u = rng.np_u01(rng.np_mix64(rng.derive(seed, rng.TAG_LEVELS), np.arange(offs[k]))).tolist()
+    u = rng.np_u01(rng.np_mix64_range(rng.derive(seed, rng.TAG_LEVELS), 0, offs[k])).tolist()
     rows = np.vstack([subset_counters(n, k), np.arange(offs[k - 1], offs[k])]).T
     member = [W.contains_point({m: u[c] for m, c in enumerate(row, 1)}) for row in rows.tolist()]
     sample = Hypergraph.from_member(k, n, np.array(member, dtype=np.uint8))

@@ -93,6 +93,18 @@ def test_cell_coordinate_oracle():
         assert coord == expect
 
 
+def test_label_and_cell_coordinate_name_a_bad_subset():
+    hp = Hyperpartition.round_robin(6, 2, 2)
+    for bad in [(0, 9), (-1, 2), (6,), (1, 1), (0, 1, 2), (), (0.0, 1)]:
+        with pytest.raises(ValueError, match=r"subset \(.*\) is not 1 to 2 distinct vertices in range\(6\)"):
+            hp.label(bad)
+    for bad in [(0, 9), (-1, 2), (1, 1), (0, 1, 2), (3,), (0.5, 1)]:
+        with pytest.raises(ValueError, match=r"subset \(.*\) is not 2 distinct vertices in range\(6\)"):
+            cell_coordinate(hp, bad)
+    assert hp.label([np.int64(5), 2]) == hp.label((2, 5))
+    assert cell_coordinate(hp, (np.int32(4), 1)) == (hp.label((4,)), hp.label((1,)), hp.label((1, 4)))
+
+
 def test_structure_requires_symmetry():
     with pytest.raises(ValueError, match="not S_k-closed"):
         CombinatorialStructure(2, 2, [(1, 2, 1)])

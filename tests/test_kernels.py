@@ -1,4 +1,5 @@
 import itertools
+import logging
 from fractions import Fraction
 from math import comb
 from unittest import mock
@@ -289,6 +290,33 @@ def test_hom_over_cap_takes_the_loop(monkeypatch):
     assert calls
     with pytest.raises(ValueError, match="too large"):
         structure_density(F, CombinatorialStructure.all_cells(2, 3))
+
+
+def test_hom_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
+    F = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    H = Hypergraph.random(2, 9, 0.5, seed=5)
+    want = hom(F, H)
+    # 9**2 host entries fit a cap of 100, but eliminating a vertex of degree
+    # two spans 9**3; under a cap of 8 the host tensor itself is refused
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
+    assert hom(F, H) == want
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert hom(F, H) == want
+        monkeypatch.setattr(kernels, "CONTRACT_CAP", 8)
+        assert hom(F, H) == want
+    assert [r.getMessage() for r in caplog.records] == [
+        "hom by frontier search (the contraction refused a step over the cap):"
+        " n = 9, |V(F)| = 4, CONTRACT_CAP = 100",
+        "hom by frontier search (no host tensor, n**k is over the cap):"
+        " n = 9, |V(F)| = 4, CONTRACT_CAP = 8",
+    ]
+    assert {(r.name, r.levelno) for r in caplog.records} == {("hyperlim.hypergraph", logging.DEBUG)}
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        monkeypatch.setattr(kernels, "CONTRACT_CAP", 1 << 24)
+        assert hom(F, H) == want  # contracted: nothing to say
+    assert caplog.records == []
 
 
 def test_hom_count_beyond_int64_is_exact():

@@ -1,4 +1,6 @@
 import ast
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +103,77 @@ def test_buffered_variants_match_scalar(dtype, ctr_list, key, l):
         assert rng.np_mix64(key, ctrs, out=ctrs, scratch=scratch) is ctrs
         assert ctrs.tolist() == want
         assert rng.np_level_of(ctrs, l, out=ctrs).view(np.uint64).tolist() == want_levels
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**62), st.integers(0, 300), st.booleans())
+def test_range_form_matches_counter_array(key, lo, m, buffers):
+    want = rng.np_mix64(key, np.arange(lo, lo + m, dtype=np.uint64))
+    out, scratch = (np.full(m, 7, dtype=np.uint64) for _ in range(2)) if buffers else (None, None)
+    got = rng.np_mix64_range(key, lo, lo + m, out, scratch)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert not buffers or got is out
+    if m:
+        assert int(got[0]) == rng.mix64(key, lo) and int(got[-1]) == rng.mix64(key, lo + m - 1)
+    # before the final xor-shift a word already holds its hash's top 31 bits
+    pre = rng._premix64_range(key, lo, lo + m, np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
+    assert np.array_equal(pre >> np.uint64(33), want >> np.uint64(33))
+
+
+def test_range_form_spans_slices_of_one_shared_table():
+    step = rng._STEP_CAP
+    assert not rng._steps(step).flags.writeable
+    key, lo, m = 2**64 - 3, 2**40 + 5, 2 * step + 9
+    got = rng.np_mix64_range(key, lo, lo + m)
+    assert len(rng._steps(m)) == step
+    assert np.array_equal(got, rng.np_mix64(key, np.arange(lo, lo + m, dtype=np.uint64)))
+    for i in (0, step - 1, step, 2 * step, m - 1):
+        assert int(got[i]) == rng.mix64(key, lo + i)
+
+
+def test_step_table_grows_only_when_a_longer_range_asks(monkeypatch):
+    monkeypatch.setattr(rng, "_steps_table", np.zeros(0, dtype=np.uint64))
+    short = rng._steps(10)
+    assert len(short) == 16 and rng._steps(3) is short and rng._steps(16) is short
+    assert len(rng._steps(1000)) == 1024
+    assert len(rng._steps(10**7)) == rng._STEP_CAP and len(rng._steps(5)) == rng._STEP_CAP
+    assert short.tolist() == [i * 0x9E3779B97F4A7C15 % 2**64 for i in range(16)]
+
+
+def test_threads_that_miss_at_once_share_one_step_table(monkeypatch):
+    # more threads than cores, released together onto an empty table, with
+    # a short switch interval: an unlocked build would hand some their own
+    threads, seen = 8, []
+    barrier = threading.Barrier(threads)
+
+    def first_use():
+        barrier.wait(timeout=10)
+        seen.append(rng._steps(rng._STEP_CAP))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(rng, "_steps_table", np.zeros(0, dtype=np.uint64))
+            seen.clear()
+            workers = [threading.Thread(target=first_use) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert len(seen) == threads and len({id(t) for t in seen}) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_level_start_is_the_least_word_of_its_level():
+    for l in (1, 2, 3, 7, 2**32 + 1, 2**63, 2**64 - 1):
+        for i in sorted({0, 1, l // 2, l - 1, l}):
+            b = rng.level_start(i, l)
+            assert b == -(-i * 2**64 // l)
+            assert b == 2**64 or rng.level_of(b, l) == i
+            assert b == 0 or rng.level_of(b - 1, l) == i - 1
 
 
 def test_u01_mean_sane():

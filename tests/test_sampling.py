@@ -36,6 +36,11 @@ from hyperlim.hypergraphon import (
     structure_of,
 )
 from hyperlim.sampling import (
+    _THRESHOLD_CAP,
+    _level_bounds,
+    _step_edge_mask,
+    _threshold_hits,
+    _top_thresholds,
     sample_vertex,
     sample_w,
     sample_w_edge_count,
@@ -212,20 +217,111 @@ def test_multi_block_sample_keeps_its_lower_levels(monkeypatch):
 
 
 def test_blocks_reuse_one_hash_buffer(monkeypatch):
-    # every block of a sample hashes into the same buffer, so no per-block
-    # allocation comes back unnoticed
-    W, n = builtin_w("example1", 2), 600
-    assert comb(n, 2) > 2 * combinatorics.CELL_BLOCK
-    mix, addrs = rng.np_mix64, []
+    # every block of k-sets hashes into the same buffer, so no per-block
+    # allocation comes back unnoticed: on example1's hash thresholds and on
+    # the member gathers of a table that also reads the vertex masks
+    n = 600
+    top, blocks = arity_offsets(n, 2)[1], -(-comb(n, 2) // combinatorics.CELL_BLOCK)
+    assert blocks > 2
+    lower = on_some_arities(2, 2, 7)
+    assert lower.used_axes()[0] == (0, 1, 2)
+    premix, calls = rng._premix64_range, []
 
-    def recording(key, ctrs, out=None, scratch=None):
-        addrs.append(None if out is None else out.__array_interface__["data"][0])
-        return mix(key, ctrs, out=out, scratch=scratch)
+    def recording(key, lo, hi, out, scratch):  # every range hash passes here
+        calls.append((lo, hi, out.__array_interface__["data"][0]))
+        return premix(key, lo, hi, out, scratch)
 
-    monkeypatch.setattr(rng, "np_mix64", recording)
-    sample_w_edge_count(W, n, 3)
-    assert len(addrs) == -(-comb(n, 2) // combinatorics.CELL_BLOCK)
-    assert None not in addrs and len(set(addrs)) == 1
+    monkeypatch.setattr(rng, "_premix64_range", recording)
+    for W, low in ((builtin_w("example1", 2), []), (lower, [(0, top)])):
+        calls.clear()
+        sample_w_edge_count(W, n, 3)
+        ksets = [c for c in calls if c[0] >= top]
+        assert [c[:2] for c in calls if c[0] < top] == low  # the vertices, hashed once
+        assert len(ksets) == blocks
+        assert len({addr for _, _, addr in ksets}) == 1
+
+
+def gathered_edge_mask(W, n, key, out=None):
+    """The step sample through _cell_member_count, every level read from
+    np_mix64 of the counters: the member-gather oracle of the thresholds."""
+
+    def level(lo, hi):
+        return rng.np_level_of(rng.np_mix64(key, np.arange(lo, hi, dtype=np.uint64)), W.l)
+
+    return combinatorics._cell_member_count(W, level, n, out)
+
+
+@lru_cache(maxsize=None)
+def top_only(k, l, tops):
+    return step_from_structure(CombinatorialStructure.from_top_labels(k, l, tops))
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([(1, 40), (2, 30), (3, 14)]),
+    st.sampled_from([2, 3, 5, 7, 8, 16]),
+    st.data(),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([1, 3, 7, 64, None]),
+    st.booleans(),
+)
+def test_top_thresholds_match_member_gathers(kn, l, data, key, block, with_out):
+    k, nmax = kn
+    assume(k < 3 or l <= 8)  # 16**7 cells pass the member cap
+    tops = data.draw(st.frozensets(st.integers(1, l), min_size=1, max_size=l - 1))
+    n = data.draw(st.integers(0, nmax))
+    W = top_only(k, l, tops)
+    runs = _top_thresholds(W)
+    flips = sum((i in tops) != (i + 1 in tops) for i in range(1, l))
+    assert (runs is None) == (flips > _THRESHOLD_CAP)
+    rows = comb(n, k)
+    got, want = (np.full(rows, 7, dtype=np.uint8) for _ in range(2)) if with_out else (None, None)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(combinatorics, "CELL_BLOCK", block)
+        count = _step_edge_mask(W, n, key, got)
+    assert count == gathered_edge_mask(W, n, key, want)
+    if with_out:
+        assert np.array_equal(got, want)
+
+
+def unmixed(h):
+    """The word z before mix64's final xor-shift: z ^ (z >> 31) == h."""
+    return h ^ (h >> 31) ^ (h >> 62)
+
+
+@pytest.mark.parametrize(
+    "l", [2, 3, 5, 8, 2**31 - 1, 2**31, 2**32, 2**32 + 1, 2**33, 3 * 2**40, 2**63 - 1, 2**63]
+)
+def test_level_bounds_split_words_exactly(l):
+    # l <= 2**31 a power of two puts every bound on a multiple of 2**33; at
+    # l = 2**32 the bound of an odd level i >= 2**31 has bits 63 and 32 set,
+    # and its word before the xor-shift has bit 32 clear, so it reads low
+    flips = sorted(i for i in {1, 2, l // 3, l // 2, l // 2 + 1, l - 1} if 0 < i < l)
+    bounds, premixed = _level_bounds(flips, l)
+    assert premixed == (l in (2, 8, 2**31))
+    for i, b in zip(flips, map(int, bounds)):
+        assert rng.level_of(b - 1, l) == i - 1 and rng.level_of(b, l) == rng.level_of(b + 1, l) == i
+        h = np.array([b - 1, b, b + 1], dtype=np.uint64)
+        z = np.array([unmixed(int(x)) for x in h], dtype=np.uint64)
+        assert rng._finish(z.copy(), np.empty_like(z)).tolist() == h.tolist()
+        hit = _threshold_hits(h, False, [np.uint64(b)], np.empty(3, bool), np.empty(3, bool))
+        assert hit.tolist() == [False, True, True]
+        pre = _threshold_hits(z, False, [np.uint64(b)], np.empty(3, bool), np.empty(3, bool))
+        if b % rng.PREMIX_GRAIN == 0:
+            assert pre.tolist() == hit.tolist()
+        if l == 2**32 and i > l // 2 and i % 2:
+            assert pre.tolist() != hit.tolist()
+    # every bound at once: a word is marked when first XOR an odd number of
+    # the flip levels lie at or below its level
+    words = np.array([int(b) + d for b in bounds for d in (-1, 0, 1)], dtype=np.uint64)
+    for first in (False, True):
+        marked = [first ^ (sum(rng.level_of(int(w), l) >= i for i in flips) % 2 == 1) for w in words]
+        got = _threshold_hits(words, first, bounds, np.empty(len(words), bool), np.empty(len(words), bool))
+        assert got.tolist() == marked
+        if premixed:
+            z = np.array([unmixed(int(w)) for w in words], dtype=np.uint64)
+            assert _threshold_hits(z, first, bounds, np.empty_like(got), np.empty_like(got)).tolist() == marked
 
 
 @lru_cache(maxsize=None)
