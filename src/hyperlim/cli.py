@@ -15,6 +15,9 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
+from .combinatorics import ascii_digits
 from .hypergraph import Hypergraph, densities, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, structure_density
 from .hypergraphon import StepHypergraphon, builtin_w, density
@@ -38,14 +41,37 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _dump_hypergraph(G: Hypergraph) -> str:
-    """_dump_json(G.to_obj()), with the edge block formatted in one step."""
-    rows = G.edge_rows()
-    edges = "[]"
-    if len(rows):
-        edge = "    [\n" + "      %d,\n" * (G.k - 1) + "      %d\n    ]"
-        edges = "[\n" + ",\n".join([edge] * len(rows)) % tuple(rows.ravel().tolist()) + "\n  ]"
-    return '{\n  "edges": %s,\n  "k": %d,\n  "n": %d\n}\n' % (edges, G.k, G.n)
+def _write_hypergraph(G: Hypergraph, fh):
+    """Write the bytes of _dump_json(G.to_obj()) to the binary file fh.
+
+    Each nonempty block of G.edge_blocks() is one write. Each edge fills a
+    row of a byte template whose digit slots take rows of one per-vertex
+    digit table (ascii_digits, built at the first edge), and one boolean
+    mask drops the zero bytes that pad the shorter numbers. Every edge
+    starts with a separating comma, which the first edge drops. So no text
+    or list over all edges is ever held.
+    """
+    k = G.k
+    fh.write(b'{\n  "edges": [')
+    table = None
+    first = True
+    for rows in G.edge_blocks():
+        if not len(rows):
+            continue
+        if table is None:  # built at the first edge, so an edgeless G needs none
+            width = len(str(G.n - 1))
+            table = ascii_digits(np.arange(G.n), width)  # the digits of each vertex
+            slot = b"      " + b"\0" * width
+            template = np.frombuffer(b",\n    [\n" + b",\n".join([slot] * k) + b"\n    ]", dtype=np.uint8)
+            starts = [8 + 6 + i * (8 + width) for i in range(k)]
+        buf = np.empty((len(rows), len(template)), dtype=np.uint8)
+        buf[:] = template
+        for i, at in enumerate(starts):
+            buf[:, at : at + width] = np.take(table, rows[:, i], axis=0)
+        text = buf[buf != 0]
+        fh.write(text[1:] if first else text)
+        first = False
+    fh.write((b"]" if first else b"\n  ]") + b',\n  "k": %d,\n  "n": %d\n}\n' % (k, G.n))
 
 
 def _write_out(text: str, out):
@@ -184,14 +210,15 @@ def _cmd_sample(args) -> int:
         hp = _load_hp(args.HP, "HP") if args.HP else None
         rec = sample_w(W, args.n, seed, hp=hp)
         G, meta = rec.sample, {"seed": rec.seed, "source": rec.source}
-    text = _dump_hypergraph(G)
     if args.out:
-        _write_out(text, args.out)
+        with open(args.out, "wb") as fh:
+            _write_hypergraph(G, fh)
         side = args.out[:-5] + ".meta.json" if args.out.endswith(".json") else args.out + ".meta.json"
         with open(side, "w") as fh:
             fh.write(_dump_json(meta))
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        _write_hypergraph(G, sys.stdout.buffer)
     return 0
 
 

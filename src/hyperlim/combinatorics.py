@@ -1,9 +1,10 @@
 """Subset indexing, position masks, and small-group combinatorics.
 
 Vertex subsets are identified with their colex rank so per-arity label data
-can live in flat numpy arrays. Offset by the number of subsets of smaller
-arity (arity_offsets), a rank becomes a global counter over every subset of
-arity <= k. subset_counters lists those counters for the proper
+can live in flat numpy arrays; colex_rank_rows ranks subset rows and
+colex_unrank turns ranks back into rows. Offset by the number of subsets of
+smaller arity (arity_offsets), a rank becomes a global counter over every
+subset of arity <= k. subset_counters lists those counters for the proper
 sub-subsets of every k-subset, and cell_codes reads per-subset levels
 through them and the k-subsets' own counters;
 _cell_member_count does the same in cache-sized blocks of k-subsets, reads
@@ -102,6 +103,27 @@ def colex_rank_rows(rows: np.ndarray, ct: np.ndarray) -> np.ndarray:
     return out
 
 
+def colex_unrank(ranks, n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) with the given colex ranks, as the rows of
+    an int64 (len(ranks), k) array; the inverse of colex_rank_rows.
+
+    Element j of a subset is the largest a with C(a, j) at most what is
+    left of its rank once the elements above j are taken off, so each arity
+    above 1 is one searchsorted over a comb_table column, and the first
+    element is what is left at the end (C(a, 1) = a).
+    """
+    left = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(left), k), dtype=np.int64)
+    ct = comb_table(n, k)
+    for j in range(k, 1, -1):
+        col = np.ascontiguousarray(ct[:, j])
+        a = np.searchsorted(col, left, side="right") - 1
+        out[:, j - 1] = a
+        left -= col[a]
+    out[:, 0] = left
+    return out
+
+
 def arity_offsets(n: int, k: int) -> list:
     """offsets[r-1] = number of subsets of arity < r; one slot per subset."""
     out = []
@@ -157,6 +179,19 @@ def cell_weights(k: int, l: int) -> np.ndarray:
 def cell_digits(codes, k: int, l: int) -> np.ndarray:
     """0-based levels of cell codes, shape codes.shape + (2**k - 1,)."""
     return np.asarray(codes, dtype=np.int64)[..., None] // cell_weights(k, l) % l
+
+
+def ascii_digits(values, width: int) -> np.ndarray:
+    """Decimal digits of nonnegative ints as ASCII bytes, shape
+    values.shape + (width,), right-aligned. Leading zeros are zero bytes,
+    so dropping every zero byte leaves the decimal text; the JSON writers
+    build their number text this way."""
+    v = np.asarray(values, dtype=np.int64)
+    out = np.empty(v.shape + (width,), dtype=np.uint8)
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        out[..., j] = np.where((v >= place) | (place == 1), 48 + v // place % 10, 0)
+    return out
 
 
 def cell_grid(member: np.ndarray, k: int, l: int) -> np.ndarray:

@@ -12,16 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from typing import Optional
 
 import numpy as np
 
-from . import kernels, rng
+from . import combinatorics, kernels, rng
 from .combinatorics import (
+    ROW_CAP,
     _check_rows,
     colex_matrix,
     colex_rank_rows,
+    colex_unrank,
     comb_table,
     falling,
     set_partitions,
@@ -154,6 +156,22 @@ class Hypergraph:
             return colex_matrix(self.n, self.k)[self._member != 0]
         return np.array(self.sorted_edges(), dtype=np.int64).reshape(-1, self.k)
 
+    def edge_blocks(self):
+        """Yield the rows of edge_rows() in colex order, a block at a time.
+
+        A mask-backed hypergraph unranks the edges among each CELL_BLOCK
+        k-sets of its mask, so no array over all edges or k-sets is made;
+        a set-backed one yields CELL_BLOCK-row slices of edge_rows().
+        """
+        block = combinatorics.CELL_BLOCK
+        if self._member is None:
+            rows = self.edge_rows()
+            for a in range(0, len(rows), block):
+                yield rows[a : a + block]
+            return
+        for a in range(0, len(self._member), block):
+            yield colex_unrank(a + np.flatnonzero(self._member[a : a + block]), self.n, self.k)
+
     def sorted_edges(self) -> list:
         """The edges in colex order."""
         if self._member is not None:
@@ -209,7 +227,33 @@ class Hypergraph:
         k, n, edges = obj["k"], obj["n"], obj["edges"]
         if not isinstance(edges, list):
             raise ValueError("field 'edges' must be a list")
-        return cls(k, n, edges)
+        member = _member_of_edges(k, n, edges)
+        if member is None:
+            return cls(k, n, edges)
+        return cls.from_member(k, n, member)
+
+
+def _member_of_edges(k, n, edges):
+    """The colex indicator of an edge list that needs no per-edge check:
+    an integer (m, k) array whose sorted rows are distinct vertices of
+    range(n), with C(n, k) within ROW_CAP. None for any other list, which
+    the constructor then reads edge by edge, raising its messages on the
+    first bad edge."""
+    _check_shape(k, n)
+    if comb(n, k) > ROW_CAP:
+        return None
+    try:
+        rows = np.array(edges)
+    except ValueError:  # ragged
+        return None
+    if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[1] != k or not len(rows):
+        return None
+    rows.sort(axis=1)
+    if (rows[:, 1:] == rows[:, :-1]).any() or rows[:, 0].min() < 0 or rows[:, -1].max() >= n:
+        return None
+    member = np.zeros(comb(n, k), dtype=np.uint8)
+    member[colex_rank_rows(rows, comb_table(n, k))] = 1
+    return member
 
 
 @dataclass(frozen=True)

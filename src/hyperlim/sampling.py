@@ -21,6 +21,7 @@ from .combinatorics import (
     _cell_member_count,
     _check_rows,
     arity_offsets,
+    ascii_digits,
     colex_matrix,
     colex_rank_rows,
     comb_table,
@@ -49,9 +50,23 @@ class SampleRecord:
         }
 
 
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def _label_text(labels: np.ndarray) -> bytes:
+    """Positive int labels as comma-separated decimal text, built as bytes."""
+    if not len(labels):
+        return b""
+    width = len(str(int(labels.max())))
+    text = np.full((len(labels), width + 1), ord(","), dtype=np.uint8)
+    text[:, :width] = ascii_digits(labels, width)
+    return text[text != 0][:-1].tobytes()
+
+
+def _digest(hp: Hyperpartition) -> str:
+    """The first 16 hex digits of the sha256 of hp.to_obj() as compact
+    sorted-key JSON; the labels are written by _label_text, not json.dumps."""
+    arities = sorted(map(str, range(1, hp.k + 1)))  # as JSON sorts the keys: "10" before "2"
+    labels = b",".join(b'"%s":[%s]' % (r.encode(), _label_text(hp.labels[int(r)])) for r in arities)
+    k, l, n = (json.dumps(x).encode() for x in (hp.k, hp.l, hp.n))
+    return hashlib.sha256(b'{"k":%s,"l":%s,"labels":{%s},"n":%s}' % (k, l, labels, n)).hexdigest()[:16]
 
 
 def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
@@ -71,16 +86,17 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     picks = (h % np.uint64(H.n)).astype(np.int64)
     if comb(n, k) == 0:
         return Hypergraph(k, n)
-    rows = picks[colex_matrix(n, k)]
-    rows = np.sort(rows, axis=1)
-    if k > 1:
-        distinct = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
-    else:
-        distinct = np.ones(rows.shape[0], dtype=bool)
+    ksets = colex_matrix(n, k)
     ct = comb_table(max(H.n, 1), k)
-    ranks = colex_rank_rows(rows, ct)
-    ranks[~distinct] = 0
-    return Hypergraph.from_member(k, n, distinct & (member[ranks] != 0))
+    out = np.empty(len(ksets), dtype=bool)
+    block = combinatorics.CELL_BLOCK
+    for a in range(0, len(ksets), block):  # the picks of CELL_BLOCK k-sets at a time
+        rows = np.sort(picks[ksets[a : a + block]], axis=1)
+        distinct = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
+        ranks = colex_rank_rows(rows, ct)
+        ranks[~distinct] = 0
+        np.logical_and(distinct, member[ranks] != 0, out=out[a : a + block])
+    return Hypergraph.from_member(k, n, out)
 
 
 # most level changes the full-mask thresholds take: each costs a compare and
@@ -216,7 +232,7 @@ def sample_w(
             "restricted": hp is not None,
         }
         if hp is not None:
-            source["hp_digest"] = _digest(hp.to_obj())
+            source["hp_digest"] = _digest(hp)
         return SampleRecord(sample=sample, seed=seed, source=source)
     if not isinstance(W, GeneralHypergraphon):
         raise ValueError("W must be a step or general hypergraphon")

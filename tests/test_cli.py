@@ -2,9 +2,13 @@ import hashlib
 import io
 import json
 import tracemalloc
+from fractions import Fraction
+from math import comb
 
 import pytest
+from test_hypergraph import written
 
+from hyperlim import combinatorics
 from hyperlim.cli import main
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hyperpartition import CombinatorialStructure, Hyperpartition
@@ -150,6 +154,17 @@ def test_sample_oversized_n_exits_2_before_allocating(files, capsys):
     assert peak < 1 << 24
 
 
+def test_sample_writes_without_whole_edge_arrays(files):
+    # the n=2000 sample (1,999,000 k-sets) is written one block of k-sets
+    # at a time, and no colex_matrix(2000, 2) (30.5 MB) is built for it
+    out = files["dir"] + "/big.json"
+    combinatorics.colex_matrix.cache_clear()
+    rc, peak = _main_peak(["sample", "--W", files_w(files), "--n", "2000", "--seed", "3", "--out", out])
+    assert rc == 0
+    assert peak < 1 << 24
+    assert combinatorics.colex_matrix.cache_info().currsize == 0
+
+
 def test_oversized_host_exits_2_before_allocating(files, capsys):
     big = files["dir"] + "/big.json"
     with open(big, "w") as fh:
@@ -181,6 +196,34 @@ def test_oversized_experiments_exit_2_before_allocating(files, capsys):
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "n=1000000" in err
         assert peak < 1 << 24
+
+
+def _writes_like_json_dumps(G):
+    """G set-backed, and mask-backed where its k-sets fit the row cap, is
+    written as the sorted-key indent-2 JSON of to_obj(), plus a newline."""
+    want = json.dumps(G.to_obj(), sort_keys=True, indent=2) + "\n"
+    assert written(Hypergraph(G.k, G.n, G.edges)) == want
+    if comb(G.n, G.k) <= combinatorics.ROW_CAP:
+        assert written(Hypergraph.from_member(G.k, G.n, G.member_array())) == want
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, combinatorics.CELL_BLOCK])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_writer_matches_json_dumps(monkeypatch, k, block):
+    monkeypatch.setattr(combinatorics, "CELL_BLOCK", block)
+    for n in range(13):  # n < k included
+        _writes_like_json_dumps(Hypergraph.random(k, n, Fraction(1, 2), seed=10 * n + k))
+        _writes_like_json_dumps(Hypergraph.complete(k, n))
+        _writes_like_json_dumps(Hypergraph.empty(k, n))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_writer_matches_json_dumps_at_digit_boundaries(k, n):
+    if comb(n, k) <= 10**6:  # about 300 random edges over the whole vertex range
+        _writes_like_json_dumps(Hypergraph.random(k, n, Fraction(min(300, comb(n, k)), comb(n, k)), seed=n + k))
+    ends = [tuple(range(k)), tuple(range(n - k, n)), tuple(range(n // 2 - 1, n // 2 - 1 + k))]
+    _writes_like_json_dumps(Hypergraph(k, n, ends))
 
 
 def _sha(path):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from coordinate_oracle import CoordinateSystem
 from orbit_oracle import cell_orbit, permute_cell
 
@@ -80,6 +82,41 @@ def test_colex_unrank_inverts_rank():
             s = colex_unrank(rank, r)
             assert len(s) == r
             assert colex_rank(s) == rank
+
+
+@st.composite
+def rank_sets(draw):
+    """(n, k, ranks): no ranks, every rank, or a few, in any order."""
+    n, k = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    total = comb(n, k)
+    kind = draw(st.sampled_from(["empty", "full", "some"]))
+    if kind == "empty" or total == 0:
+        return n, k, []
+    if kind == "full":
+        return n, k, list(range(total))
+    return n, k, draw(st.lists(st.integers(0, total - 1), max_size=40))
+
+
+@settings(max_examples=150)
+@given(rank_sets())
+@example((40, 5, list(range(comb(40, 5)))))
+@example((40, 5, []))
+@example((0, 1, []))
+@example((7, 1, [6, 0, 3]))
+def test_colex_unrank_matches_colex_matrix_rows(case):
+    n, k, ranks = case
+    rows = colex_matrix.__wrapped__(n, k)  # uncached, so the cache stays small
+    got = hyperlim.combinatorics.colex_unrank(np.array(ranks, dtype=np.int64), n, k)
+    assert got.dtype == np.int64 and got.shape == (len(ranks), k)
+    assert np.array_equal(got, rows[np.array(ranks, dtype=np.intp)])
+
+
+def test_ascii_digits_are_decimal_text():
+    values = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 123456789, 2**62]
+    width = len(str(2**62))
+    got = hyperlim.combinatorics.ascii_digits(values, width)
+    assert got.shape == (len(values), width) and got.dtype == np.uint8
+    assert [bytes(row[row != 0]).decode() for row in got] == [str(v) for v in values]
 
 
 def test_colex_rank_rows_matches_scalar():

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_combinatorics import subsets_colex
 
-from hyperlim.cli import _dump_hypergraph
+from hyperlim.cli import _write_hypergraph
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,
@@ -26,6 +27,13 @@ from hyperlim.hypergraph import (
 )
 
 TRI = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+
+
+def written(G) -> str:
+    """What the CLI writes for G, through cli._write_hypergraph."""
+    buf = io.BytesIO()
+    _write_hypergraph(G, buf)
+    return buf.getvalue().decode()
 
 
 def brute_record(F, H):
@@ -204,7 +212,95 @@ def test_from_member_matches_edge_constructor(case, rnd):
     assert np.array_equal(B.member_array(), A.member_array())
     assert A.to_obj() == B.to_obj() == {"k": k, "n": n, "edges": [list(e) for e in rows]}
     for G in (A, B, Hypergraph(k, n, rows)):
-        assert _dump_hypergraph(G) == json.dumps(G.to_obj(), sort_keys=True, indent=2) + "\n"
+        assert written(G) == json.dumps(G.to_obj(), sort_keys=True, indent=2) + "\n"
+
+
+def read_by_loop(obj):
+    """The reader before from_obj ranked edges with numpy: the constructor,
+    one edge at a time."""
+    return Hypergraph(obj["k"], obj["n"], obj["edges"])
+
+
+def outcome(read, obj):
+    """The hypergraph read, or the type and message of the error raised."""
+    try:
+        return read(obj)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def same_outcome(obj):
+    new, old = outcome(Hypergraph.from_obj, obj), outcome(read_by_loop, obj)
+    assert type(new) is type(old)
+    if isinstance(new, Hypergraph):
+        assert new == old and new.edges == old.edges and (new.k, new.n) == (old.k, old.n)
+        assert written(new) == written(old)
+    else:
+        assert new == old
+    return new
+
+
+@settings(max_examples=300)
+@given(masks(), st.randoms(use_true_random=False))
+def test_from_obj_ranks_valid_edges_into_a_mask(case, rnd):
+    k, n, mask = case
+    rows = [s for s, b in zip(subsets_colex(n, k), mask) if b]
+    edges = [rnd.sample(e, k) for e in rnd.sample(rows, len(rows))]
+    edges += [rnd.sample(e, k) for e in rows[: rnd.randrange(3)]]  # repeated edges are one edge
+    G = same_outcome({"k": k, "n": n, "edges": edges})
+    assert G.sorted_edges() == rows
+    assert (G._member is not None) == bool(rows)  # an empty list takes the loop
+
+
+ENTRIES = st.one_of(  # small ints twice, so that many lists are valid or nearly so
+    st.integers(-2, 9),
+    st.integers(-2, 9),
+    st.integers(2**63 - 1, 2**70),
+    st.floats(allow_nan=True),
+    st.booleans(),
+    st.sampled_from(["1", "x", ""]),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 3), st.integers(0, 8), st.lists(st.lists(ENTRIES, max_size=4), max_size=5))
+def test_from_obj_matches_the_loop_on_any_entries(k, n, edges):
+    same_outcome({"k": k, "n": n, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, 1], [0]],  # ragged
+        [[0, 1], [1, 2, 3]],
+        [[0, 1], [2, 2]],  # repeated vertex
+        [[0, 1], [1, 5]],  # out of range
+        [[0, 1], [-1, 2]],
+        [[0, 1], [0, 1.5]],  # float
+        [[0, 1], [0, 2.0]],
+        [[0, 1], [True, 2]],  # bool
+        [[True, False]],
+        [[0, 1], ["1", "2"]],  # string
+        [[0, 1], ["a", "2"]],
+        [[0, 1], [0, 2**63]],  # beyond int64
+        [[0, 1], [0, 2**64 + 1]],
+        [[0, 1], [[0], 1]],  # nested
+        [[[0, 1]]],
+        [[0, None]],
+    ],
+)
+def test_from_obj_matches_the_loop_on_malformed_edges(edges):
+    same_outcome({"k": 2, "n": 5, "edges": edges})
+
+
+def test_from_obj_takes_the_mask_only_within_the_row_cap():
+    assert Hypergraph.from_obj({"k": 2, "n": 5, "edges": [[1, 0], [4, 2]]})._member is not None
+    G = same_outcome({"k": 2, "n": 10**6, "edges": [[0, 1]]})
+    assert G._member is None
+    for k, n in [("2", 5), (0, 5), (2, -1), (2, 5.0)]:
+        same_outcome({"k": k, "n": n, "edges": [[0, 1]]})
 
 
 def test_from_member_checks_its_mask():

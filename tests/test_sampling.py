@@ -81,6 +81,18 @@ def test_sample_vertex_matches_brute():
         assert sample_vertex(H, 7, seed).edges == brute_sample_vertex(H, 7, seed).edges
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_vertex_blocks_match_brute(monkeypatch, block, k):
+    # the picks of each k-set are gathered CELL_BLOCK k-sets at a time
+    monkeypatch.setattr(combinatorics, "CELL_BLOCK", block)
+    for seed in range(3):
+        H = Hypergraph.random(k, 6, Fraction(1, 2), seed=seed + 40)
+        G = sample_vertex(H, 8, seed)
+        assert G._member is not None
+        assert G.edges == brute_sample_vertex(H, 8, seed).edges
+
+
 def test_sample_vertex_complete_host_frequency():
     # all k picks distinct with prob prod(1 - j/N); then the edge is present
     N, k, trials = 8, 3, 8000
@@ -182,6 +194,35 @@ def test_sampler_golden_checksums():
     hp = Hyperpartition.uniform_random(300, 2, 2, seed=14)
     assert sample_w(builtin_w("example2", 2), 300, 15, hp=hp).source["hp_digest"] == "8a8a0eadb310a45c"
     assert sample_w_edge_count(builtin_w("example2", 3), 40, 5) == 1102
+
+
+# hp_digest of Hyperpartition.uniform_random(n, k, l, seed), pinned while
+# the digest hashed json.dumps(hp.to_obj(), sort_keys=True,
+# separators=(",", ":")); at k >= 10 the arity keys sort as strings
+HP_DIGESTS = {
+    (300, 1, 3, 1): "76d58de172c7a45b",
+    (300, 2, 2, 2): "7baf3b51ff6345e5",
+    (40, 3, 2, 3): "9691a70f206a2ea7",
+    (11, 10, 2, 4): "3cd04b9a20a3be83",
+    (12, 11, 3, 5): "a1d221abc206bb6e",
+    (0, 2, 2, 6): "778db693daf83787",
+    (2, 3, 2, 7): "8ee8593e9564d8a5",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HP_DIGESTS))
+def test_hp_digest_goldens(shape):
+    hp = Hyperpartition.uniform_random(*shape)
+    blob = json.dumps(hp.to_obj(), sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == HP_DIGESTS[shape]
+    assert hyperlim.sampling._digest(hp) == HP_DIGESTS[shape]
+
+
+def test_hp_digest_reads_labels_above_nine():
+    labels = {1: [1, 10, 9, 123456789], 2: list(range(1, 7))}
+    hp = Hyperpartition(4, 2, 123456789, labels)
+    blob = json.dumps(hp.to_obj(), sort_keys=True, separators=(",", ":")).encode()
+    assert hyperlim.sampling._digest(hp) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 def test_multi_block_goldens():
