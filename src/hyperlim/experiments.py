@@ -372,7 +372,7 @@ def removal_experiment(H: Hypergraph, K: Hypergraph) -> ExperimentReport:
 
 
 def _has_induced_copy(G: Hypergraph, F: Hypergraph) -> bool:
-    return _induced_kernel(F, G, True) > 0
+    return _induced_kernel(F, G, True, {}) > 0
 
 
 def hereditary_experiment(

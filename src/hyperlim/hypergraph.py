@@ -377,19 +377,16 @@ def _search_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) ->
     return kernels.induced_count(F.n, F.k, H.n, rows, fl, ptr, member, ct, injective)
 
 
-def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
+def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool, tensors: dict) -> int:
     subs = list(combinations(range(F.n), F.k))
-    if not subs:
-        # fewer than k vertices: no constraints at all
-        return falling(H.n, F.n) if injective else H.n**F.n
-    return _search_count(F, H, subs, [F.is_edge(s) for s in subs], injective)
+    # for k >= 2 every map meeting all k-subset constraints is injective
+    injective = injective and (F.k == 1 or not subs)
+    return _map_count(F, H, subs, [int(F.is_edge(s)) for s in subs], tensors, injective)
 
 
-def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
-    """H as a symmetric 0/1 tensor over k-tuples, or None above the
-    contraction cap."""
-    if H.n**H.k > kernels.CONTRACT_CAP:
-        return None
+def _host_tensor(H: Hypergraph) -> np.ndarray:
+    """H as a symmetric 0/1 tensor over k-tuples: zero on every tuple that
+    repeats a vertex."""
     T = np.zeros((H.n,) * H.k, dtype=np.int64)
     E = H.edge_rows()
     if E.size:
@@ -398,33 +395,39 @@ def _host_tensor(H: Hypergraph) -> Optional[np.ndarray]:
     return T
 
 
-def _hom_count(F: Hypergraph, H: Hypergraph, T) -> int:
-    """hom(F, H) as one contraction over the host tensor T, one factor per
-    edge of F; the frontier search when T is None or over the cap."""
-    if not F.edges:
-        return H.n**F.n
-    got = None
-    if T is not None:
-        got = kernels.contract([(e, T) for e in F.edges], F.n, H.n)
+def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict, injective=False) -> int:
+    """_search_count's count as one kernels.contract factor per subset: the
+    host tensor of H (flag 1) or of its complement (flag 0), kept in
+    tensors under the flag. An injective count, and one the contraction
+    refuses, runs the frontier search instead, logged at debug."""
+    if not subs:  # no constraints at all
+        return falling(H.n, F.n) if injective else H.n**F.n
+    got, why = None, "injective maps"
+    if not injective:
+        why = "no host tensor, n**k is over the cap"
+        if H.n**H.k <= kernels.CONTRACT_CAP:
+            why = "the contraction refused a step over the cap"
+            for flag in set(flags) - tensors.keys():
+                tensors[flag] = _host_tensor(H if flag else H.complement())
+            got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n)
     if got is None:
         import logging  # here, not at the top: a CLI call that never falls back skips its import
 
-        why = "no host tensor, n**k is over the cap" if T is None else "the contraction refused a step over the cap"
         logging.getLogger(__name__).debug(
-            "hom by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
-            why, H.n, F.n, kernels.CONTRACT_CAP,
+            "%s by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
+            "hom" if all(flags) else "induced count", why, H.n, F.n, kernels.CONTRACT_CAP,
         )
-        got = _search_count(F, H, sorted(F.edges), [1] * len(F.edges))
+        got = _search_count(F, H, subs, flags, injective)
     return got
 
 
-def _injective_count(F: Hypergraph, H: Hypergraph, T) -> int:
+def _injective_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
     total = 0
     for blocks in set_partitions(tuple(range(F.n))):
         part = VertexPartition(F.n, blocks)
         Q = quotient(F, part)
         if Q is not None:
-            total += part.mobius_weight() * _hom_count(Q, H, T)
+            total += part.mobius_weight() * _map_count(Q, H, sorted(Q.edges), [1] * len(Q.edges), tensors)
     return total
 
 
@@ -432,7 +435,7 @@ def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     """Count maps V(F) -> V(H) sending every edge of F onto an edge of H.
 
     mode "all" counts arbitrary maps as one tensor contraction with a factor
-    per edge of F (see kernels.contract), by the frontier search of
+    per edge of F (see _map_count), by the frontier search of
     kernels.induced_count when the contraction exceeds its cap. mode
     "injective" computes the injective count through partition-lattice
     inversion: sum over partitions P of V(F) of mobius_weight(P) times
@@ -441,10 +444,9 @@ def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     _check_arity(F, H)
     if mode not in ("all", "injective"):
         raise ValueError(f"unknown hom mode {mode!r}")
-    T = _host_tensor(H) if F.edges else None
     if mode == "all":
-        return _hom_count(F, H, T)
-    return _injective_count(F, H, T)
+        return _map_count(F, H, sorted(F.edges), [1] * len(F.edges), {})
+    return _injective_count(F, H, {})
 
 
 def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
@@ -483,16 +485,15 @@ def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:
     if H.n == 0:
         raise ValueError("host must have at least one vertex")
     v = F.n
-    T = _host_tensor(H) if F.edges else None
-    t = Fraction(_hom_count(F, H, T), H.n**v)
-    ind = _induced_kernel(F, H, False)
+    tensors = {}
+    t = Fraction(_map_count(F, H, sorted(F.edges), [1] * len(F.edges), tensors), H.n**v)
+    ind = _induced_kernel(F, H, False, tensors)
     t_ind = Fraction(ind, H.n**v)
     if v <= H.n:
         fall = falling(H.n, v)
-        t0 = Fraction(_injective_count(F, H, T), fall)
-        # for k >= 2 every map meeting all k-subset constraints is injective
-        if F.k == 1 or v < F.k:
-            ind = _induced_kernel(F, H, True)
+        t0 = Fraction(_injective_count(F, H, tensors), fall)
+        if F.k == 1 or v < F.k:  # otherwise the count above is already injective
+            ind = _induced_kernel(F, H, True, tensors)
         t0_ind = Fraction(ind, fall)
     else:
         t0 = None

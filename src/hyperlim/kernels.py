@@ -1,11 +1,13 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
-exact counts, one frontier search for the counts whose constraint graph is
-complete, two constraint filters (_keep for vertex maps against a
-hypergraph, shared by the search and eval_maps_count; cells_keep for rows
-of simplex levels against a structure, shared by mc_step_count and the
-densities under a level-map distribution), and the random injective-map
-generator. Randomness enters only through splitmix64 counters (see rng),
-which keeps results independent of evaluation order.
+exact counts (hom and induced counts, structure densities), one frontier
+search for the counts it refuses, for injective k = 1 induced counts and
+for the injective-hom oracle, two constraint filters (_keep for vertex maps
+against a hypergraph, shared by the search and eval_maps_count; cells_keep
+for rows of simplex levels against a structure, shared by mc_step_count,
+the Monte Carlo d1 and the densities under a level-map distribution), and
+the random injective-map generator. Randomness enters only through
+splitmix64 counter ranges (see rng), which keeps results independent of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def mc_step_count(samples, nsim, k, l, key, cidx, flags, member) -> int:
     chunk = max(1, (1 << 22) // max(nsim, 1))
     for s0 in range(0, samples, chunk):
         s1 = min(samples, s0 + chunk)
-        ctr = np.arange(s0 * nsim, s1 * nsim, dtype=np.uint64)
-        lev = rng.np_level_of(rng.np_mix64(int(key), ctr), l).reshape(s1 - s0, nsim)
+        h = rng.np_mix64_range(int(key), s0 * nsim, s1 * nsim)
+        lev = rng.np_level_of(h, l, out=h).reshape(s1 - s0, nsim)
         cnt += int(cells_keep(lev, cidx, flags, member, k, l).sum())
     return cnt
 
@@ -174,17 +176,16 @@ def _keep(maps, subs, flags, member, ct, k) -> np.ndarray:
 def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:
     """budget uniform random injective maps [v] -> [n], one row each.
 
-    Row s consumes counters s*v .. s*v+v-1. Draw j picks an offset in the
-    complement of the previous picks (ascending adjustment), matching the
-    classic sequential algorithm exactly.
+    Row s consumes counters s*v .. s*v+v-1, all hashed as one range. Draw j
+    picks an offset in the complement of the previous picks (ascending
+    adjustment), matching the classic sequential algorithm exactly.
     """
     if v > n:
         raise ValueError("injective maps need v <= n")
     picks = np.empty((budget, v), dtype=np.int64)
-    base = np.arange(budget, dtype=np.uint64) * np.uint64(v)
+    hs = rng.np_mix64_range(key, 0, budget * v).reshape(budget, v)
     for j in range(v):
-        h = rng.np_mix64(key, base + np.uint64(j))
-        d = (h % np.uint64(n - j)).astype(np.int64)
+        d = (hs[:, j] % np.uint64(n - j)).astype(np.int64)
         if j:
             srt = np.sort(picks[:, :j], axis=1)
             for t in range(j):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import cell_digits, cell_grid, cell_weights, mask_bits
+from .combinatorics import cell_digits, cell_grid, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
 from .hypergraphon import StepHypergraphon, density
@@ -115,12 +115,11 @@ def d1(
     if n <= 0:
         raise ValueError("samples must be positive")
     key = rng.derive(0 if seed is None else seed, rng.TAG_MC)
-    ctr = np.arange(n * width, dtype=np.uint64)
-    h = rng.np_mix64(key, ctr).reshape(n, width)
+    h = rng.np_mix64_range(key, 0, n * width).reshape(n, width)
 
     def inside(V):
-        codes = (rng.np_level_of(h, V.l) * cell_weights(V.k, V.l)).sum(axis=1)
-        return V.member_table()[codes] != 0
+        levels = rng.np_level_of(h, V.l)
+        return kernels.cells_keep(levels, [range(width)], [1], V.member_table(), V.k, V.l)
 
     est = float(np.mean(inside(U) != inside(W)))
     stderr = (est * (1 - est) / n) ** 0.5

@@ -68,23 +68,15 @@ def level_start(i: int, l: int) -> int:
     return -((-i << 64) // l)
 
 
-def np_mix64(key: int, ctrs: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Vectorized mix64; ctrs is any integer array, result uint64.
-
-    Every pass writes into out and scratch, uint64 arrays of ctrs' shape,
-    which are allocated when not given: a caller that hashes block after
-    block passes the same pair each time and allocates nothing per block.
-    out may be ctrs itself when ctrs is uint64; scratch must be neither.
-    Counters that run lo..hi-1 in order hash faster by np_mix64_range.
-    """
-    if out is None:
-        out = np.empty(np.shape(ctrs), dtype=np.uint64)
-    if scratch is None:
-        scratch = np.empty_like(out)
+def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
+    """Vectorized mix64; ctrs is any integer array, result uint64. The
+    reference of np_mix64_range, by which the package hashes its counters."""
+    out = np.empty(np.shape(ctrs), dtype=np.uint64)
     # key + (c + 1) * G, with the + 1 folded into the constant; the unsafe
     # cast wraps signed counters like astype(uint64)
     np.multiply(ctrs, np.uint64(_GOLDEN), out=out, dtype=np.uint64, casting="unsafe")
     out += np.uint64((key + _GOLDEN) & MASK64)
+    scratch = np.empty_like(out)
     return _finish(_rounds(out, scratch), scratch)
 
 
@@ -131,8 +123,10 @@ PREMIX_GRAIN = 1 << 33
 
 
 def np_mix64_range(key: int, lo: int, hi: int, out=None, scratch=None) -> np.ndarray:
-    """np_mix64(key, arange(lo, hi)) without the counter array; out and
-    scratch are as in np_mix64, of length hi - lo."""
+    """np_mix64(key, arange(lo, hi)) without the counter array. Every pass
+    writes into out and scratch, two distinct uint64 arrays of length
+    hi - lo, allocated when not given: a caller that hashes block after
+    block passes one pair each time and allocates nothing per block."""
     if out is None:
         out = np.empty(hi - lo, dtype=np.uint64)
     if scratch is None:

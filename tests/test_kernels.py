@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_hyperpartition import brute_structure_density
 
-from hyperlim import kernels, rng
-from hyperlim.combinatorics import comb_table, mask_bits
+from hyperlim import hypergraph, kernels, rng
+from hyperlim.combinatorics import comb_table, falling, mask_bits
 from hyperlim.hypergraph import (
     Hypergraph,
     _grouped_constraints,
+    _induced_kernel,
+    _search_count,
     _search_order,
+    densities,
     hom,
     injective_hom_brute,
 )
@@ -317,6 +320,86 @@ def test_hom_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
         monkeypatch.setattr(kernels, "CONTRACT_CAP", 1 << 24)
         assert hom(F, H) == want  # contracted: nothing to say
     assert caplog.records == []
+
+
+@st.composite
+def induced_case(draw):
+    """A pattern with any edge set (empty and complete among them) and a
+    random host, with n < v and n < k allowed."""
+    k = draw(st.integers(1, 3))
+    v = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    subs = list(itertools.combinations(range(v), k))
+    fill = draw(st.sampled_from(["empty", "complete", "random"]))
+    if fill == "random":
+        edges = [s for s in subs if draw(st.booleans())]
+    else:
+        edges = subs if fill == "complete" else []
+    mask = draw(st.lists(st.booleans(), min_size=comb(n, k), max_size=comb(n, k)))
+    return Hypergraph(k, v, edges), Hypergraph.from_member(k, n, np.array(mask, dtype=np.uint8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(induced_case(), st.booleans())
+def test_contracted_induced_counts_match_the_frontier(case, injective):
+    F, H = case
+    subs = list(itertools.combinations(range(F.n), F.k))
+    flags = [int(F.is_edge(s)) for s in subs]
+    want = _search_count(F, H, subs, flags, injective)
+    searched = []
+    loop = kernels.induced_count
+    with mock.patch.object(kernels, "induced_count", lambda *a: searched.append(a) or loop(*a)):
+        assert _induced_kernel(F, H, injective, {}) == want
+        # only an injective k = 1 count leaves the contraction at these sizes
+        k1 = F.k == 1 and bool(subs) and F.n <= H.n
+        assert bool(searched) == (injective and k1)
+        if H.n:
+            searched.clear()
+            rec = densities(F, H)
+            assert bool(searched) == k1
+    if H.n:
+        assert rec.t_ind == Fraction(_search_count(F, H, subs, flags), H.n**F.n)
+        if F.n <= H.n:
+            assert rec.t0_ind == Fraction(_search_count(F, H, subs, flags, True), falling(H.n, F.n))
+        else:
+            assert rec.t0_ind is None
+
+
+def test_densities_build_each_host_tensor_once():
+    F = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
+    H = Hypergraph.random(2, 9, 0.5, seed=5)
+    built = []
+    make = hypergraph._host_tensor
+    with mock.patch.object(hypergraph, "_host_tensor", lambda G: built.append(G) or make(G)):
+        densities(F, H)
+    assert sorted(G.edge_count for G in built) == sorted((H.edge_count, comb(9, 2) - H.edge_count))
+
+
+def test_induced_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
+    P4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
+    H = Hypergraph.random(2, 9, 0.5, seed=5)
+    want = _induced_kernel(P4, H, False, {})
+    # 9**2 host entries fit a cap of 100; the complete constraint hypergraph
+    # of P4 spans 9**4 at its first elimination step
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert _induced_kernel(P4, H, False, {}) == want
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        (
+            "hyperlim.hypergraph",
+            logging.DEBUG,
+            "induced count by frontier search (the contraction refused a step over the cap):"
+            " n = 9, |V(F)| = 4, CONTRACT_CAP = 100",
+        )
+    ]
+    caplog.clear()
+    # an injective count at k = 1 always takes the frontier, and says why
+    F1, H1 = Hypergraph(1, 3, [(0,), (2,)]), Hypergraph(1, 5, [(1,), (3,), (4,)])
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert _induced_kernel(F1, H1, True, {}) == 3 * 2 * 2
+    assert [r.getMessage() for r in caplog.records] == [
+        "induced count by frontier search (injective maps): n = 5, |V(F)| = 3, CONTRACT_CAP = 100"
+    ]
 
 
 def test_hom_count_beyond_int64_is_exact():
