@@ -398,8 +398,9 @@ def _host_tensor(H: Hypergraph) -> np.ndarray:
 def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict, injective=False) -> int:
     """_search_count's count as one kernels.contract factor per subset: the
     host tensor of H (flag 1) or of its complement (flag 0), kept in
-    tensors under the flag. An injective count, and one the contraction
-    refuses, runs the frontier search instead, logged at debug."""
+    tensors under the flag and built only once kernels.contraction_plan
+    accepts. An injective count, and one the contraction refuses, runs the
+    frontier search instead, logged at debug."""
     if not subs:  # no constraints at all
         return falling(H.n, F.n) if injective else H.n**F.n
     got, why = None, "injective maps"
@@ -407,9 +408,11 @@ def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict, injecti
         why = "no host tensor, n**k is over the cap"
         if H.n**H.k <= kernels.CONTRACT_CAP:
             why = "the contraction refused a step over the cap"
-            for flag in set(flags) - tensors.keys():
-                tensors[flag] = _host_tensor(H if flag else H.complement())
-            got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n)
+            steps = kernels.contraction_plan(subs, H.n)
+            if steps is not None:  # build the tensors only for a plan that runs
+                for flag in set(flags) - tensors.keys():
+                    tensors[flag] = _host_tensor(H if flag else H.complement())
+                got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
     if got is None:
         import logging  # here, not at the top: a CLI call that never falls back skips its import
 

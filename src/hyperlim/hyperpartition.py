@@ -612,16 +612,11 @@ def regularity_deficit(G: Hypergraph, cylinders, eps, seed=None) -> Fraction:
     g_dens = Fraction(G.edge_count, total)
     worst = Fraction(0)
     for parts in fams:
+        # hit[i][j]: face j of each subset lies in part i, gathered once
+        hit = [[part[face] for face in faces] for part in parts]
         in_l = np.zeros(total, dtype=bool)
         for tau in permutations(range(r)):
-            conj = np.ones(total, dtype=bool)
-            for i in range(r):
-                conj &= parts[tau[i]][faces[i]]
-                if not conj.any():
-                    break
-            in_l |= conj
-            if in_l.all():
-                break
+            in_l |= np.logical_and.reduce([hit[i][j] for j, i in enumerate(tau)])
         size = int(in_l.sum())
         if Fraction(size, total) < eps or size == 0:
             continue

@@ -29,25 +29,19 @@ FRONTIER_CAP = 1 << 16
 # exact counts
 
 
-def contract(factors, nvars, dom):
-    """Exact sum over all maps [nvars] -> [dom] of the product of factors.
+def contraction_plan(scopes, dom):
+    """The elimination steps of contract for factors over these variable
+    scopes, or None when a step would span more than CONTRACT_CAP entries.
 
-    Each factor is (vars, table): distinct variable indices and a
-    nonnegative integer table of shape (dom,) * len(vars). Variables are
-    summed out one at a time, fewest neighbours first, each step multiplying
-    the factors that hold its variable by two-operand einsum calls. The
-    arithmetic is int64 when dom**nvars times the product of the table
-    maxima, which bounds every partial sum, is below 2**63, and Python ints
-    (object dtype) otherwise. Returns None, before reading any table, when a
-    step would span more than CONTRACT_CAP entries.
+    Variables go fewest neighbours first (ties to the lower index); a step
+    (bucket, out) multiplies the factors in bucket, which hold its
+    variable, and sums that variable out into a new factor over out,
+    numbered after every earlier one. Reads no table, so a caller can
+    build its tables only once the plan accepts.
     """
-    if dom < 2:
-        # at most one map, the constant one
-        return prod(int(t.flat[0]) for _, t in factors) if dom or not nvars else 0
-    scopes = [tuple(v) for v, _ in factors]
+    scopes = [tuple(v) for v in scopes]
     live = set(range(len(scopes)))
     todo = {x for s in scopes for x in s}
-    free = nvars - len(todo)
     steps = []
     while todo:
         spans = {x: {y for i in live if x in scopes[i] for y in scopes[i]} for x in todo}
@@ -61,12 +55,35 @@ def contract(factors, nvars, dom):
         scopes.append(tuple(sorted(joint - {x})))
         steps.append((bucket, scopes[-1]))
         todo.discard(x)
+    return steps
+
+
+def contract(factors, nvars, dom, steps=None):
+    """Exact sum over all maps [nvars] -> [dom] of the product of factors.
+
+    Each factor is (vars, table): distinct variable indices and a
+    nonnegative integer table of shape (dom,) * len(vars). Variables are
+    summed out one at a time in the order of contraction_plan (passed as
+    steps, or planned here), each step multiplying the factors that hold
+    its variable by two-operand einsum calls. The arithmetic is int64 when
+    dom**nvars times the product of the table maxima, which bounds every
+    partial sum, is below 2**63, and Python ints (object dtype) otherwise.
+    Returns None, before reading any table, when the plan refuses.
+    """
+    if dom < 2:
+        # at most one map, the constant one
+        return prod(int(t.flat[0]) for _, t in factors) if dom or not nvars else 0
+    if steps is None:
+        steps = contraction_plan([v for v, _ in factors], dom)
+        if steps is None:
+            return None
+    free = nvars - len({x for v, _ in factors for x in v})
     uniq = {id(t): t for _, t in factors}
     top = {i: int(t.max()) for i, t in uniq.items()}
     bound = dom**nvars * prod(top[id(t)] for _, t in factors)
     dtype = np.int64 if bound < 1 << 63 else object
     work = {i: t.astype(dtype, copy=False) for i, t in uniq.items()}
-    ops = [(work[id(t)], s) for (_, t), s in zip(factors, scopes)]
+    ops = [(work[id(t)], tuple(v)) for v, t in factors]
     for bucket, out in steps:
         acc, vs = ops[bucket[0]]
         for i in bucket[1:-1]:
@@ -75,7 +92,8 @@ def contract(factors, nvars, dom):
         # the last product also sums the variable out
         last = [ops[bucket[-1]]] if len(bucket) > 1 else []
         ops.append((np.asarray(_einsum(out, (acc, vs), *last), dtype=dtype), out))
-    return prod(int(ops[i][0]) for i in live) * dom**free
+    used = {i for bucket, _ in steps for i in bucket}
+    return prod(int(t) for i, (t, _) in enumerate(ops) if i not in used) * dom**free
 
 
 def _einsum(out, *operands):

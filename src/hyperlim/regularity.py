@@ -38,6 +38,8 @@ from .hyperpartition import (
 )
 
 _EXHAUSTIVE_CAP = 10**7
+# most rows one block of a relabel sweep gathers (see _SearchState.sweep)
+SWEEP_BLOCK = 1 << 10
 
 _log = logging.getLogger(__name__)
 
@@ -91,18 +93,30 @@ class _SearchState:
     def __init__(self, H, l):
         self.H = H
         self.n, self.k, self.l = H.n, H.k, l
-        self.edge = H.member_array().astype(np.int64)
+        self.edge = H.member_array()
         self.offs = arity_offsets(self.n, self.k)
-        # CSR of (row, digit weight) per global counter of arity < k; a
-        # k-subset labels only its own row (see sweep)
-        table = subset_counters(self.n, self.k)
-        self.nrows = table.shape[1]
-        flat = table.ravel()
-        order = np.argsort(flat, kind="stable")
-        # flat position m * nrows + row holds digit m of that row's code
-        self.csr_rows = order % self.nrows
-        self.csr_wts = cell_weights(self.k, l)[order // self.nrows]
-        self.indptr = np.searchsorted(flat[order], np.arange(self.offs[-2] + 1)).tolist()
+        # CSR of (row, digit weight) per global counter, one arity at a
+        # time: a subset of arity r < k is digit m-1 of a row for masks m
+        # of r bits, and a k-subset is the top digit of its own row alone
+        n, k = self.n, self.k
+        table = subset_counters(n, k)
+        self.nrows = nrows = table.shape[1]
+        weights = cell_weights(k, l)
+        self.csr_rows = np.empty(nrows * len(weights), dtype=np.intp)
+        self.csr_wts = np.empty(nrows * len(weights), dtype=weights.dtype)
+        at = 0
+        for r in range(1, k):
+            masks = np.array([m for m in range(1, len(weights)) if m.bit_count() == r])
+            # position i * nrows + row of the stacked masks holds mask i's digit
+            digit, rows = np.divmod(np.argsort(table[masks - 1].ravel(), kind="stable"), nrows)
+            self.csr_rows[at : at + rows.size] = rows
+            self.csr_wts[at : at + rows.size] = weights[masks - 1][digit]
+            at += rows.size
+        self.csr_rows[at:] = np.arange(nrows)
+        self.csr_wts[at:] = weights[-1]
+        # a subset of arity r lies in comb(n - r, k - r) rows
+        degree = np.repeat([comb(n - r, k - r) for r in range(1, k + 1)], np.diff(self.offs))
+        self.indptr = np.concatenate(([0], np.cumsum(degree)))
         self.labels = None
         self.codes = None
         self.member = None
@@ -112,10 +126,22 @@ class _SearchState:
         self.codes = cell_codes(self.labels - 1, self.n, self.k, self.l)
 
     def set_structure(self, structure):
-        self.member = structure.member_table().astype(np.int64)
+        self.member = structure.member_table()
 
     def eps_count(self) -> int:
         return int((self.edge != self.member[self.codes]).sum())
+
+    def _bad_block(self, g0, g1, d):
+        """(bad, a): for each counter g0..g1-1 of one arity, whose subsets
+        lie in d rows each, the mismatched rows under every label, and the
+        0-based current labels."""
+        lo, hi = self.indptr[g0], self.indptr[g1]
+        rows, wts = self.csr_rows[lo:hi], self.csr_wts[lo:hi]
+        a = self.labels[g0:g1] - 1
+        cand = np.multiply.outer(wts, np.arange(self.l))
+        cand += (self.codes[rows] - np.repeat(a, d) * wts)[:, None]
+        bad = (self.member[cand] != self.edge[rows, None]).reshape(g1 - g0, d, self.l).sum(axis=1)
+        return bad, a
 
     def sweep(self, p: int, q: int) -> int:
         """One colex-ordered pass of single-subset relabel moves. A move is
@@ -123,62 +149,119 @@ class _SearchState:
         and eps itself does not increase; ties go to the smallest label.
         Returns accepted-move count. With D the lcm of the C(n, r) and q > 0,
         objectives are compared as the integers eps*q*D + p*nrows*max_r
-        (max - min label count of arity r)*D/C(n, r)."""
+        (max - min label count of arity r)*D/C(n, r).
+
+        numpy counts the mismatched rows of every label for a block of
+        counters of one arity at once (at most SWEEP_BLOCK gathered rows),
+        and only the subsets that can move reach the exact integer scoring
+        of _best_label. eps cancels from every comparison, so a subset at
+        label a can move only if another label mismatches fewer rows, or as
+        many and the move lowers max(other arities' terms, this arity's
+        spread term); the l x l table of _drop_table decides the latter from
+        the label counts alone. Scoring any other subset would refuse every
+        label and leave the labels, codes and counts as they were. A move
+        below the top arity changes the codes of rows that later counters of
+        the block share, so counts are gathered again from the next counter,
+        in a block that starts at one counter and doubles up to the cap; a
+        k-subset is its own row, so a move there only rebuilds the table
+        and, if it changed, the filter."""
         n, k, l = self.n, self.k, self.l
         if l == 1:
             return 0
         sizes = [comb(n, r) for r in range(1, k + 1)]
         D = lcm(*sizes)
         eps_w, def_w = q * D, p * self.nrows
-        offs = self.offs
-        counts = [np.bincount(self.labels[lo:hi], minlength=l + 1)[1:].tolist() for lo, hi in zip(offs, offs[1:])]
+        offs, labels, codes = self.offs, self.labels, self.codes
+        counts = [np.bincount(labels[lo:hi], minlength=l + 1)[1:].tolist() for lo, hi in zip(offs, offs[1:])]
         scaled = [(max(c) - min(c)) * (D // s) for c, s in zip(counts, sizes)]
-        eps_cnt = self.eps_count()
-        labels = self.labels.tolist()
-        member, edge, codes = self.member, self.edge, self.codes
-        shifts = np.arange(1, l + 1)
-        top, w_top = offs[k - 1], int(cell_weights(k, l)[-1])
         accepted = 0
         for r in range(1, k + 1):
             c, unit = counts[r - 1], D // sizes[r - 1]
             other = max(scaled[: r - 1] + scaled[r:], default=0)
-            if r == k:
-                # a k-subset is the one row it labels, and lower labels no
-                # longer move: tabulate every label of every row
-                base = codes - (self.labels[top:] - 1) * w_top
-                table = (member[base[:, None] + (shifts - 1) * w_top] != edge[:, None]).tolist()
-            for g in range(offs[r - 1], offs[r]):
-                a = labels[g]
-                if r == k:
-                    rows, wts = g - top, w_top
-                    bad = table[rows]
-                else:
-                    lo, hi = self.indptr[g], self.indptr[g + 1]
-                    rows, wts = self.csr_rows[lo:hi], self.csr_wts[lo:hi]
-                    cand = codes[rows] + (shifts - a)[:, None] * wts
-                    bad = (member[cand] != edge[rows]).sum(axis=1).tolist()
-                cur_bad = bad[a - 1]
-                best_obj = eps_cnt * eps_w + def_w * max(other, scaled[r - 1])
-                best = 0
-                c[a - 1] -= 1
-                for b in range(1, l + 1):
-                    if b == a or bad[b - 1] > cur_bad:
+            drop = _drop_table(c, unit, other)
+            d = comb(n - r, k - r)  # rows that hold each subset of arity r
+            cap = max(1, SWEEP_BLOCK // d)
+            g, size = offs[r - 1], cap
+            while g < offs[r]:
+                m = min(size, offs[r] - g)
+                bad, a = self._bad_block(g, g + m, d)
+                cur = bad[np.arange(m), a][:, None]
+                fewer, tied = (bad < cur).any(axis=1), bad == cur
+                hits, h, moved = _movable(fewer, tied, a, drop, 0), 0, False
+                while h < len(hits):
+                    j, h = hits[h], h + 1
+                    ra = int(a[j]) + 1
+                    best, best_def = _best_label(bad[j].tolist(), ra, c, unit, other, scaled[r - 1], eps_w, def_w)
+                    if not best:
                         continue
-                    c[b - 1] += 1
-                    new_def = (max(c) - min(c)) * unit
-                    c[b - 1] -= 1
-                    obj = (eps_cnt - cur_bad + bad[b - 1]) * eps_w + def_w * max(other, new_def)
-                    if obj < best_obj:
-                        best_obj, best, best_def = obj, b, new_def
-                c[(best or a) - 1] += 1
-                if best:
-                    labels[g] = best
-                    codes[rows] += (best - a) * wts
+                    lo, hi = self.indptr[g + j], self.indptr[g + j + 1]
+                    labels[g + j] = best
+                    codes[self.csr_rows[lo:hi]] += (best - ra) * self.csr_wts[lo:hi]
+                    c[ra - 1] -= 1
+                    c[best - 1] += 1
                     scaled[r - 1] = best_def
-                    eps_cnt += bad[best - 1] - cur_bad
                     accepted += 1
-        self.labels[:] = labels
+                    moved, was = True, drop
+                    drop = _drop_table(c, unit, other)
+                    if r < k:
+                        m = j + 1  # the counters after it read stale codes
+                        break
+                    if drop != was:
+                        hits, h = _movable(fewer, tied, a, drop, j + 1), 0
+                g += m
+                size = 1 if moved and r < k else min(2 * size, cap)
         return accepted
+
+
+def _best_label(bad, a, c, unit, other, spread, eps_w, def_w):
+    """(b, new spread): the label that the exact objective moves a subset
+    at label a to, 0 for none, and the scaled spread term of its arity
+    after the move. bad lists each label's mismatched rows, c the arity's
+    label counts (left as they were), spread its current scaled term."""
+    cur_bad = bad[a - 1]
+    best_obj, best, best_def = def_w * max(other, spread), 0, spread
+    c[a - 1] -= 1
+    for b in range(1, len(c) + 1):
+        if b == a or bad[b - 1] > cur_bad:
+            continue
+        c[b - 1] += 1
+        new_def = (max(c) - min(c)) * unit
+        c[b - 1] -= 1
+        obj = (bad[b - 1] - cur_bad) * eps_w + def_w * max(other, new_def)
+        if obj < best_obj:
+            best_obj, best, best_def = obj, b, new_def
+    c[a - 1] += 1
+    return best, best_def
+
+
+def _movable(fewer, tied, a, drop, lo):
+    """Block positions from lo on whose subset can move: some label
+    mismatches fewer rows, or as many and drop allows the move."""
+    keep = fewer[lo:]
+    if any(map(any, drop)):
+        keep = keep | (tied[lo:] & np.array(drop)[a[lo:]]).any(axis=1)
+    return (lo + np.flatnonzero(keep)).tolist()
+
+
+def _drop_table(c, unit, other):
+    """drop[a][b]: moving one subset from label a+1 to b+1 strictly lowers
+    max(other, (max(c) - min(c)) * unit), c the label counts of its arity;
+    an l x l tuple of bools."""
+    l = len(c)
+    now = max(other, (max(c) - min(c)) * unit)
+    if now == other:
+        return ((False,) * l,) * l  # no move takes the term below the other arities'
+    drop = []
+    for a in range(l):
+        c[a] -= 1
+        row = []
+        for b in range(l):
+            c[b] += 1
+            row.append(b != a and max(other, (max(c) - min(c)) * unit) < now)
+            c[b] -= 1
+        c[a] += 1
+        drop.append(tuple(row))
+    return tuple(drop)
 
 
 def refine(
@@ -319,7 +402,8 @@ def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
     hp = Hyperpartition(n, 2, l, {1: vert, 2: pair_labels})
     eps = Fraction(miss, comb(n, 2))
     check = cells_union(hp, structure)
-    assert Fraction(len(check.edges ^ H.edges), comb(n, 2)) == eps
+    if Fraction(len(check.edges ^ H.edges), comb(n, 2)) != eps:
+        raise RuntimeError(f"exhaustive fit: eps {eps} is not the edit density of its cell union to H")
     delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     trace = [{"mode": "exhaustive", "labelings": l**n, "structures": 1 << n_orb}]
     return DecompositionReport(

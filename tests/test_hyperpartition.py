@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from orbit_oracle import cell_orbit
 from test_combinatorics import scalar_cell_code
 
-from hyperlim.combinatorics import colex_rank, mask_bits
+from hyperlim.combinatorics import arity_offsets, colex_rank, mask_bits, subset_counters
 from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
     LevelMapDistribution,
+    _cylinder_arrays,
     cell_coordinate,
     cells_union,
     empirical_level_maps,
@@ -313,6 +314,60 @@ def test_regularity_deficit_matches_brute_force():
             for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 2)):
                 want = brute_regularity_deficit(G, family, eps)
                 assert regularity_deficit(G, family, eps) == want, (r, n, trial, eps)
+
+
+# regularity_deficit as it gathered each face once per permutation, kept as
+# the oracle of the per-cylinder gathers that replaced it
+def permutation_regularity_deficit(G, cylinders, eps, seed=None):
+    r, n = G.k, G.n
+    eps = Fraction(eps)
+    total = comb(n, r)
+    if r == 1 or total == 0:
+        return Fraction(0)
+    fams = _cylinder_arrays(n, r, cylinders, seed)
+    full = (1 << r) - 1
+    low = arity_offsets(n, r)[r - 2]
+    faces = [subset_counters(n, r)[(full ^ (1 << j)) - 1] - low for j in range(r)]
+    g_mask = G.member_array() != 0
+    g_dens = Fraction(G.edge_count, total)
+    worst = Fraction(0)
+    for parts in fams:
+        in_l = np.zeros(total, dtype=bool)
+        for tau in itertools.permutations(range(r)):
+            conj = np.ones(total, dtype=bool)
+            for i in range(r):
+                conj &= parts[tau[i]][faces[i]]
+                if not conj.any():
+                    break
+            in_l |= conj
+            if in_l.all():
+                break
+        size = int(in_l.sum())
+        if Fraction(size, total) < eps or size == 0:
+            continue
+        inter = int((g_mask & in_l).sum())
+        worst = max(worst, abs(g_dens - Fraction(inter, size)))
+    return worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_regularity_deficit_matches_permutation_oracle(data):
+    r = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(0, {2: 14, 3: 10, 4: 8}[r]))
+    G = Hypergraph.random(r, n, Fraction(data.draw(st.integers(0, 4)), 4), seed=data.draw(st.integers(0, 99)))
+    eps = Fraction(data.draw(st.integers(0, 10)), 10)
+    if data.draw(st.booleans()):
+        family, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**32))
+    else:
+        faces = list(itertools.combinations(range(n), r - 1))
+        part = st.lists(st.sampled_from(faces), max_size=len(faces)) if faces else st.just([])
+        family = data.draw(st.lists(st.tuples(*[part] * r), min_size=1, max_size=4))
+        if data.draw(st.booleans()):  # parts as hypergraphs
+            family = [tuple(Hypergraph(r - 1, n, {tuple(sorted(f)) for f in p}) for p in c) for c in family]
+        seed = None
+    want = permutation_regularity_deficit(G, family, eps, seed)
+    assert regularity_deficit(G, family, eps, seed) == want
 
 
 def test_explicit_cylinder_parts_are_checked():

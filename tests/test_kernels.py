@@ -375,6 +375,19 @@ def test_densities_build_each_host_tensor_once():
     assert sorted(G.edge_count for G in built) == sorted((H.edge_count, comb(9, 2) - H.edge_count))
 
 
+def test_refused_contraction_builds_no_host_tensor(monkeypatch):
+    triangle = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+    H = Hypergraph.random(2, 10, 0.5, seed=5)
+    want = hom(triangle, H), _induced_kernel(triangle, H, False, {})
+    # 10**2 host entries fit a cap of 100, the first step's 10**3 do not
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
+    built = []
+    make = hypergraph._host_tensor
+    monkeypatch.setattr(hypergraph, "_host_tensor", lambda G: built.append(G) or make(G))
+    assert (hom(triangle, H), _induced_kernel(triangle, H, False, {})) == want
+    assert built == []
+
+
 def test_induced_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
     P4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
     H = Hypergraph.random(2, 9, 0.5, seed=5)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from orbit_oracle import cell_orbit
 
 from hyperlim import regularity
+from hyperlim.combinatorics import cell_grid
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hypergraphon import step_from_structure, structure_of
 from hyperlim.hyperpartition import (
@@ -82,6 +83,14 @@ def test_exhaustive_reaches_zero_on_planted():
     assert cells_union(rep.hp, rep.structure).edges == Hs.edges
     rep2 = refine(Hypergraph.complete(2, 6), 2, seed=0, exhaustive=True)
     assert rep2.eps == 0
+
+
+def test_exhaustive_self_check_raises_under_optimize(monkeypatch):
+    # an explicit check, not an assert, so python -O keeps it
+    Hs, _, _ = planted_instance(8)
+    monkeypatch.setattr(regularity, "cells_union", lambda hp, C: Hypergraph(2, hp.n))
+    with pytest.raises(RuntimeError, match="exhaustive fit: eps 0 is not the edit density"):
+        refine(Hs, 2, seed=0, exhaustive=True)
 
 
 def test_exhaustive_k3_unsupported():
@@ -302,11 +311,64 @@ def test_integer_sweep_matches_fraction_oracle(k, l, extra, lam, seed, majority)
     assert fast.eps_count() == slow.eps_count()
 
 
+def top_blind_structure(k, l, seed):
+    """A random structure whose membership ignores the level of the k-set
+    itself: at the top arity every label mismatches equally often, so only
+    moves that narrow the label spread can fire there."""
+    grid = cell_grid(random_structure(k, l, seed).member_table(), k, l)
+    blind = np.broadcast_to(grid[..., :1], grid.shape)
+    return CombinatorialStructure.from_member(k, l, blind.reshape(-1, order="F"))
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 64, regularity.SWEEP_BLOCK])
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(2, 4),
+    st.data(),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(5, 2)]),
+    st.integers(0, 2**32),
+    st.sampled_from(["majority", "random", "top-blind"]),
+)
+def test_blocked_sweep_matches_fraction_oracle(block, k, l, data, lam, seed, kind):
+    # budgets of 1 to 64 rows cut every arity into many blocks; under the
+    # default, blocks end early where a move below the top arity restarts
+    # them one counter long
+    n = data.draw(st.integers(k + 1, 30 if k == 2 else 12))
+    H = Hypergraph.random(k, n, Fraction(1, 2), seed)
+    start = Hyperpartition.uniform_random(n, k, l, seed).flat_labels()
+    if data.draw(st.booleans()):
+        # balanced vertices leave the spread of the k-sets' labels the
+        # largest term, so moves that narrow it fire at the top arity
+        start[:n] = np.arange(n) % l + 1
+    fast, slow = _SearchState(H, l), _SearchState(H, l)
+    for state in (fast, slow):
+        state.set_labels(start.copy())
+    if kind == "majority":
+        C = _majority_structure(fast.codes, fast.edge, k, l)
+    else:
+        C = (random_structure if kind == "random" else top_blind_structure)(k, l, seed)
+    for state in (fast, slow):
+        state.set_structure(C)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "SWEEP_BLOCK", block)
+        for _ in range(2):
+            assert fast.sweep(lam.numerator, lam.denominator) == fraction_sweep(slow, lam)
+            assert np.array_equal(fast.labels, slow.labels)
+            assert np.array_equal(fast.codes, slow.codes)
+
+
 def test_sweep_never_names_fraction():
-    # the sweep compares scaled integers; a Fraction there is the slow path back
+    # the sweep and its helpers compare scaled integers; a Fraction there is
+    # the slow path back
     tree = ast.parse(Path(regularity.__file__).read_text())
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SearchState")
     sweep = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "sweep")
-    named = {n.id for n in ast.walk(sweep) if isinstance(n, ast.Name)}
-    named |= {n.attr for n in ast.walk(sweep) if isinstance(n, ast.Attribute)}
+    helpers = [n for n in tree.body + cls.body if isinstance(n, ast.FunctionDef)]
+    helpers = [n for n in helpers if n.name in ("_bad_block", "_best_label", "_movable", "_drop_table")]
+    assert len(helpers) == 4
+    named = set()
+    for fn in [sweep] + helpers:
+        named |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
     assert "comb" in named and "Fraction" not in named
