@@ -1,12 +1,14 @@
 """Subset indexing, position masks, and small-group combinatorics.
 
-Vertex subsets are identified with their colex rank so per-arity label data
-can live in flat numpy arrays; colex_rank_rows ranks subset rows and
-colex_unrank turns ranks back into rows. Offset by the number of subsets of
-smaller arity (arity_offsets), a rank becomes a global counter over every
-subset of arity <= k. subset_counters lists those counters for the proper
-sub-subsets of every k-subset, and cell_codes reads per-subset levels
-through them and the k-subsets' own counters;
+Vertex subsets are identified with their colex rank so label data can live
+in flat numpy arrays; colex_rank_rows(rows, n) ranks rows of subsets of
+range(n) and colex_unrank turns ranks back into rows. Both read the cached
+binomial table comb_table, which no other module builds. Offset by the
+number of subsets of smaller arity (arity_offsets), a rank becomes a global
+counter over every subset of arity <= k, the one index of a
+hyperpartition's labels. subset_counters lists those counters for the
+proper sub-subsets of every k-subset, and cell_codes reads per-subset
+levels through them and the k-subsets' own counters;
 _cell_member_count does the same in cache-sized blocks of k-subsets, reads
 only the masks its member table depends on, and looks each block's codes
 up in that table. Subsets of the position set {1..k} are bitmasks: bit i-1
@@ -95,8 +97,10 @@ def colex_matrix(n: int, r: int) -> np.ndarray:
     return m
 
 
-def colex_rank_rows(rows: np.ndarray, ct: np.ndarray) -> np.ndarray:
-    """Vectorized colex_rank over the rows of a sorted-subset matrix."""
+def colex_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Vectorized colex_rank over the rows of a sorted-subset matrix whose
+    entries lie in range(n), through the cached comb_table(n, width)."""
+    ct = comb_table(n, rows.shape[1])
     out = np.zeros(rows.shape[0], dtype=np.int64)
     for i in range(rows.shape[1]):
         out += ct[rows[:, i], i + 1]
@@ -159,10 +163,9 @@ def _subset_counters(n: int, k: int) -> np.ndarray:
     offs = arity_offsets(n, k)
     table = np.empty(((1 << k) - 2, rows), dtype=np.int32 if offs[k] < 1 << 31 else np.int64)
     km = colex_matrix(n, k)
-    ct = comb_table(max(n, 1), k)
     for m in range(1, (1 << k) - 1):
         bits = list(mask_bits(m))
-        table[m - 1] = offs[len(bits) - 1] + colex_rank_rows(km[:, bits], ct)
+        table[m - 1] = offs[len(bits) - 1] + colex_rank_rows(km[:, bits], n)
     table.setflags(write=False)
     return table
 

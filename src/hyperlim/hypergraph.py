@@ -24,7 +24,6 @@ from .combinatorics import (
     colex_matrix,
     colex_rank_rows,
     colex_unrank,
-    comb_table,
     falling,
     set_partitions,
 )
@@ -135,7 +134,7 @@ class Hypergraph:
             m = np.zeros(_check_rows(self.n, self.k), dtype=np.uint8)
             if self._edges:
                 rows = np.array(list(self._edges), dtype=np.int64)
-                m[colex_rank_rows(rows, comb_table(self.n, self.k))] = 1
+                m[colex_rank_rows(rows, self.n)] = 1
             m.setflags(write=False)
             object.__setattr__(self, "_member", m)
         return self._member
@@ -252,7 +251,7 @@ def _member_of_edges(k, n, edges):
     if (rows[:, 1:] == rows[:, :-1]).any() or rows[:, 0].min() < 0 or rows[:, -1].max() >= n:
         return None
     member = np.zeros(comb(n, k), dtype=np.uint8)
-    member[colex_rank_rows(rows, comb_table(n, k))] = 1
+    member[colex_rank_rows(rows, n)] = 1
     return member
 
 
@@ -373,15 +372,19 @@ def _search_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) ->
     member = H.member_array()  # refuses an oversized host before allocating
     rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
     fl = np.array([flags[int(i)] for i in src], dtype=np.uint8)
-    ct = comb_table(max(H.n, 1), F.k)
-    return kernels.induced_count(F.n, F.k, H.n, rows, fl, ptr, member, ct, injective)
+    return kernels.induced_count(F.n, H.n, rows, fl, ptr, member, injective)
 
 
 def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool, tensors: dict) -> int:
     subs = list(combinations(range(F.n), F.k))
-    # for k >= 2 every map meeting all k-subset constraints is injective
-    injective = injective and (F.k == 1 or not subs)
-    return _map_count(F, H, subs, [int(F.is_edge(s)) for s in subs], tensors, injective)
+    flags = [int(F.is_edge(s)) for s in subs]
+    # for k >= 2 every map meeting all k-subset constraints is injective;
+    # otherwise marked pattern vertices go one-to-one onto marked host
+    # vertices (the edges at k = 1), the others onto the others
+    if injective and (F.k == 1 or not subs):
+        a, e = sum(flags), H.edge_count if subs else 0
+        return falling(e, a) * falling(H.n - e, F.n - a)
+    return _map_count(F, H, subs, flags, tensors)
 
 
 def _host_tensor(H: Hypergraph) -> np.ndarray:
@@ -395,24 +398,22 @@ def _host_tensor(H: Hypergraph) -> np.ndarray:
     return T
 
 
-def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict, injective=False) -> int:
-    """_search_count's count as one kernels.contract factor per subset: the
-    host tensor of H (flag 1) or of its complement (flag 0), kept in
-    tensors under the flag and built only once kernels.contraction_plan
-    accepts. An injective count, and one the contraction refuses, runs the
-    frontier search instead, logged at debug."""
+def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict) -> int:
+    """_search_count's count of all maps as one kernels.contract factor per
+    subset: the host tensor of H (flag 1) or of its complement (flag 0),
+    kept in tensors under the flag and built only once
+    kernels.contraction_plan accepts. A count the contraction refuses runs
+    the frontier search instead, logged at debug."""
     if not subs:  # no constraints at all
-        return falling(H.n, F.n) if injective else H.n**F.n
-    got, why = None, "injective maps"
-    if not injective:
-        why = "no host tensor, n**k is over the cap"
-        if H.n**H.k <= kernels.CONTRACT_CAP:
-            why = "the contraction refused a step over the cap"
-            steps = kernels.contraction_plan(subs, H.n)
-            if steps is not None:  # build the tensors only for a plan that runs
-                for flag in set(flags) - tensors.keys():
-                    tensors[flag] = _host_tensor(H if flag else H.complement())
-                got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
+        return H.n**F.n
+    got, why = None, "no host tensor, n**k is over the cap"
+    if H.n**H.k <= kernels.CONTRACT_CAP:
+        why = "the contraction refused a step over the cap"
+        steps = kernels.contraction_plan(subs, H.n)
+        if steps is not None:  # build the tensors only for a plan that runs
+            for flag in set(flags) - tensors.keys():
+                tensors[flag] = _host_tensor(H if flag else H.complement())
+            got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
     if got is None:
         import logging  # here, not at the top: a CLI call that never falls back skips its import
 
@@ -420,7 +421,7 @@ def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict, injecti
             "%s by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
             "hom" if all(flags) else "induced count", why, H.n, F.n, kernels.CONTRACT_CAP,
         )
-        got = _search_count(F, H, subs, flags, injective)
+        got = _search_count(F, H, subs, flags)
     return got
 
 

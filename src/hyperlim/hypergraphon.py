@@ -188,9 +188,7 @@ def density(
     if len(cidx) == 0:
         return 1.0, 0.0
     if isinstance(W, StepHypergraphon):
-        hits = kernels.mc_step_count(
-            samples, nsim, W.k, W.l, key, cidx, flags, W.member_table()
-        )
+        hits = kernels.mc_step_count(samples, nsim, key, cidx, flags, W)
     else:
         hits = 0
         for s in range(samples):

@@ -1,8 +1,8 @@
 """Layered partitions of bounded-arity subsets and cell structures.
 
 A hyperpartition assigns one of l labels to every nonempty subset of
-range(n) of size at most k, stored per arity as a flat array in colex
-order. Ordered k-tuples with distinct entries then acquire a cell
+range(n) of size at most k, stored as one array indexed by global subset
+counter (arity offset plus colex rank). Ordered k-tuples with distinct entries then acquire a cell
 coordinate: the tuple of labels of their position subsets. A combinatorial
 structure is a permutation-closed set of cells; its union pulled back
 through a hyperpartition is an ordinary hypergraph. _constraint_cells lists
@@ -34,7 +34,6 @@ from .combinatorics import (
     colex_matrix,
     colex_rank,
     colex_rank_rows,
-    comb_table,
     falling,
     mask_bits,
     mask_perms,
@@ -45,36 +44,50 @@ from .hypergraph import Hypergraph
 _MEMBER_CAP = 1 << 24
 
 
-class Hyperpartition:
-    """Labels in 1..l for every subset of range(n) of arity 1..k."""
+def _check_nkl(n, k, l):
+    if k < 1 or l < 1 or n < 0:
+        raise ValueError("need n >= 0, k >= 1, l >= 1")
 
-    __slots__ = ("n", "k", "l", "labels")
+
+class Hyperpartition:
+    """Labels in 1..l for every subset of range(n) of arity 1..k, kept in one
+    read-only array by global counter; labels[r] is its r-subsets' slice."""
+
+    __slots__ = ("n", "k", "l", "labels", "_flat")
 
     def __init__(self, n: int, k: int, l: int, labels):
-        if k < 1 or l < 1 or n < 0:
-            raise ValueError("need n >= 0, k >= 1, l >= 1")
-        store = {}
+        _check_nkl(n, k, l)
+        parts = [np.zeros(0, dtype=np.int64)]  # arities with no subset may be left out
         for r in range(1, k + 1):
             want = comb(n, r)
             if r not in labels and str(r) not in labels:
                 if want == 0:
-                    store[r] = np.zeros(0, dtype=np.int64)
                     continue
                 raise ValueError(f"labels missing arity {r}")
             arr = np.asarray(labels[r] if r in labels else labels[str(r)], dtype=np.int64)
             if arr.shape != (want,):
-                raise ValueError(
-                    f"labels[{r}] must have length {want}, got {arr.shape}"
-                )
+                raise ValueError(f"labels[{r}] must have length {want}, got {arr.shape}")
             if want and (arr.min() < 1 or arr.max() > l):
                 raise ValueError(f"labels[{r}] must take values in 1..{l}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            store[r] = arr
+            parts.append(arr)
+        self._adopt(n, k, l, np.concatenate(parts))
+
+    @classmethod
+    def _from_flat(cls, n, k, l, flat) -> "Hyperpartition":
+        """Labels already in 1..l, by global counter; int64 ones are kept."""
+        _check_nkl(n, k, l)
+        self = object.__new__(cls)
+        self._adopt(n, k, l, np.asarray(flat, dtype=np.int64))
+        return self
+
+    def _adopt(self, n, k, l, flat):
+        flat.setflags(write=False)
+        offs = arity_offsets(n, k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "labels", store)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "labels", {r: flat[offs[r - 1] : offs[r]] for r in range(1, k + 1)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Hyperpartition is immutable")
@@ -82,10 +95,7 @@ class Hyperpartition:
     def __eq__(self, other):
         if not isinstance(other, Hyperpartition):
             return NotImplemented
-        return (
-            (self.n, self.k, self.l) == (other.n, other.k, other.l)
-            and all(np.array_equal(self.labels[r], other.labels[r]) for r in self.labels)
-        )
+        return (self.n, self.k, self.l) == (other.n, other.k, other.l) and np.array_equal(self._flat, other._flat)
 
     def __repr__(self):
         return f"Hyperpartition(n={self.n}, k={self.k}, l={self.l})"
@@ -95,8 +105,8 @@ class Hyperpartition:
         return int(self.labels[len(t)][colex_rank(t)])
 
     def flat_labels(self) -> np.ndarray:
-        """All labels concatenated by arity; index = global subset counter."""
-        return np.concatenate([self.labels[r] for r in range(1, self.k + 1)])
+        """A writable copy of all labels; index = global subset counter."""
+        return self._flat.copy()
 
     def class_sizes(self, r: int) -> np.ndarray:
         return np.bincount(self.labels[r], minlength=self.l + 1)[1:]
@@ -122,13 +132,8 @@ class Hyperpartition:
         """Independent uniform labels, one hash counter per subset."""
         for r in range(1, k + 1):
             _check_rows(n, r)  # before any label array is allocated
-        key = rng.derive(seed, rng.TAG_PARTITION)
-        offs = arity_offsets(n, k)
-        labels = {}
-        for r in range(1, k + 1):
-            h = rng.np_mix64_range(key, offs[r - 1], offs[r])
-            labels[r] = rng.np_level_of(h, l, out=h) + 1
-        return cls(n, k, l, labels)
+        h = rng.np_mix64_range(rng.derive(seed, rng.TAG_PARTITION), 0, arity_offsets(n, k)[k])
+        return cls._from_flat(n, k, l, rng.np_level_of(h, l, out=h) + 1)
 
     @classmethod
     def round_robin(cls, n, k, l):
@@ -365,9 +370,8 @@ def cells_union(hp: Hyperpartition, structure: CombinatorialStructure) -> Hyperg
     structure (well defined because the structure is permutation-closed)."""
     if hp.k != structure.k or hp.l != structure.l:
         raise ValueError("hyperpartition and structure disagree on (k, l)")
-    flat = hp.flat_labels() - 1
     mask = np.empty(_check_rows(hp.n, hp.k), dtype=np.uint8)
-    _cell_member_count(structure, lambda lo, hi: flat[lo:hi], hp.n, mask)
+    _cell_member_count(structure, lambda lo, hi: hp._flat[lo:hi] - 1, hp.n, mask)
     return Hypergraph.from_member(hp.k, hp.n, mask)
 
 
@@ -433,11 +437,10 @@ def empirical_level_maps(
         key = rng.derive(seed, rng.TAG_MAPS)
         picks = kernels.injective_maps(samples, v, n, key)
     simplices = _level_simplices(v, k)
-    ct = comb_table(max(n, 1), k)
     cols = []
     for s in simplices:
         sub = np.sort(picks[:, list(s)], axis=1)
-        cols.append(hp.labels[len(s)][colex_rank_rows(sub, ct)])
+        cols.append(hp.labels[len(s)][colex_rank_rows(sub, n)])
     maps = np.stack(cols, axis=1) if cols else np.zeros((picks.shape[0], 0), np.int64)
     rows, counts = np.unique(maps, axis=0, return_counts=True)
     return LevelMapDistribution(
@@ -526,11 +529,10 @@ def structure_density(
 def _distribution_density(F, structure, dist, induced):
     if dist.v != F.n or dist.k != structure.k or dist.l != structure.l:
         raise ValueError("distribution does not match the pattern and structure")
-    k, l = structure.k, structure.l
-    _, cidx, flags = _constraint_cells(F, k, induced, dist.simplices)
+    _, cidx, flags = _constraint_cells(F, structure.k, induced, dist.simplices)
     if not len(cidx):
         return Fraction(1)
-    good = kernels.cells_keep(dist.maps - 1, cidx, flags, structure.member_table(), k, l)
+    good = kernels.cells_keep(dist.maps - 1, cidx, flags, structure)
     return Fraction(int(dist.counts[good].sum()), dist.total)
 
 
@@ -556,7 +558,6 @@ def _cylinder_arrays(n: int, r: int, family, seed):
             fams.append(tuple(parts))
         return fams
     fams = []
-    ct = comb_table(max(n, 1), r - 1)
     for c, tup in enumerate(family):
         tup = tuple(tup)
         if len(tup) != r:
@@ -578,7 +579,7 @@ def _cylinder_arrays(n: int, r: int, family, seed):
                         )
                     rows.append(t)
                 arr = np.zeros(base, dtype=bool)
-                arr[colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), ct)] = True
+                arr[colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), n)] = True
             parts.append(arr)
         fams.append(tuple(parts))
     if not fams:

@@ -1,13 +1,14 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
 exact counts (hom and induced counts, structure densities), one frontier
-search for the counts it refuses, for injective k = 1 induced counts and
-for the injective-hom oracle, two constraint filters (_keep for vertex maps
-against a hypergraph, shared by the search and eval_maps_count; cells_keep
-for rows of simplex levels against a structure, shared by mc_step_count,
-the Monte Carlo d1 and the densities under a level-map distribution), and
-the random injective-map generator. Randomness enters only through
-splitmix64 counter ranges (see rng), which keeps results independent of
-evaluation order.
+search for the counts it refuses and for the injective-hom oracle, two
+constraint filters (_keep for vertex maps against an n-vertex host's member
+table, ranked by combinatorics.colex_rank_rows and shared by the search and
+eval_maps_count; cells_keep for rows of simplex levels against a structure,
+read over its used_axes() as combinatorics._cell_member_count reads them,
+and shared by mc_step_count, the Monte Carlo d1 and the densities under a
+level-map distribution), and the random injective-map generator.
+Randomness enters only through splitmix64 counter ranges (see rng), which
+keeps results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import prod
 import numpy as np
 
 from . import rng
-from .combinatorics import cell_weights
+from .combinatorics import colex_rank_rows
 
 # most entries any one elimination step of contract may span
 CONTRACT_CAP = 1 << 24
@@ -106,10 +107,10 @@ def _einsum(out, *operands):
     return np.einsum(*args, [ren[v] for v in out])
 
 
-def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=False) -> int:
+def induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=False) -> int:
     """Count maps [n_f] -> [n_h], injective ones if asked, under which every
     listed k-subset lands distinctly on an edge (flag 1) or a non-edge
-    (flag 0) of member.
+    (flag 0) of member, the colex indicator of an n_h-vertex host.
 
     subs rows are index tuples into the F vertex order; they are grouped so
     that rows [depth_ptr[d], depth_ptr[d+1]) touch only vertices <= d and
@@ -128,7 +129,7 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
             rows = np.column_stack((maps[idx // n_h], idx % n_h))
             if injective:
                 rows = rows[(rows[:, :d] != rows[:, d:]).all(axis=1)]
-            rows = rows[_keep(rows, subs[block], flags[block], member, ct, k)]
+            rows = rows[_keep(rows, subs[block], flags[block], member, n_h)]
             total += rows.shape[0] if d == n_f - 1 else grow(rows, d + 1)
         return total
 
@@ -139,54 +140,57 @@ def induced_count(n_f, k, n_h, subs, flags, depth_ptr, member, ct, injective=Fal
 # vectorized kernels, and the injective-map generator
 
 
-def mc_step_count(samples, nsim, k, l, key, cidx, flags, member) -> int:
+def mc_step_count(samples, nsim, key, cidx, flags, cells) -> int:
     """Count samples whose hashed level assignment satisfies every
-    constraint; one counter per (sample, simplex)."""
+    constraint of cells_keep; one counter per (sample, simplex)."""
     cnt = 0
     chunk = max(1, (1 << 22) // max(nsim, 1))
     for s0 in range(0, samples, chunk):
         s1 = min(samples, s0 + chunk)
         h = rng.np_mix64_range(int(key), s0 * nsim, s1 * nsim)
-        lev = rng.np_level_of(h, l, out=h).reshape(s1 - s0, nsim)
-        cnt += int(cells_keep(lev, cidx, flags, member, k, l).sum())
+        lev = rng.np_level_of(h, cells.l, out=h).reshape(s1 - s0, nsim)
+        cnt += int(cells_keep(lev, cidx, flags, cells).sum())
     return cnt
 
 
-def cells_keep(levels, cidx, flags, member, k, l) -> np.ndarray:
+def cells_keep(levels, cidx, flags, cells) -> np.ndarray:
     """Mask of the level rows that pass every (cell, flag) constraint.
 
     levels holds 0-based levels, one column per simplex. Row c of cidx
-    names the simplex at each mask of constraint c; the cell code those
-    levels spell must land in member (flag 1) or outside it (flag 0).
+    names the simplex at each mask of constraint c; the cell those levels
+    spell must lie in cells, a structure (flag 1), or outside it (flag 0).
+    As in combinatorics._cell_member_count, a code reads only the masks of
+    cells.used_axes() and indexes the member table reduced to them.
     """
-    w = cell_weights(k, l)
+    used, member = cells.used_axes()
+    cols = np.asarray(cidx, dtype=np.int64)[:, list(used)]
+    w = cells.l ** np.arange(len(used), dtype=np.int64)
     good = np.ones(levels.shape[0], dtype=bool)
-    for row, flag in zip(cidx, flags):
+    for row, flag in zip(cols, flags):
         good &= (member[(levels[:, row] * w).sum(axis=1)] != 0) == (flag != 0)
     return good
 
 
-def eval_maps_count(maps, edges, flags, member, ct, k) -> int:
+def eval_maps_count(maps, edges, flags, member, n) -> int:
     """Count map rows for which every listed k-subset lands distinctly on an
-    edge (flag 1) or non-edge (flag 0) of the member table."""
-    return int(_keep(maps, edges, flags, member, ct, k).sum())
+    edge (flag 1) or non-edge (flag 0) of an n-vertex host's member table."""
+    return int(_keep(maps, edges, flags, member, n).sum())
 
 
-def _keep(maps, subs, flags, member, ct, k) -> np.ndarray:
+def _keep(maps, subs, flags, member, n) -> np.ndarray:
     """Mask of the map rows that pass every (subset, flag) constraint.
 
-    Per constraint: sort the images, test that they are distinct, rank them
-    through ct and compare member there with the flag. Only rows still alive
-    are gathered, so a host with fewer than k vertices, whose member table
-    is empty, is never read.
+    Per constraint: sort the images, test that they are distinct, colex
+    rank them among the subsets of range(n) and compare member there with
+    the flag. Only rows still alive are gathered, so a host with fewer than
+    k vertices, whose member table is empty, is never read.
     """
     good = np.ones(maps.shape[0], dtype=bool)
-    cols = np.arange(1, k + 1)
     for sub, flag in zip(subs, flags):
         alive = np.flatnonzero(good)
         img = np.sort(maps[alive[:, None], sub], axis=1)
         ok = (img[:, 1:] != img[:, :-1]).all(axis=1)
-        ok[ok] = (member[ct[img[ok], cols].sum(axis=1)] != 0) == (flag != 0)
+        ok[ok] = (member[colex_rank_rows(img[ok], n)] != 0) == (flag != 0)
         good[alive] = ok
     return good
 

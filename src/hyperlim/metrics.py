@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import cell_digits, cell_grid, mask_bits
+from .combinatorics import ROW_CAP, cell_digits, cell_grid, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
 from .hypergraphon import StepHypergraphon, density
@@ -57,7 +57,7 @@ def hamming_density(H: Hypergraph, T: Hypergraph) -> Fraction:
     denom = comb(H.n, H.k)
     if denom == 0:
         return Fraction(0)
-    if H._member is not None and T._member is not None:  # both mask-first
+    if denom <= ROW_CAP:
         return Fraction(int(np.count_nonzero(H.member_array() != T.member_array())), denom)
     return Fraction(len(H.edges ^ T.edges), denom)
 
@@ -118,8 +118,7 @@ def d1(
     h = rng.np_mix64_range(key, 0, n * width).reshape(n, width)
 
     def inside(V):
-        levels = rng.np_level_of(h, V.l)
-        return kernels.cells_keep(levels, [range(width)], [1], V.member_table(), V.k, V.l)
+        return kernels.cells_keep(rng.np_level_of(h, V.l), [range(width)], [1], V)
 
     est = float(np.mean(inside(U) != inside(W)))
     stderr = (est * (1 - est) / n) ** 0.5

@@ -79,14 +79,6 @@ def _majority_structure(codes, edge, k, l):
     return CombinatorialStructure.from_member(k, l, member)
 
 
-def _labels_to_hp(n, k, l, labels_flat):
-    offs = arity_offsets(n, k)
-    labels = {}
-    for r in range(1, k + 1):
-        labels[r] = labels_flat[offs[r - 1] : offs[r]]
-    return Hyperpartition(n, k, l, labels)
-
-
 class _SearchState:
     """Mutable labels + derived row codes with incremental move evaluation."""
 
@@ -332,7 +324,7 @@ def refine(
         if best[0] == 0:
             break
     eps_cnt, labels, structure = best
-    hp = _labels_to_hp(n, k, l, labels)
+    hp = Hyperpartition._from_flat(n, k, l, labels)
     eps = Fraction(eps_cnt, comb(n, k))
     delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     return DecompositionReport(

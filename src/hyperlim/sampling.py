@@ -24,7 +24,6 @@ from .combinatorics import (
     ascii_digits,
     colex_matrix,
     colex_rank_rows,
-    comb_table,
     subset_counters,
 )
 from .hypergraph import Hypergraph
@@ -73,7 +72,8 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     """Random vertex sample: n iid uniform picks from V(H), with replacement.
 
     The k-set {i_1..i_k} is an edge iff the picked vertices are distinct and
-    form an edge of H; k-sets hitting a repeated pick are non-edges.
+    form an edge of H; k-sets hitting a repeated pick are non-edges, so a
+    host with fewer than k vertices gives the edgeless sample.
     """
     if H.n == 0:
         raise ValueError("host must have at least one vertex")
@@ -81,19 +81,18 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
         raise ValueError("n must be nonnegative")
     k = H.k
     member = H.member_array()  # refuses an oversized host before allocating
+    if comb(n, k) == 0 or H.n < k:
+        return Hypergraph(k, n)
     key = rng.derive(seed, rng.TAG_VERTEX)
     h = rng.np_mix64_range(key, 0, n)
     picks = (h % np.uint64(H.n)).astype(np.int64)
-    if comb(n, k) == 0:
-        return Hypergraph(k, n)
     ksets = colex_matrix(n, k)
-    ct = comb_table(max(H.n, 1), k)
     out = np.empty(len(ksets), dtype=bool)
     block = combinatorics.CELL_BLOCK
     for a in range(0, len(ksets), block):  # the picks of CELL_BLOCK k-sets at a time
         rows = np.sort(picks[ksets[a : a + block]], axis=1)
         distinct = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
-        ranks = colex_rank_rows(rows, ct)
+        ranks = colex_rank_rows(rows, H.n)
         ranks[~distinct] = 0
         np.logical_and(distinct, member[ranks] != 0, out=out[a : a + block])
     return Hypergraph.from_member(k, n, out)

@@ -18,7 +18,7 @@ import numpy as np
 from test_kernels import uniform_maps
 
 from hyperlim import rng, kernels
-from hyperlim.combinatorics import comb_table, mask_bits
+from hyperlim.combinatorics import mask_bits
 from hyperlim.hypergraph import (
     Hypergraph,
     blowup,
@@ -229,13 +229,12 @@ def test_criterion_08_desk_scale_counting():
         n, samples = 200, 20000
         edges = np.array(TRIANGLE.sorted_edges(), dtype=np.int64)
         flags = np.ones(edges.shape[0], dtype=np.int64)
-        ct = comb_table(n, 2)
         devs = []
         for s in range(10):
             hp = Hyperpartition.uniform_random(n, 2, 2, seed=s)
             T = cells_union(hp, C)
             maps = uniform_maps(samples, 3, n, rng.derive(s, rng.TAG_INJECTIVE))
-            est = kernels.eval_maps_count(maps, edges, flags, T.member_array(), ct, 2) / samples
+            est = kernels.eval_maps_count(maps, edges, flags, T.member_array(), n) / samples
             stderr = sqrt(est * (1 - est) / samples)
             assert stderr <= 0.01
             devs.append(abs(est - float(t_exact)))

@@ -248,6 +248,15 @@ def test_sample_artifact_golden_bytes(files, capsys):
     assert _sha(out) == "3b72014e423a81ad19256e50844e5a5018d89e4ef13a269525a63f4414e041c7"
 
 
+def test_sample_from_host_below_arity_is_edgeless(files):
+    host, out = files["dir"] + "/one.json", files["dir"] + "/v1.json"
+    with open(host, "w") as fh:
+        json.dump({"k": 2, "n": 1, "edges": []}, fh)
+    assert main(["sample", "--H", host, "--n", "3", "--seed", "0", "--out", out]) == 0
+    with open(out) as fh:
+        assert json.load(fh) == {"edges": [], "k": 2, "n": 3}
+
+
 def test_sample_writes_artifact_and_sidecar(files, capsys):
     out = files["dir"] + "/s.json"
     rc = main(["sample", "--W", files_w(files), "--n", "10", "--seed", "7", "--out", out])

@@ -121,7 +121,7 @@ def test_ascii_digits_are_decimal_text():
 
 def test_colex_rank_rows_matches_scalar():
     rows = np.array(list(itertools.combinations(range(9), 3)), dtype=np.int64)
-    ranks = colex_rank_rows(rows, comb_table(9, 3))
+    ranks = colex_rank_rows(rows, 9)
     for row, rank in zip(rows, ranks):
         assert colex_rank(tuple(row)) == rank
 
@@ -380,6 +380,37 @@ def test_package_has_no_tuple_orbit_path():
     assert found == {}
     oracle = ast.parse((Path(__file__).parent / "orbit_oracle.py").read_text())
     assert tuple_orbit_names(oracle)
+
+
+def comb_table_leaks(tree, module):
+    """Lines of a module outside combinatorics that call comb_table, by name
+    or as an attribute, and kernels functions with a parameter named ct."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and module != "combinatorics":
+            if "comb_table" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                hits.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and module == "kernels":
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "ct" in (a.arg for a in args):
+                hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_package_ranks_subsets_through_combinatorics_only():
+    # colex_rank_rows(rows, n) reads the binomial table itself, so no other
+    # module builds one and no kernel passes one along
+    files = sorted(Path(hyperlim.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = comb_table_leaks(ast.parse(path.read_text(), str(path)), path.stem)
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    leaky = "ct = comb_table(n, k)\nc.comb_table(n, k)\ndef f(maps, ct, k): pass"
+    assert comb_table_leaks(ast.parse(leaky), "kernels") == [1, 2, 3]
+    assert comb_table_leaks(ast.parse(leaky), "combinatorics") == []
 
 
 def test_set_partitions_bell_counts():

@@ -161,6 +161,15 @@ def test_removal_trivial_cases_and_errors():
         removal_experiment(H, Hypergraph.empty(2, 3))
 
 
+def test_removal_refuses_a_nonzero_final_count(monkeypatch):
+    # one edge, one candidate: the initial count, the candidate's count and
+    # the final count, which is checked without assert
+    counts = iter([2, 0, 1])
+    monkeypatch.setattr(experiments, "hom", lambda K, G: next(counts))
+    with pytest.raises(RuntimeError, match="1 homomorphisms of K left"):
+        removal_experiment(EDGE2, EDGE2)
+
+
 def test_hereditary_zero_density_never_sampled():
     Wbip = step_from_structure(
         CombinatorialStructure(2, 2, {(1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2)})

@@ -396,6 +396,29 @@ def test_hyperpartition_roundtrip():
     assert back.flat_labels().tolist() == hp.flat_labels().tolist()
 
 
+def test_labels_are_views_of_one_flat_array():
+    n, k, l = 7, 3, 3
+    hp = Hyperpartition.uniform_random(n, k, l, seed=4)
+    offs = arity_offsets(n, k)
+    flat = hp.flat_labels()  # a fresh writable copy on every call
+    assert flat.flags.writeable and not np.shares_memory(flat, hp.flat_labels())
+    for r in range(1, k + 1):
+        view = hp.labels[r]
+        assert np.array_equal(view, flat[offs[r - 1] : offs[r]])
+        assert not view.flags.writeable and np.shares_memory(view, hp._flat)
+        with pytest.raises(ValueError):
+            view[:1] = 1
+    # the constructor copies its input; _from_flat keeps an int64 array
+    given = {r: hp.labels[r].copy() for r in range(1, k + 1)}
+    same = Hyperpartition(n, k, l, given)
+    given[1][0] = given[1][0] % l + 1
+    assert same == hp == Hyperpartition._from_flat(n, k, l, flat)
+    assert Hyperpartition._from_flat(n, k, l, flat).flat_labels().tolist() == flat.tolist()
+    assert hp != Hyperpartition(n, k, l, given)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        Hyperpartition._from_flat(n, k, 0, flat)
+
+
 def test_structure_roundtrip():
     C = CombinatorialStructure.from_top_labels(3, 2, {1})
     back = CombinatorialStructure.from_obj(C.to_obj())

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperlim import metrics
 from hyperlim.combinatorics import cell_weights, mask_bits
 from hyperlim.hypergraph import Hypergraph, blowup, densities
 from hyperlim.hyperpartition import (
@@ -176,6 +177,20 @@ def test_hamming_density_matches_edge_set_difference(pair):
     got = hamming_density(H, T)
     rows = comb(H.n, H.k)
     assert got == (Fraction(len(H.edges ^ T.edges), rows) if rows else 0)
+
+
+def test_hamming_density_reads_masks_without_listing_edges(monkeypatch):
+    # an edgeless file, read as an edge set, against a mask-backed sample
+    H = Hypergraph.from_obj({"k": 2, "n": 60, "edges": []})
+    T = Hypergraph.random(2, 60, Fraction(1, 3), seed=8)
+    assert H._member is None and T._edges is None
+    assert hamming_density(H, T) == hamming_density(T, H) == Fraction(T.edge_count, comb(60, 2))
+    assert T._edges is None
+    # above the row cap only the edge sets can be compared
+    monkeypatch.setattr(metrics, "ROW_CAP", 10)
+    U = Hypergraph(2, 60, [(0, 1), (2, 3)])
+    assert hamming_density(U, T) == Fraction(len(U.edges ^ T.edges), comb(60, 2))
+    assert U._member is None
 
 
 def test_hamming_bounds_per_edge_density_gap():

@@ -93,6 +93,16 @@ def test_sample_vertex_blocks_match_brute(monkeypatch, block, k):
         assert G.edges == brute_sample_vertex(H, 8, seed).edges
 
 
+def test_sample_vertex_host_below_arity_is_edgeless():
+    # with 1 <= H.n < k every k-set repeats a pick; H's member table is empty
+    for k, N, n in ((2, 1, 3), (3, 2, 5), (3, 1, 0)):
+        H = Hypergraph(k, N)
+        assert H.member_array().size == 0
+        G = sample_vertex(H, n, 0)
+        assert (G.k, G.n, G.edge_count) == (k, n, 0)
+        assert G == brute_sample_vertex(H, n, 0)
+
+
 def test_sample_vertex_complete_host_frequency():
     # all k picks distinct with prob prod(1 - j/N); then the edge is present
     N, k, trials = 8, 3, 8000
