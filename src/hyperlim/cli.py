@@ -173,7 +173,7 @@ def _cmd_density(args) -> int:
         F,
         host,
         mode="montecarlo",
-        samples=args.samples or 20000,
+        samples=20000 if args.samples is None else args.samples,
         seed=seed,
         induced=args.induced,
     )

@@ -116,11 +116,6 @@ class Hypergraph:
             return int(np.count_nonzero(self._member))
         return len(self._edges)
 
-    @property
-    def ordered_edge_count(self) -> int:
-        """Size as a symmetric subset of n-tuples: k! per edge."""
-        return factorial(self.k) * self.edge_count
-
     def is_edge(self, subset) -> bool:
         return tuple(sorted(subset)) in self.edges
 
@@ -279,17 +274,6 @@ class VertexPartition:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def height(self) -> int:
-        """Number of merges: base minus block count."""
-        return self.base - len(self.blocks)
-
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise ValueError(f"vertex {v} is not in the partition base")
-
     def mobius_weight(self) -> int:
         """Partition-lattice Mobius weight prod (-1)^(|B|-1) (|B|-1)!."""
         w = 1
@@ -311,10 +295,6 @@ class DensityRecord:
     t0: Optional[Fraction]
     t_ind: Fraction
     t0_ind: Optional[Fraction]
-
-    @property
-    def t0_defined(self) -> bool:
-        return self.t0 is not None
 
 
 def _check_arity(F: Hypergraph, H: Hypergraph):

@@ -182,6 +182,8 @@ def density(
         raise ValueError(f"unknown density mode {mode!r}")
     if samples is None or seed is None:
         raise ValueError("montecarlo mode needs samples and seed")
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     simp, cidx, flags = _constraint_cells(F, W.k, induced)
     nsim = len(simp)
     key = rng.derive(seed, rng.TAG_MC)

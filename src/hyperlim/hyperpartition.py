@@ -396,19 +396,6 @@ class LevelMapDistribution:
     counts: np.ndarray
     total: int
 
-    def tv_distance(self, other: "LevelMapDistribution") -> Fraction:
-        """Total variation distance between two map distributions."""
-        if (self.v, self.k, self.l) != (other.v, other.k, other.l):
-            raise ValueError("distributions live on different map spaces")
-        a = {tuple(r): int(c) for r, c in zip(self.maps.tolist(), self.counts.tolist())}
-        b = {tuple(r): int(c) for r, c in zip(other.maps.tolist(), other.counts.tolist())}
-        gap = Fraction(0)
-        for key in set(a) | set(b):
-            gap += abs(
-                Fraction(a.get(key, 0), self.total) - Fraction(b.get(key, 0), other.total)
-            )
-        return gap / 2
-
 
 def empirical_level_maps(
     v: int,
@@ -532,7 +519,7 @@ def _distribution_density(F, structure, dist, induced):
     _, cidx, flags = _constraint_cells(F, structure.k, induced, dist.simplices)
     if not len(cidx):
         return Fraction(1)
-    good = kernels.cells_keep(dist.maps - 1, cidx, flags, structure)
+    good = kernels.cells_keep((dist.maps - 1).T, cidx, flags, structure)
     return Fraction(int(dist.counts[good].sum()), dist.total)
 
 

@@ -3,12 +3,13 @@ exact counts (hom and induced counts, structure densities), one frontier
 search for the counts it refuses and for the injective-hom oracle, two
 constraint filters (_keep for vertex maps against an n-vertex host's member
 table, ranked by combinatorics.colex_rank_rows and shared by the search and
-eval_maps_count; cells_keep for rows of simplex levels against a structure,
-read over its used_axes() as combinatorics._cell_member_count reads them,
-and shared by mc_step_count, the Monte Carlo d1 and the densities under a
-level-map distribution), and the random injective-map generator.
-Randomness enters only through splitmix64 counter ranges (see rng), which
-keeps results independent of evaluation order.
+eval_maps_count; cells_keep for simplex levels, one row per simplex, against
+a structure, read over its used_axes() as combinatorics._cell_member_count
+reads them, and shared by mc_step_count, the Monte Carlo d1 and the
+densities under a level-map distribution), and the random injective-map
+generator. Randomness enters only through splitmix64 counter ranges and
+strided ranges (see rng), which keeps results independent of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -140,34 +141,59 @@ def induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=False) -> 
 # vectorized kernels, and the injective-map generator
 
 
+# samples per block of mc_step_count: a block's level rows and its int64
+# codes stay in cache
+MC_BLOCK = 1 << 12
+
+
 def mc_step_count(samples, nsim, key, cidx, flags, cells) -> int:
     """Count samples whose hashed level assignment satisfies every
-    constraint of cells_keep; one counter per (sample, simplex)."""
+    constraint of cells_keep; one counter per (sample, simplex).
+
+    Simplex j of sample s is counter s * nsim + j, so across a block of
+    samples each simplex is one strided progression. Only the simplices
+    some code reads, those at the masks of cells.used_axes(), are hashed
+    and levelled, MC_BLOCK samples at a time, into one pair of buffers
+    reused by every block.
+    """
+    cidx = np.asarray(cidx, dtype=np.int64)
+    read = np.unique(cidx[:, list(cells.used_axes()[0])])
+    at = np.zeros(nsim, dtype=np.int64)
+    at[read] = np.arange(len(read))
+    rows = at[cidx]  # cidx over the hashed rows
+    bufs = np.empty((2, len(read) * min(samples, MC_BLOCK)), dtype=np.uint64)
     cnt = 0
-    chunk = max(1, (1 << 22) // max(nsim, 1))
-    for s0 in range(0, samples, chunk):
-        s1 = min(samples, s0 + chunk)
-        h = rng.np_mix64_range(int(key), s0 * nsim, s1 * nsim)
-        lev = rng.np_level_of(h, cells.l, out=h).reshape(s1 - s0, nsim)
-        cnt += int(cells_keep(lev, cidx, flags, cells).sum())
+    for s0 in range(0, samples, MC_BLOCK):
+        s1 = min(samples, s0 + MC_BLOCK)
+        out, scratch = (b[: len(read) * (s1 - s0)].reshape(len(read), s1 - s0) for b in bufs)
+        h = rng.np_mix64_strided(key, read + s0 * nsim, nsim, s1 - s0, out, scratch)
+        lev = rng.np_level_of(h, cells.l, out=h)
+        cnt += int(np.count_nonzero(cells_keep(lev, rows, flags, cells)))
     return cnt
 
 
 def cells_keep(levels, cidx, flags, cells) -> np.ndarray:
-    """Mask of the level rows that pass every (cell, flag) constraint.
+    """Mask of the samples that pass every (cell, flag) constraint.
 
-    levels holds 0-based levels, one column per simplex. Row c of cidx
-    names the simplex at each mask of constraint c; the cell those levels
-    spell must lie in cells, a structure (flag 1), or outside it (flag 0).
-    As in combinatorics._cell_member_count, a code reads only the masks of
-    cells.used_axes() and indexes the member table reduced to them.
+    levels holds 0-based levels column-major: row j is simplex j's level in
+    every sample. Row c of cidx names the simplex at each mask of
+    constraint c; the cell those levels spell must lie in cells, a
+    structure (flag 1), or outside it (flag 0). As in
+    combinatorics._cell_member_count, a code reads only the masks of
+    cells.used_axes(), summed one simplex row at a time, and indexes the
+    member table reduced to them; with no mask used every code is 0.
     """
     used, member = cells.used_axes()
-    cols = np.asarray(cidx, dtype=np.int64)[:, list(used)]
-    w = cells.l ** np.arange(len(used), dtype=np.int64)
-    good = np.ones(levels.shape[0], dtype=bool)
+    keep = (member == 0, member != 0)
+    cols = np.asarray(cidx, dtype=np.int64)[:, list(used)].tolist()
+    good = np.ones(levels.shape[1], dtype=bool)
+    code = np.zeros(levels.shape[1], dtype=np.int64)
+    term = np.empty_like(code)
     for row, flag in zip(cols, flags):
-        good &= (member[(levels[:, row] * w).sum(axis=1)] != 0) == (flag != 0)
+        code[:] = levels[row[0]] if row else 0
+        for i, j in enumerate(row[1:], 1):
+            code += np.multiply(levels[j], cells.l**i, out=term)
+        good &= np.take(keep[bool(flag)], code)
     return good
 
 

@@ -115,10 +115,14 @@ def d1(
     if n <= 0:
         raise ValueError("samples must be positive")
     key = rng.derive(0 if seed is None else seed, rng.TAG_MC)
-    h = rng.np_mix64_range(key, 0, n * width).reshape(n, width)
+    # coordinate m of sample s is counter s * width + m; only the masks
+    # that U or W reads are hashed, one strided row each
+    read = sorted(set(U.used_axes()[0]) | set(W.used_axes()[0]))
+    h = rng.np_mix64_strided(key, read, width, n)
+    row = [read.index(m) if m in read else 0 for m in range(width)]
 
     def inside(V):
-        return kernels.cells_keep(rng.np_level_of(h, V.l), [range(width)], [1], V)
+        return kernels.cells_keep(rng.np_level_of(h, V.l), [row], [1], V)
 
     est = float(np.mean(inside(U) != inside(W)))
     stderr = (est * (1 - est) / n) ** 0.5

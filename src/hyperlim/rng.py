@@ -70,7 +70,8 @@ def level_start(i: int, l: int) -> int:
 
 def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
     """Vectorized mix64; ctrs is any integer array, result uint64. The
-    reference of np_mix64_range, by which the package hashes its counters."""
+    reference of np_mix64_range and np_mix64_strided, by which the package
+    hashes its counters."""
     out = np.empty(np.shape(ctrs), dtype=np.uint64)
     # key + (c + 1) * G, with the + 1 folded into the constant; the unsafe
     # cast wraps signed counters like astype(uint64)
@@ -146,6 +147,26 @@ def _premix64_range(key, lo, hi, out, scratch):
         e = min(s + _STEP_CAP, hi - lo)
         np.add(steps[: e - s], np.uint64((key + (lo + s + 1) * _GOLDEN) & MASK64), out=out[s:e])
     return _rounds(out, scratch)
+
+
+def np_mix64_strided(key: int, starts, step: int, m: int, out=None, scratch=None) -> np.ndarray:
+    """np_mix64(key, c + step * arange(m)) for each start c, one row each:
+    a (len(starts), m) uint64 array hashing counters strided by step.
+
+    The words before the rounds are key + (c + 1) * G + i * (step * G), so
+    one table of i * (step * G), built once per call, serves every row.
+    out and scratch are as in np_mix64_range, of shape (len(starts), m).
+    """
+    starts = [int(c) for c in starts]
+    if out is None:
+        out = np.empty((len(starts), m), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    table = np.arange(m, dtype=np.uint64)
+    table *= np.uint64(step * _GOLDEN & MASK64)
+    for row, c in zip(out, starts):
+        np.add(table, np.uint64((key + (c + 1) * _GOLDEN) & MASK64), out=row)
+    return _finish(_rounds(out, scratch), scratch)
 
 
 def np_level_of(h: np.ndarray, l: int, out=None) -> np.ndarray:

@@ -15,10 +15,10 @@ from math import exp, sqrt
 from statistics import median
 
 import numpy as np
+from measure_oracle import grid_integral_density
 from test_kernels import uniform_maps
 
 from hyperlim import rng, kernels
-from hyperlim.combinatorics import mask_bits
 from hyperlim.hypergraph import (
     Hypergraph,
     blowup,
@@ -36,7 +36,6 @@ from hyperlim.hyperpartition import (
 )
 from hyperlim.hypergraphon import (
     builtin_w,
-    contains,
     density,
     density_via_projection,
     step_from_structure,
@@ -77,32 +76,6 @@ def rand_structure(k, l, seed, p=0.4):
         if g.random() < p:
             cells.add(tuple(int((code // l**i) % l) + 1 for i in range(width)))
     return CombinatorialStructure(k, l, cells, symmetrize=True)
-
-
-def grid_integral_density(F, W):
-    # independent cross-check: integrate membership over level midpoints
-    k, l = W.k, W.l
-    simplices = []
-    for r in range(1, k + 1):
-        simplices.extend(itertools.combinations(range(F.n), r))
-    width = (1 << k) - 1
-    mid = [Fraction(2 * j - 1, 2 * l) for j in range(1, l + 1)]
-    hit = 0
-    for levels in itertools.product(range(l), repeat=len(simplices)):
-        f = dict(zip(simplices, levels))
-        ok = True
-        for e in F.edges:
-            e = tuple(sorted(e))
-            p = {
-                m: float(mid[f[tuple(e[i] for i in mask_bits(m))]])
-                for m in range(1, width + 1)
-            }
-            if not contains(W, p):
-                ok = False
-                break
-        if ok:
-            hit += 1
-    return Fraction(hit, l ** len(simplices))
 
 
 def test_criterion_01_corner_hypergraphon_densities():

@@ -56,6 +56,25 @@ def test_density_montecarlo_prints_estimate(files, capsys):
     assert abs(est - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_density_montecarlo_exits_2_on_non_positive_samples(files, capsys, samples):
+    rc = main(
+        ["density", "--F", files["edge"], "--W", files_w(files), "--mode", "montecarlo",
+         "--samples", samples, "--seed", "3"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "samples must be positive" in captured.err
+
+
+def test_density_montecarlo_defaults_to_20000_samples(files, capsys):
+    args = ["density", "--F", files["edge"], "--W", files_w(files), "--mode", "montecarlo", "--seed", "3"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--samples", "20000"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def files_w(files):
     p = files["dir"] + "/w1.json"
     with open(p, "w") as fh:

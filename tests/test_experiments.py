@@ -108,6 +108,13 @@ def test_counting_full_structure_is_exact_one():
     assert all(r["deviation"] == 0.0 for r in rep.trials)
 
 
+@pytest.mark.parametrize("mc_samples", [0, -4])
+def test_counting_refuses_non_positive_samples(mc_samples):
+    C_all = CombinatorialStructure.all_cells(2, 2)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        counting_experiment(C_all, TRI, [20], trials=1, seed=0, mc_samples=mc_samples)
+
+
 def test_counting_eighth_structure_converges():
     C8 = CombinatorialStructure.from_top_labels(2, 2, {2})
     assert structure_density(TRI, C8) == Fraction(1, 8)

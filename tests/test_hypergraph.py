@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from measure_oracle import ordered_edge_count
 from test_combinatorics import subsets_colex
 
 from hyperlim.cli import _write_hypergraph
@@ -73,7 +74,7 @@ def test_constructor_validation():
 def test_edge_queries():
     assert TRI.is_edge((2, 0))
     assert not TRI.is_edge((0, 0))
-    assert TRI.ordered_edge_count == 6
+    assert ordered_edge_count(TRI) == 6
     assert Hypergraph.complete(3, 5).edge_count == 10
     assert Hypergraph.empty(2, 4).edge_count == 0
     assert Hypergraph.single_edge(3).sorted_edges() == [(0, 1, 2)]

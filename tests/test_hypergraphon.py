@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from measure_oracle import grid_integral_density
 
-from hyperlim.combinatorics import mask_bits
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import (
@@ -114,32 +114,6 @@ def test_builtin_kinds():
         builtin_w("nope", 2)
 
 
-def grid_integral_density(F, W):
-    """Integrate the membership indicator over level midpoints directly."""
-    k, l = W.k, W.l
-    simplices = []
-    for r in range(1, k + 1):
-        simplices.extend(itertools.combinations(range(F.n), r))
-    width = (1 << k) - 1
-    mid = [Fraction(2 * j - 1, 2 * l) for j in range(1, l + 1)]
-    hit = 0
-    for levels in itertools.product(range(l), repeat=len(simplices)):
-        f = dict(zip(simplices, levels))
-        ok = True
-        for e in F.edges:
-            e = tuple(sorted(e))
-            p = {
-                m: float(mid[f[tuple(e[i] for i in mask_bits(m))]])
-                for m in range(1, width + 1)
-            }
-            if not contains(W, p):
-                ok = False
-                break
-        if ok:
-            hit += 1
-    return Fraction(hit, l ** len(simplices))
-
-
 def test_exact_density_equals_projection_integral():
     # two independent evaluation paths must agree exactly (k = 2)
     cases = [
@@ -186,6 +160,16 @@ def test_density_montecarlo_converges():
 def test_density_montecarlo_needs_budget():
     with pytest.raises(ValueError):
         density(EDGE2, builtin_w("example1", 2), mode="montecarlo")
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_density_montecarlo_refuses_non_positive_samples(samples):
+    G = GeneralHypergraphon(2, lambda p: True)
+    for W in (builtin_w("example1", 2), G):
+        # the empty pattern too, whose estimate needs no sample
+        for F in (EDGE2, Hypergraph.empty(2, 2)):
+            with pytest.raises(ValueError, match="samples must be positive"):
+                density(F, W, mode="montecarlo", samples=samples, seed=1)
 
 
 def test_general_hypergraphon_wraps_predicate():

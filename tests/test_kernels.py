@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_hyperpartition import brute_structure_density
 
 from hyperlim import hypergraph, kernels, rng
-from hyperlim.combinatorics import comb_table, falling, mask_bits
+from hyperlim.combinatorics import comb_table, falling, mask_bits, mask_perms
 from hyperlim.hypergraph import (
     Hypergraph,
     _grouped_constraints,
@@ -22,7 +22,7 @@ from hyperlim.hypergraph import (
     hom,
     injective_hom_brute,
 )
-from hyperlim.hypergraphon import builtin_w, density
+from hyperlim.hypergraphon import builtin_w, density, step_from_structure
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
@@ -31,6 +31,7 @@ from hyperlim.hyperpartition import (
     empirical_level_maps,
     structure_density,
 )
+from hyperlim.metrics import d1
 
 
 def brute_hom(F, H, injective=False):
@@ -508,6 +509,101 @@ def scalar_mc_hits(F, W, samples, seed, induced):
                 break
         hits += good
     return hits
+
+
+def random_step_structure(k, l, seed):
+    """A random S_k-closed structure whose membership depends on a random
+    set of masks: a random table over those axes, broadcast along the rest,
+    then the union or the intersection of its coordinate permutations."""
+    g = np.random.default_rng(seed)
+    width = (1 << k) - 1
+    shape = [l if g.random() < 0.7 else 1 for _ in range(width)]
+    grid = np.broadcast_to(g.random(shape) < g.random(), (l,) * width)
+    union = g.random() < 0.5
+    closed = np.full(grid.shape, not union)
+    for row in mask_perms(k):
+        closed = closed | grid.transpose(row) if union else closed & grid.transpose(row)
+    return CombinatorialStructure.from_member(k, l, closed.ravel(order="F").astype(np.uint8))
+
+
+@st.composite
+def mc_cases(draw):
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    C = random_step_structure(k, l, draw(st.integers(0, 2**32)))
+    F = draw(hypergraphs(k, draw(st.integers(k, k + 2))))
+    return F, step_from_structure(C), draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(mc_cases(), st.integers(1, 80))
+def test_mc_step_count_matches_scalar_recompute_on_random_structures(case, samples):
+    F, W, seed, induced = case
+    est, _ = density(F, W, mode="montecarlo", samples=samples, seed=seed, induced=induced)
+    assert est == scalar_mc_hits(F, W, samples, seed, induced) / samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(mc_cases(), st.integers(1, 7), st.integers(1, 40))
+def test_mc_step_count_blocks_give_the_unblocked_count(case, block, samples):
+    F, W, seed, induced = case
+    want = scalar_mc_hits(F, W, samples, seed, induced)
+    with mock.patch.object(kernels, "MC_BLOCK", block):
+        est, _ = density(F, W, mode="montecarlo", samples=samples, seed=seed, induced=induced)
+    assert est == want / samples
+
+
+def read_by_scalar_scan(cidx, W):
+    """Simplices some constraint's code reads, one (row, used mask) at a time."""
+    used, _ = W.used_axes()
+    return sorted({int(row[m]) for row in cidx for m in used})
+
+
+def test_mc_step_count_hashes_only_the_read_simplices(monkeypatch):
+    hashed = []
+    rounds = rng._rounds
+
+    def counting(z, scratch):
+        hashed.append(z.size)
+        return rounds(z, scratch)
+
+    monkeypatch.setattr(rng, "_rounds", counting)
+    monkeypatch.setattr(kernels, "MC_BLOCK", 700)
+    samples = 2000
+    F = Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4), (0, 3, 4)])
+    for kind in ("example1", "example2", "full"):
+        W = builtin_w(kind, 3)
+        for induced in (False, True):
+            simp, cidx, flags = _constraint_cells(F, 3, induced)
+            read = read_by_scalar_scan(cidx, W)
+            hashed.clear()
+            kernels.mc_step_count(samples, len(simp), 5, cidx, flags, W)
+            assert sum(hashed) == samples * len(read)
+            if kind == "example1":  # the top mask alone: one simplex per constraint
+                assert len(read) == len(cidx) < len(simp)
+
+
+def scalar_d1_estimate(U, W, samples, seed):
+    """Monte Carlo d1 with one scalar hash per (sample, mask) counter."""
+    width = (1 << U.k) - 1
+    key = rng.derive(seed, rng.TAG_MC)
+    differ = 0
+    for s in range(samples):
+        hs = [rng.mix64(key, s * width + m) for m in range(width)]
+        inside = [
+            V.member_table()[sum(rng.level_of(h, V.l) * V.l**m for m, h in enumerate(hs))] != 0
+            for V in (U, W)
+        ]
+        differ += inside[0] != inside[1]
+    return differ / samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120))
+def test_d1_montecarlo_matches_scalar_oracle(k, lu, lw, seed, samples):
+    U = step_from_structure(random_step_structure(k, lu, seed))
+    W = step_from_structure(random_step_structure(k, lw, seed + 1))
+    rep = d1(U, W, mode="montecarlo", samples=samples, seed=seed)
+    assert rep.value == scalar_d1_estimate(U, W, samples, seed)
 
 
 def test_mc_step_count_matches_scalar_recompute():

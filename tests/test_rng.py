@@ -116,6 +116,32 @@ def test_range_form_matches_counter_array(key, lo, m, buffers):
     assert np.array_equal(pre >> np.uint64(33), want >> np.uint64(33))
 
 
+# counters anywhere, and counters whose progression wraps past 2**64
+counters = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 600, 2**64 - 1))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(counters, max_size=4),
+    st.one_of(st.integers(0, 40), counters),
+    st.integers(0, 300),
+)
+def test_strided_form_matches_counter_array(key, starts, step, m):
+    got = rng.np_mix64_strided(key, starts, step, m)
+    ctrs = [[(c + i * step) % 2**64 for i in range(m)] for c in starts]
+    want = rng.np_mix64(key, np.array(ctrs, dtype=np.uint64).reshape(len(starts), m))
+    assert got.dtype == np.uint64 and got.shape == (len(starts), m)
+    assert np.array_equal(got, want)
+    for c, row in zip(starts, got):
+        if m:
+            assert int(row[-1]) == rng.mix64(key, c + (m - 1) * step)
+    # step 1 is the range form
+    if starts and starts[0] + m <= 2**64:
+        lo = starts[0]
+        assert np.array_equal(rng.np_mix64_strided(key, [lo], 1, m)[0], rng.np_mix64_range(key, lo, lo + m))
+
+
 def test_range_form_spans_slices_of_one_shared_table():
     step = rng._STEP_CAP
     assert not rng._steps(step).flags.writeable
@@ -229,8 +255,9 @@ def np_mix64_calls(tree):
 
 
 def test_package_hashes_counter_ranges_only():
-    # every counter set the package hashes is a range, so callers use
-    # np_mix64_range; np_mix64 stays in rng as the tests' reference
+    # every counter set the package hashes is a range or a strided range,
+    # so callers use np_mix64_range or np_mix64_strided; np_mix64 stays in
+    # rng as the tests' reference
     files = sorted(Path(rng.__file__).parent.glob("*.py"))
     assert len(files) > 5
     found = {}
@@ -240,3 +267,40 @@ def test_package_hashes_counter_ranges_only():
             found[path.name] = hits
     assert found == {}
     assert np_mix64_calls(ast.parse("rng.np_mix64(k, c)\nnp_mix64(k, c)\nrng.np_mix64_range(k, 0, 1)")) == [1, 2]
+
+
+RNG_INTERNALS = {"_GOLDEN", "_MIX1", "_MIX2", "_rounds", "_finish", "_steps"}
+
+
+def rng_internal_names(tree):
+    """Lines of a module that name one of rng's internals: as a name, an
+    attribute or an imported alias."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in RNG_INTERNALS:
+            hits.append(getattr(node, "lineno", None))
+    return hits
+
+
+def test_only_rng_names_its_mixing_internals():
+    # the mixing constants and rounds live behind np_mix64_range and
+    # np_mix64_strided; sampling's one _premix64_range call is the
+    # sanctioned way to compare words before the final xor-shift
+    files = sorted(Path(rng.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = rng_internal_names(ast.parse(path.read_text(), str(path)))
+        if hits and path.name != "rng.py":
+            found[path.name] = hits
+    assert found == {}
+    probe = "rng._rounds(z, s)\nfrom .rng import _GOLDEN\nx = _steps(3)\nrng._premix64_range(k, 0, 1, o, s)"
+    assert len(rng_internal_names(ast.parse(probe))) == 3
