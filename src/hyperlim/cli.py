@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import ascii_digits
-from .hypergraph import Hypergraph, densities, hom
+from .hypergraph import Hypergraph, _check_arity, _induced_kernel, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, structure_density
 from .hypergraphon import StepHypergraphon, builtin_w, density
 
@@ -158,11 +158,11 @@ def _cmd_density(args) -> int:
     mode = "exact" if args.exact else args.mode
     if host_kind == "h":
         if args.induced:
-            print(_frac(densities(F, host).t_ind))
-        elif host.n == 0:
+            _check_arity(F, host)
+        if host.n == 0:
             raise ValueError("host must have at least one vertex")
-        else:
-            print(_frac(Fraction(hom(F, host), host.n**F.n)))
+        count = _induced_kernel(F, host, False, {}) if args.induced else hom(F, host)
+        print(_frac(Fraction(count, host.n**F.n)))
         return 0
     if mode == "exact":
         val = density(F, host, mode="exact", induced=args.induced)

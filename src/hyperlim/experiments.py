@@ -19,11 +19,9 @@ from math import comb, exp
 from statistics import median
 from typing import Optional
 
-import numpy as np
-
 from . import kernels, rng
 from .combinatorics import falling
-from .hypergraph import Hypergraph, _induced_kernel, hom
+from .hypergraph import Hypergraph, _constraints, _induced_kernel, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from .hypergraphon import StepHypergraphon, density
 from .regularity import refine
@@ -92,9 +90,7 @@ def _injective_hits(F, member, n, trial_seed, budget) -> int:
     """How many of budget seeded injective maps of F into an n-vertex host
     (given by its member table) send every edge of F onto an edge."""
     maps = kernels.injective_maps(budget, F.n, n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
-    edges = np.array(F.sorted_edges(), dtype=np.int64)
-    flags = np.ones(edges.shape[0], dtype=np.int64)
-    return kernels.eval_maps_count(maps, edges, flags, member, n)
+    return kernels.eval_maps_count(maps, *_constraints(F), member, n)
 
 
 def _t0_of_sample(F, W, n, trial_seed, budget):
@@ -106,6 +102,8 @@ def _t0_of_sample(F, W, n, trial_seed, budget):
     G = sample_w(W, n, trial_seed).sample
     if n**F.n <= _EXACT_T0_CAP:
         return hom(F, G, "injective") / falling(n, F.n), 0.0
+    if budget <= 0:
+        raise ValueError("t0_sample_budget must be positive")
     _log.debug("t0 by Monte Carlo: n**|V(F)| = %d**%d exceeds the exact cap %d", n, F.n, _EXACT_T0_CAP)
     est = _injective_hits(F, G.member_array(), n, trial_seed, budget) / budget
     return est, (est * (1 - est) / budget) ** 0.5

@@ -320,51 +320,37 @@ def _search_order(F: Hypergraph) -> list:
     return chosen
 
 
-def _grouped_constraints(v: int, subs, order):
-    """Relabel subset constraints by search order and group by closing depth.
-
-    Returns (rows, perm_index, depth_ptr) with rows sorted so that block d
-    holds the constraints whose deepest vertex has depth d.
-    """
-    depth = {vtx: i for i, vtx in enumerate(order)}
-    items = []
-    for idx, e in enumerate(subs):
-        pos = tuple(depth[x] for x in e)
-        items.append((max(pos), idx, pos))
-    items.sort()
-    rows = np.zeros((len(items), len(subs[0]) if subs else 0), dtype=np.int64)
-    src = np.zeros(len(items), dtype=np.int64)
-    ptr = np.zeros(v + 1, dtype=np.int64)
-    for r, (d, idx, pos) in enumerate(items):
-        rows[r] = pos
-        src[r] = idx
-        ptr[d + 1] += 1
-    np.cumsum(ptr, out=ptr)
-    return rows, src, ptr
+def _constraints(F: Hypergraph, induced: bool = False):
+    """(subs, flags), two Python lists: F's edges in colex order, each
+    flagged 1 (onto an edge), or, induced, every k-subset of V(F) in colex
+    order, flagged 1 or 0 (onto a non-edge) by F's member table."""
+    if induced:
+        return colex_matrix(F.n, F.k).tolist(), F.member_array().tolist()
+    edges = F.sorted_edges()
+    return edges, [1] * len(edges)
 
 
-def _search_count(F: Hypergraph, H: Hypergraph, subs, flags, injective=False) -> int:
-    """Count of maps V(F) -> V(H), injective ones if asked, sending each
-    subset in subs onto an edge (flag 1) or a non-edge (flag 0), by the
-    frontier search of kernels.induced_count."""
+def _search_count(F: Hypergraph, H: Hypergraph, induced=False, injective=False) -> int:
+    """_map_count's count, of injective maps if asked, by the frontier
+    search of kernels.induced_count over F's vertices in _search_order."""
     if injective and F.n > H.n:
         return 0
     member = H.member_array()  # refuses an oversized host before allocating
-    rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
-    fl = np.array([flags[int(i)] for i in src], dtype=np.uint8)
-    return kernels.induced_count(F.n, H.n, rows, fl, ptr, member, injective)
+    subs, flags = _constraints(F, induced)
+    depth = np.empty(F.n, dtype=np.int64)  # each vertex's place in the search order
+    depth[_search_order(F)] = np.arange(F.n)
+    rows = depth[np.array(subs, dtype=np.int64).reshape(-1, F.k)]
+    return kernels.induced_count(F.n, H.n, rows, np.array(flags, dtype=np.uint8), member, injective)
 
 
 def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool, tensors: dict) -> int:
-    subs = list(combinations(range(F.n), F.k))
-    flags = [int(F.is_edge(s)) for s in subs]
     # for k >= 2 every map meeting all k-subset constraints is injective;
     # otherwise marked pattern vertices go one-to-one onto marked host
     # vertices (the edges at k = 1), the others onto the others
-    if injective and (F.k == 1 or not subs):
-        a, e = sum(flags), H.edge_count if subs else 0
+    if injective and (F.k == 1 or F.n < F.k):
+        a, e = F.edge_count, H.edge_count if F.n >= F.k else 0
         return falling(e, a) * falling(H.n - e, F.n - a)
-    return _map_count(F, H, subs, flags, tensors)
+    return _map_count(F, H, True, tensors)
 
 
 def _host_tensor(H: Hypergraph) -> np.ndarray:
@@ -378,12 +364,13 @@ def _host_tensor(H: Hypergraph) -> np.ndarray:
     return T
 
 
-def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict) -> int:
-    """_search_count's count of all maps as one kernels.contract factor per
-    subset: the host tensor of H (flag 1) or of its complement (flag 0),
-    kept in tensors under the flag and built only once
-    kernels.contraction_plan accepts. A count the contraction refuses runs
-    the frontier search instead, logged at debug."""
+def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict) -> int:
+    """Count of maps V(F) -> V(H) meeting _constraints(F, induced), as one
+    kernels.contract factor per subset: the host tensor of H (flag 1) or of
+    its complement (flag 0), kept in tensors under the flag and built only
+    once kernels.contraction_plan accepts. A count the contraction refuses
+    runs the frontier search of _search_count instead, logged at debug."""
+    subs, flags = _constraints(F, induced)
     if not subs:  # no constraints at all
         return H.n**F.n
     got, why = None, "no host tensor, n**k is over the cap"
@@ -401,7 +388,7 @@ def _map_count(F: Hypergraph, H: Hypergraph, subs, flags, tensors: dict) -> int:
             "%s by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
             "hom" if all(flags) else "induced count", why, H.n, F.n, kernels.CONTRACT_CAP,
         )
-        got = _search_count(F, H, subs, flags)
+        got = _search_count(F, H, induced)
     return got
 
 
@@ -411,7 +398,7 @@ def _injective_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
         part = VertexPartition(F.n, blocks)
         Q = quotient(F, part)
         if Q is not None:
-            total += part.mobius_weight() * _map_count(Q, H, sorted(Q.edges), [1] * len(Q.edges), tensors)
+            total += part.mobius_weight() * _map_count(Q, H, False, tensors)
     return total
 
 
@@ -429,15 +416,14 @@ def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     if mode not in ("all", "injective"):
         raise ValueError(f"unknown hom mode {mode!r}")
     if mode == "all":
-        return _map_count(F, H, sorted(F.edges), [1] * len(F.edges), {})
+        return _map_count(F, H, False, {})
     return _injective_count(F, H, {})
 
 
 def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
     """Direct enumeration of injective homomorphisms (inversion oracle)."""
     _check_arity(F, H)
-    edges = sorted(F.edges)
-    return _search_count(F, H, edges, [1] * len(edges), injective=True)
+    return _search_count(F, H, injective=True)
 
 
 def quotient(F: Hypergraph, partition) -> Optional[Hypergraph]:
@@ -470,7 +456,7 @@ def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:
         raise ValueError("host must have at least one vertex")
     v = F.n
     tensors = {}
-    t = Fraction(_map_count(F, H, sorted(F.edges), [1] * len(F.edges), tensors), H.n**v)
+    t = Fraction(_map_count(F, H, False, tensors), H.n**v)
     ind = _induced_kernel(F, H, False, tensors)
     t_ind = Fraction(ind, H.n**v)
     if v <= H.n:
@@ -501,30 +487,24 @@ def blowup(H: Hypergraph, t: int) -> Hypergraph:
 # ---------------------------------------------------------------------------
 # isomorphism and canonical forms
 
-_canon_cache: dict = {}
-
-
 def _encode(H: Hypergraph, perm) -> tuple:
     return tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in H.edges))
 
 
+@lru_cache(maxsize=1024)
 def canonical_form(H: Hypergraph) -> tuple:
     """Lexicographically minimal edge encoding over all relabelings.
 
-    Brute force over n! permutations, cached; capped at n <= 10.
+    Brute force over n! permutations, cached by (k, n, edges) for the most
+    recent hypergraphs; capped at n <= 10.
     """
     if H.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical form capped at n <= {MAX_CANONICAL_N}")
-    key = (H.k, H.n, H.edges)
-    hit = _canon_cache.get(key)
-    if hit is not None:
-        return hit
     best = None
     for perm in permutations(range(H.n)):
         enc = _encode(H, perm)
         if best is None or enc < best:
             best = enc
-    _canon_cache[key] = best
     return best
 
 

@@ -6,9 +6,10 @@ counter (arity offset plus colex rank). Ordered k-tuples with distinct entries t
 coordinate: the tuple of labels of their position subsets. A combinatorial
 structure is a permutation-closed set of cells; its union pulled back
 through a hyperpartition is an ordinary hypergraph. _constraint_cells lists
-the simplex at each mask of every pattern constraint, for both structure
-densities here (uniform, and under a level-map distribution) and the Monte
-Carlo density in hypergraphon.
+the simplex at each mask of every pattern constraint that
+hypergraph._constraints builds, for both structure densities here
+(uniform, and under a level-map distribution) and the Monte Carlo density
+in hypergraphon.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 from typing import Optional
 
@@ -39,7 +40,7 @@ from .combinatorics import (
     mask_perms,
     subset_counters,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _constraints
 
 _MEMBER_CAP = 1 << 24
 
@@ -441,16 +442,6 @@ def empirical_level_maps(
     )
 
 
-def _constraints(F: Hypergraph, induced: bool):
-    if induced:
-        cons = list(combinations(range(F.n), F.k))
-        flags = [F.is_edge(c) for c in cons]
-    else:
-        cons = F.sorted_edges()
-        flags = [True] * len(cons)
-    return cons, flags
-
-
 def _level_simplices(v: int, k: int) -> tuple:
     """Subsets of range(v) of arity 1..k, arity-major, colex within."""
     out = []
@@ -462,7 +453,8 @@ def _level_simplices(v: int, k: int) -> tuple:
 def _constraint_cells(F: Hypergraph, k: int, induced: bool, simplices=None):
     """(simplices, cidx, flags): row c of cidx holds the index in simplices
     (by default _level_simplices) of the subset at each mask of constraint
-    c, and flags[c] says whether its cell must be inside (1) or outside."""
+    c of hypergraph._constraints(F, induced), and flags[c] says whether its
+    cell must be inside (1) or outside."""
     if simplices is None:
         simplices = _level_simplices(F.n, k)
     index = {tuple(s): i for i, s in enumerate(simplices)}

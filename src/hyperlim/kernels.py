@@ -1,8 +1,9 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
 exact counts (hom and induced counts, structure densities), one frontier
-search for the counts it refuses and for the injective-hom oracle, two
-constraint filters (_keep for vertex maps against an n-vertex host's member
-table, ranked by combinatorics.colex_rank_rows and shared by the search and
+search for the counts it refuses and for the injective-hom oracle, which
+groups its constraint rows by closing depth itself, two constraint
+filters (_keep for vertex maps against an n-vertex host's member table,
+ranked by combinatorics.colex_rank_rows and shared by the search and
 eval_maps_count; cells_keep for simplex levels, one row per simplex, against
 a structure, read over its used_axes() as combinatorics._cell_member_count
 reads them, and shared by mc_step_count, the Monte Carlo d1 and the
@@ -108,18 +109,21 @@ def _einsum(out, *operands):
     return np.einsum(*args, [ren[v] for v in out])
 
 
-def induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=False) -> int:
+def induced_count(n_f, n_h, subs, flags, member, injective=False) -> int:
     """Count maps [n_f] -> [n_h], injective ones if asked, under which every
-    listed k-subset lands distinctly on an edge (flag 1) or a non-edge
-    (flag 0) of member, the colex indicator of an n_h-vertex host.
+    row of subs, an int64 array of k-subsets of [n_f] in any order, lands
+    distinctly on an edge (flag 1) or a non-edge (flag 0) of member, the
+    colex indicator of an n_h-vertex host.
 
-    subs rows are index tuples into the F vertex order; they are grouped so
-    that rows [depth_ptr[d], depth_ptr[d+1]) touch only vertices <= d and
-    include vertex d. Partial maps grow one vertex at a time, as in Generic
-    Join, and each depth keeps the rows that pass its newly closed
-    constraints. A frontier is cut into blocks of at most FRONTIER_CAP rows,
-    and each block runs depth-first to the end.
+    Partial maps grow one vertex at a time, in index order, as in Generic
+    Join; depth d keeps the rows that pass the constraints whose largest
+    vertex is d, grouped here by a stable sort. A frontier is cut into
+    blocks of at most FRONTIER_CAP rows, and each block runs depth-first.
     """
+    top = subs.max(axis=1)
+    by = np.argsort(top, kind="stable")
+    subs, flags = subs[by], flags[by]
+    depth_ptr = np.searchsorted(top[by], np.arange(n_f + 1))
 
     def grow(maps, d):
         total = 0

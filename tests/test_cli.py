@@ -8,9 +8,9 @@ from math import comb
 import pytest
 from test_hypergraph import written
 
-from hyperlim import combinatorics
+from hyperlim import combinatorics, hypergraph
 from hyperlim.cli import main
-from hyperlim.hypergraph import Hypergraph
+from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import CombinatorialStructure, Hyperpartition
 from hyperlim.hypergraphon import builtin_w
 from hyperlim.metrics import d1
@@ -34,6 +34,29 @@ def files(tmp_path):
 def test_density_hypergraph_host(files, capsys):
     assert main(["density", "--F", files["tri"], "--H", files["k3"]]) == 0
     assert capsys.readouterr().out.strip() == "2/9"
+
+
+def test_density_induced_host_counts_only_t_ind(files, capsys, monkeypatch):
+    P3 = Hypergraph(2, 3, [(0, 1), (1, 2)])
+    host = Hypergraph.random(2, 7, 0.5, seed=4)
+    paths = {}
+    for name, G in (("p3", P3), ("host", host), ("empty", Hypergraph(2, 0)), ("t3", Hypergraph(3, 0))):
+        paths[name] = f"{files['dir']}/{name}.json"
+        with open(paths[name], "w") as fh:
+            json.dump(G.to_obj(), fh)
+    want = densities(P3, host).t_ind
+
+    def refuse(*args):
+        raise AssertionError("the injective count is not printed")
+
+    monkeypatch.setattr(hypergraph, "_injective_count", refuse)
+    assert main(["density", "--F", paths["p3"], "--H", paths["host"], "--induced"]) == 0
+    assert capsys.readouterr().out == f"{want.numerator}/{want.denominator}\n"
+    # the errors densities raised: arity first, then the empty host
+    errors = {"t3": "arity mismatch: pattern k=2, host k=3", "empty": "host must have at least one vertex"}
+    for name, err in errors.items():
+        assert main(["density", "--F", paths["p3"], "--H", paths[name], "--induced"]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_density_from_piped_builtin(files, capsys, monkeypatch):

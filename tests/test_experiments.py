@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import logging
@@ -60,6 +61,22 @@ def test_monte_carlo_t0_logs_at_debug_only(caplog):
     want = "t0 by Monte Carlo: n**|V(F)| = 470**3 exceeds the exact cap 100000000"
     assert [r.getMessage() for r in caplog.records] == [want, want]
     assert {r.name for r in caplog.records} == {"hyperlim.experiments"}
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_monte_carlo_t0_refuses_a_non_positive_budget(budget):
+    # 465**3 is over the exact cap, so t0 would be estimated from budget maps
+    W1 = builtin_w("example1", 2)
+    with pytest.raises(ValueError, match="t0_sample_budget must be positive"):
+        concentration_experiment(W1, TRI, n=465, eps=0.1, trials=1, t0_sample_budget=budget, seed=3)
+
+
+def test_exact_t0_ignores_a_zero_budget():
+    # sha256 of the sorted-key JSON report, pinned before the budget check
+    W1 = builtin_w("example1", 2)
+    rep = concentration_experiment(W1, TRI, n=40, eps=0.1, trials=3, t0_sample_budget=0, seed=3)
+    blob = json.dumps(rep.to_obj(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "95cc79df88c1de75e2f283e919843882f788ce49bc9aee5fc206feea63511fcb"
 
 
 def test_trial_threads_build_the_counters_once():

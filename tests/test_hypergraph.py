@@ -1,9 +1,12 @@
+import ast
+import hashlib
 import io
 import itertools
 import json
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from hypothesis import strategies as st
 from measure_oracle import ordered_edge_count
 from test_combinatorics import subsets_colex
 
+import hyperlim
 from hyperlim.cli import _write_hypergraph
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,
+    _constraints,
     blowup,
     canonical_family,
     canonical_form,
@@ -173,6 +178,23 @@ def test_canonical_family_counts_match_known_values():
     assert len(keyed) == len(fam4)
 
 
+# sha256 of the JSON list of [n, edges in colex order] over canonical_family(k, 5),
+# pinned while canonical_form kept every result in an unbounded module dict
+FAMILY_SHA256 = {
+    2: "0008c6517e53e45f1971eff5e236f3cd3e84a12d4e1b1ca75cda52e9ca0fbf7e",
+    3: "a2b2e1bc7d7bbc325e0dbe7e4c81fd6e7bca31c9b737bfd1e3367015cbe67016",
+}
+
+
+def test_canonical_families_keep_their_order_under_a_bounded_cache():
+    for k, want in FAMILY_SHA256.items():
+        fam = canonical_family(k, 5)
+        blob = json.dumps([[G.n, [list(e) for e in G.sorted_edges()]] for G in fam]).encode()
+        assert hashlib.sha256(blob).hexdigest() == want, k
+    info = canonical_form.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_density_equivalent_blowups_and_distinct():
     assert density_equivalent(TRI, blowup(TRI, 2))
     assert not density_equivalent(TRI, Hypergraph.empty(2, 3))
@@ -328,3 +350,71 @@ def test_member_array_of_oversized_host_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@st.composite
+def patterns(draw):
+    """(k, n, rows): rows a set of k-subsets of range(n), empty, complete or
+    random, with n < k included."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 7))
+    subs = list(itertools.combinations(range(n), k))
+    fill = draw(st.sampled_from(["empty", "complete", "random"]))
+    if fill == "random":
+        return k, n, [s for s in subs if draw(st.booleans())]
+    return k, n, subs if fill == "complete" else []
+
+
+@settings(max_examples=300)
+@given(patterns(), st.booleans(), st.booleans())
+def test_constraints_match_the_edge_and_subset_builders(case, induced, masked):
+    k, n, rows = case
+
+    def fresh():
+        if masked:
+            mask = np.zeros(comb(n, k), dtype=np.uint8)
+            mask[[list(subsets_colex(n, k)).index(e) for e in rows]] = 1
+            return Hypergraph.from_member(k, n, mask)
+        return Hypergraph(k, n, rows)
+
+    subs, flags = _constraints(fresh(), induced)
+    F = fresh()
+    if induced:  # every k-subset, flagged by whether it is an edge
+        want = {c: int(F.is_edge(c)) for c in itertools.combinations(range(n), k)}
+    else:  # the edges, each flagged 1
+        want = dict.fromkeys(sorted(F.edges), 1)
+    got = [tuple(s) for s in subs]
+    assert dict(zip(got, flags)) == want and len(got) == len(flags)
+    assert got == [e for e in subsets_colex(n, k) if e in want]  # colex order
+    assert all(type(f) is int for f in flags)
+
+
+def edge_query_leaks(tree, module):
+    """Lines of a module other than hypergraph that call is_edge, by name or
+    as an attribute, and a depth_ptr parameter of kernels.induced_count."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and module != "hypergraph":
+            if "is_edge" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                hits.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and module == "kernels" and node.name == "induced_count":
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "depth_ptr" in (a.arg for a in args):
+                hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_package_reads_pattern_constraints_from_one_builder():
+    # every count reads F's constrained k-subsets from hypergraph._constraints,
+    # and the frontier groups its rows by depth itself
+    files = sorted(Path(hyperlim.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = edge_query_leaks(ast.parse(path.read_text(), str(path)), path.stem)
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    leaky = "F.is_edge(c)\nis_edge(c)\ndef induced_count(n_f, n_h, subs, flags, depth_ptr, member): pass"
+    assert edge_query_leaks(ast.parse(leaky), "kernels") == [1, 2, 3]
+    assert edge_query_leaks(ast.parse(leaky), "hypergraph") == []

@@ -14,7 +14,7 @@ from hyperlim import hypergraph, kernels, rng
 from hyperlim.combinatorics import comb_table, falling, mask_bits, mask_perms
 from hyperlim.hypergraph import (
     Hypergraph,
-    _grouped_constraints,
+    _constraints,
     _induced_kernel,
     _search_count,
     _search_order,
@@ -169,10 +169,12 @@ def test_distribution_density_matches_scalar_lookup(case):
     assert structure_density(F, C, shuffled, induced=induced) == want
 
 
-def scalar_induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=False) -> int:
+def scalar_induced_count(n_f, n_h, subs, flags, member, injective=False) -> int:
     """The scalar backtracking search kernels.induced_count once was, kept
-    as its slow oracle (for n_f >= 1)."""
+    as its slow oracle (for n_f >= 1); depth d checks the rows whose
+    largest vertex is d."""
     k, ct = subs.shape[1], comb_table(n_h, subs.shape[1])
+    closing = [[e for e in range(subs.shape[0]) if subs[e].max() == d] for d in range(n_f)]
     assign = np.empty(n_f, dtype=np.int64)
     img = np.empty(k, dtype=np.int64)
     count = 0
@@ -191,7 +193,7 @@ def scalar_induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=Fal
                     ok = False
                     break
         if ok:
-            for e in range(depth_ptr[d], depth_ptr[d + 1]):
+            for e in closing[d]:
                 for i in range(k):
                     img[i] = assign[subs[e, i]]
                 dup = False
@@ -230,16 +232,16 @@ def scalar_induced_count(n_f, n_h, subs, flags, depth_ptr, member, injective=Fal
 @st.composite
 def induced_search_case(draw):
     """induced_count arguments: random flags on a random set of k-subsets of
-    V(F), grouped by a random vertex order, and a random host."""
+    V(F) in shuffled, ungrouped order, relabeled by a random vertex
+    permutation, and a random host."""
     k = draw(st.sampled_from([2, 3]))
     n_f, H = draw(st.integers(0, 5)), draw(hypergraphs(k, draw(st.integers(0, 7))))
     subs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n_f), k))),
                          unique=True)) if n_f >= k else []
     flags = draw(st.lists(st.integers(0, 1), min_size=len(subs), max_size=len(subs)))
-    order = draw(st.permutations(range(n_f)))
-    rows, src, ptr = _grouped_constraints(n_f, subs, order)
-    fl = np.array([flags[i] for i in src], dtype=np.uint8)
-    args = (n_f, H.n, rows, fl, ptr, H.member_array())
+    perm = np.array(draw(st.permutations(range(n_f))), dtype=np.int64)
+    rows = perm[np.array(subs, dtype=np.int64).reshape(-1, k)]
+    args = (n_f, H.n, rows, np.array(flags, dtype=np.uint8), H.member_array())
     return args, draw(st.booleans()), draw(st.sampled_from([kernels.FRONTIER_CAP, 1, 3, 8]))
 
 
@@ -254,10 +256,9 @@ def test_induced_count_matches_scalar_search(case):
 
 def kernel_args(F, H):
     """induced_count arguments constraining every k-subset of V(F)."""
-    subs = list(itertools.combinations(range(F.n), F.k))
-    rows, src, ptr = _grouped_constraints(F.n, subs, _search_order(F))
-    fl = np.array([F.is_edge(subs[i]) for i in src], dtype=np.uint8)
-    return F.n, H.n, rows, fl, ptr, H.member_array()
+    subs, flags = _constraints(F, induced=True)
+    rows = np.argsort(_search_order(F))[np.array(subs, dtype=np.int64).reshape(-1, F.k)]
+    return F.n, H.n, rows, np.array(flags, dtype=np.uint8), H.member_array()
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -345,9 +346,7 @@ def induced_case(draw):
 @given(induced_case(), st.booleans())
 def test_contracted_induced_counts_match_the_frontier(case, injective):
     F, H = case
-    subs = list(itertools.combinations(range(F.n), F.k))
-    flags = [int(F.is_edge(s)) for s in subs]
-    want = _search_count(F, H, subs, flags, injective)
+    want = _search_count(F, H, True, injective)
     searched = []
     loop = kernels.induced_count
     with mock.patch.object(kernels, "induced_count", lambda *a: searched.append(a) or loop(*a)):
@@ -358,9 +357,9 @@ def test_contracted_induced_counts_match_the_frontier(case, injective):
     # counts included: they are closed forms
     assert searched == []
     if H.n:
-        assert rec.t_ind == Fraction(_search_count(F, H, subs, flags), H.n**F.n)
+        assert rec.t_ind == Fraction(_search_count(F, H, True), H.n**F.n)
         if F.n <= H.n:
-            assert rec.t0_ind == Fraction(_search_count(F, H, subs, flags, True), falling(H.n, F.n))
+            assert rec.t0_ind == Fraction(_search_count(F, H, True, True), falling(H.n, F.n))
         else:
             assert rec.t0_ind is None
 
