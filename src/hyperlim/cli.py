@@ -243,7 +243,10 @@ def _cmd_distance(args) -> int:
         W = _load_w(args.W, "W")
         if not args.family:
             raise ValueError("family: required for delta-w")
-        fam = [Hypergraph.from_obj(o) for o in _read_json(args.family)]
+        objs = _read_json(args.family)
+        if not isinstance(objs, list):
+            raise ValueError("family: expected a JSON list of hypergraph objects")
+        fam = [Hypergraph.from_obj(o) for o in objs]
         rep = metrics.delta_w_lower(U, W, fam)
     elif args.metric == "delta1":
         U = _load_w(args.U, "U")

@@ -561,18 +561,24 @@ def enumerate_canonical(k: int, v: int) -> tuple:
     """All isomorphism classes of k-uniform hypergraphs on v vertices.
 
     Canonical representatives, sorted by (edge count, encoding); capped at
-    v <= 5 where exhaustive enumeration stays cheap.
+    v <= 5 where exhaustive enumeration stays cheap. The edge-set bitmasks
+    are walked in ascending order, and canonical_form runs once per class:
+    the first bitmask of a class marks its whole S_v orbit as seen.
     """
     if v > MAX_FAMILY_VERTICES:
         raise ValueError(f"enumeration capped at v <= {MAX_FAMILY_VERTICES}")
     subs = list(combinations(range(v), k))
-    seen = {}
+    index = {e: i for i, e in enumerate(subs)}
+    # moves[p][i]: the index of k-subset i's image under relabeling p
+    moves = [[index[tuple(sorted(p[x] for x in e))] for e in subs] for p in permutations(range(v))]
+    seen, forms = set(), []
     for bits in range(1 << len(subs)):
-        edges = [subs[i] for i in range(len(subs)) if bits >> i & 1]
-        form = canonical_form(Hypergraph(k, v, edges))
-        if form not in seen:
-            seen[form] = Hypergraph(k, v, form)
-    return tuple(seen[f] for f in sorted(seen, key=lambda f: (len(f), f)))
+        if bits in seen:
+            continue
+        on = [i for i in range(len(subs)) if bits >> i & 1]
+        forms.append(canonical_form(Hypergraph(k, v, [subs[i] for i in on])))
+        seen.update(sum(1 << mv[i] for i in on) for mv in moves)
+    return tuple(Hypergraph(k, v, f) for f in sorted(forms, key=lambda f: (len(f), f)))
 
 
 def canonical_family(k: int, max_vertices: int) -> list:

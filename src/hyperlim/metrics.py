@@ -157,13 +157,6 @@ def delta_w_lower(U, W, family) -> DistanceReport:
     )
 
 
-def _density_gap(F, H1, H2, cache):
-    key = (F.n, tuple(F.sorted_edges()))
-    if key not in cache:
-        cache[key] = abs(Fraction(hom(F, H1), H1.n**F.n) - Fraction(hom(F, H2), H2.n**F.n))
-    return cache[key]
-
-
 def _metric_family(k: int, v: int, seed: int) -> list:
     if v <= 5:
         return list(enumerate_canonical(k, v))
@@ -182,57 +175,39 @@ def delta_metric_estimate(
 
     The condition couples the test-pattern size to eps: every enumerated F
     with |V(F)| <= 1/eps must satisfy |t(F,H1) - t(F,H2)| <= eps. Patterns
-    are exhaustive up to 5 vertices and seeded random beyond.
+    are exhaustive up to 5 vertices and seeded random beyond. One pass over
+    v = 1..max_size records the largest gap over the patterns on at most v
+    vertices (the first such pattern in family order); grid value j reads
+    it at v = max_size // j. No gap exceeds 1, so j = max_size always
+    qualifies. The witness is the worst pattern of the previous grid value,
+    or of all patterns at j = 1.
     """
     if H1.k != H2.k:
         raise ValueError("hypergraphs must share arity k")
     if max_size < H1.k:
         raise ValueError("max_size must be at least k")
     k = H1.k
+    budget = {"max_size": max_size, "grid": "j/max_size"}
     if density_equivalent(H1, H2, check_size=max_size):
-        return DistanceReport(
-            value=Fraction(0),
-            kind="estimate",
-            budget={"max_size": max_size, "grid": "j/max_size"},
-            seed=seed,
-        )
+        return DistanceReport(value=Fraction(0), kind="estimate", budget=budget, seed=seed)
     if H1.n == 0 or H2.n == 0:
         raise ValueError("host must have at least one vertex")
-    fam = {}
+    gap, worst_F = Fraction(0), None
+    gaps, worst = [], []  # entry v - 1: over the patterns on at most v vertices
     for v in range(1, max_size + 1):
-        fam[v] = _metric_family(k, v, seed)
-    cache = {}
-    prev_violator = None
-    prev_gap = Fraction(0)
-    for F in (F for v in fam for F in fam[v]):
-        g = _density_gap(F, H1, H2, cache)
-        if g > prev_gap:
-            prev_gap, prev_violator = g, F
-    for j in range(1, max_size + 1):
-        eps = Fraction(j, max_size)
-        vmax = max_size // j
-        worst = None
-        worst_gap = Fraction(0)
-        for v in range(1, vmax + 1):
-            for F in fam[v]:
-                g = _density_gap(F, H1, H2, cache)
-                if g > worst_gap:
-                    worst_gap, worst = g, F
-        if worst_gap <= eps:
-            witness = None if prev_violator is None else prev_violator.to_obj()
-            return DistanceReport(
-                value=eps,
-                kind="estimate",
-                witness=witness,
-                budget={"max_size": max_size, "grid": "j/max_size"},
-                seed=seed,
-            )
-        prev_violator, prev_gap = worst, worst_gap
+        for F in _metric_family(k, v, seed):
+            g = abs(Fraction(hom(F, H1), H1.n**v) - Fraction(hom(F, H2), H2.n**v))
+            if g > gap:
+                gap, worst_F = g, F
+        gaps.append(gap)
+        worst.append(worst_F)
+    j = next(j for j in range(1, max_size + 1) if gaps[max_size // j - 1] <= Fraction(j, max_size))
+    witness = worst[-1] if j == 1 else worst[max_size // (j - 1) - 1]
     return DistanceReport(
-        value=Fraction(1),
+        value=Fraction(j, max_size),
         kind="estimate",
-        witness=None if prev_violator is None else prev_violator.to_obj(),
-        budget={"max_size": max_size, "grid": "j/max_size"},
+        witness=None if witness is None else witness.to_obj(),
+        budget=budget,
         seed=seed,
     )
 
@@ -261,61 +236,45 @@ def delta1_upper(
 
     total_space = factorial(L) ** k
     if total_space <= budget:
-        best = None
-        best_perms = None
-        # lexicographic order, so the first minimizer is the least one
-        for combo in product(permutations(range(L)), repeat=k):
-            v = value_of(combo)
-            if best is None or v < best:
-                best, best_perms = v, combo
-        return DistanceReport(
-            value=Fraction(best, denom),
-            kind="upper_bound",
-            witness={"perms": [list(p) for p in best_perms], "levels": L},
-            budget={"mode": "exhaustive", "evaluations": total_space},
-            seed=seed,
-        )
-
-    evals = 0
-    best = None
-    best_perms = None
-    ridx = 0
-    while evals < budget:
-        best_d1 = None if best is None else Fraction(best, denom)
-        _log.debug("delta1_upper restart %d after %d evaluations, best d1 %s", ridx, evals, best_d1)
-        # a uniform injective map [L] -> [L] is a uniform permutation
-        perms = kernels.injective_maps(k, L, L, rng.derive(seed, rng.TAG_RESTART, ridx))
-        ridx += 1
-        cur = value_of(perms)
-        evals += 1
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for r in range(k):
-                for a in range(L):
-                    for b in range(a + 1, L):
+        mode, evals = "exhaustive", total_space
+        # lexicographic order, so min keeps the least minimizer
+        best_perms = min(product(permutations(range(L)), repeat=k), key=value_of)
+        best = value_of(best_perms)
+    else:
+        mode, evals = "hill_climb", 0
+        best = best_perms = None
+        moves = [(r, a, b) for r in range(k) for a in range(L) for b in range(a + 1, L)]
+        ridx = 0
+        while evals < budget:
+            best_d1 = None if best is None else Fraction(best, denom)
+            _log.debug("delta1_upper restart %d after %d evaluations, best d1 %s", ridx, evals, best_d1)
+            # a uniform injective map [L] -> [L] is a uniform permutation
+            perms = kernels.injective_maps(k, L, L, rng.derive(seed, rng.TAG_RESTART, ridx))
+            ridx += 1
+            cur = value_of(perms)
+            evals += 1
+            improved = True
+            while improved and evals < budget:
+                improved = False
+                for r, a, b in moves:
+                    perms[r][a], perms[r][b] = perms[r][b], perms[r][a]
+                    v = value_of(perms)
+                    evals += 1
+                    if v < cur:
+                        cur = v
+                        improved = True
+                    else:
                         perms[r][a], perms[r][b] = perms[r][b], perms[r][a]
-                        v = value_of(perms)
-                        evals += 1
-                        if v < cur:
-                            cur = v
-                            improved = True
-                        else:
-                            perms[r][a], perms[r][b] = perms[r][b], perms[r][a]
-                        if evals >= budget:
-                            break
                     if evals >= budget:
                         break
-                if evals >= budget:
-                    break
-        key = tuple(tuple(int(x) for x in p) for p in perms)
-        if best is None or cur < best or (cur == best and key < best_perms):
-            best, best_perms = cur, key
+            key = tuple(tuple(int(x) for x in p) for p in perms)
+            if best is None or cur < best or (cur == best and key < best_perms):
+                best, best_perms = cur, key
     return DistanceReport(
         value=Fraction(best, denom),
         kind="upper_bound",
         witness={"perms": [list(p) for p in best_perms], "levels": L},
-        budget={"mode": "hill_climb", "evaluations": evals},
+        budget={"mode": mode, "evaluations": evals},
         seed=seed,
     )
 

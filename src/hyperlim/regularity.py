@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
 from math import comb, lcm
 from typing import Optional
 
@@ -24,7 +23,6 @@ from .combinatorics import (
     cell_codes,
     cell_digits,
     cell_weights,
-    colex_matrix,
     mask_perms,
     subset_counters,
 )
@@ -273,8 +271,9 @@ def refine(
     Alternates an exact majority choice of the structure with local
     relabeling sweeps, restarting from fresh random labels when stuck; the
     best snapshot wins. Passing structure= pins the structure and searches
-    labels only. exhaustive=True (k = 2 only) scans every vertex labeling
-    and orbit structure with per-pair optimal labels instead.
+    labels only. exhaustive=True (k = 2 only) returns instead the optimum
+    of the scan over every vertex labeling and orbit structure with
+    per-pair optimal labels, which its first labeling already reaches.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
@@ -333,68 +332,31 @@ def refine(
 
 
 def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
+    """The optimum of the scan over every vertex labeling and orbit
+    structure, with per-pair optimal labels, in closed form. Pair labels are
+    free, so the first labeling (every vertex at label 1) is optimal: for
+    l >= 2 the cell (1, 1, 1) alone fits H exactly, edges at pair label 1
+    and non-edges at 2 (the empty structure, every pair at 1, when H has no
+    edge); for l = 1 the structure is full iff 2m > C(n, 2), with ties to
+    empty, every label 1 and eps the misses over C(n, 2)."""
     if H.k != 2:
         raise ValueError("exhaustive mode supports k = 2 only")
-    n = H.n
-    orbit_reps = [(a, b, c) for a in range(1, l + 1) for b in range(a, l + 1) for c in range(1, l + 1)]
-    n_orb = len(orbit_reps)
+    n, m, pairs = H.n, H.edge_count, comb(H.n, 2)
+    n_orb = l * l * (l + 1) // 2  # cells (a, b, c) with a <= b
     if (l**n) * (1 << n_orb) > _EXHAUSTIVE_CAP:
         raise ValueError("exhaustive search space exceeds the cap")
-    pair_class = {}
-    for i, (a, b, c) in enumerate(orbit_reps):
-        pair_class.setdefault((a, b), []).append((c, i))
-    classes = sorted(pair_class)
-    cidx = {ab: i for i, ab in enumerate(classes)}
-    edges = H.edges
-    best = None
-    for vl in product(range(1, l + 1), repeat=n):
-        ne = np.zeros(len(classes), dtype=np.int64)
-        nn = np.zeros(len(classes), dtype=np.int64)
-        for u, v in combinations(range(n), 2):
-            ab = (min(vl[u], vl[v]), max(vl[u], vl[v]))
-            if (u, v) in edges:
-                ne[cidx[ab]] += 1
-            else:
-                nn[cidx[ab]] += 1
-        for smask in range(1 << n_orb):
-            miss = 0
-            for ci, ab in enumerate(classes):
-                in_c = sum(1 for (c, i) in pair_class[ab] if smask >> i & 1)
-                if in_c == 0:
-                    miss += int(ne[ci])
-                if in_c == l:
-                    miss += int(nn[ci])
-                if best is not None and miss >= best[0]:
-                    break
-            if best is None or miss < best[0]:
-                best = (miss, vl, smask)
-                if miss == 0:
-                    break
-        if best[0] == 0:
-            break
-    miss, vl, smask = best
-    chosen = [rep for i, rep in enumerate(orbit_reps) if smask >> i & 1]
-    structure = CombinatorialStructure(2, l, chosen, symmetrize=True)
-    cells = structure.cells
-    vert = np.array(vl, dtype=np.int64)
-    pair_labels = np.empty(comb(n, 2), dtype=np.int64)
-    rows = colex_matrix(n, 2)
-    for idx in range(rows.shape[0]):
-        u, v = int(rows[idx, 0]), int(rows[idx, 1])
-        ab = (min(vl[u], vl[v]), max(vl[u], vl[v]))
-        is_edge = (u, v) in edges
-        chosen = 1
-        for c, _ in pair_class[ab]:
-            a0, b0 = ab
-            inside = (a0, b0, c) in cells or (b0, a0, c) in cells
-            if inside == is_edge:
-                chosen = c
-                break
-        pair_labels[idx] = chosen
-    hp = Hyperpartition(n, 2, l, {1: vert, 2: pair_labels})
-    eps = Fraction(miss, comb(n, 2))
+    pair_labels = np.ones(pairs, dtype=np.int64)
+    if l == 1:
+        full, miss = 2 * m > pairs, min(m, pairs - m)
+    else:
+        full, miss = m > 0, 0
+        if full:
+            pair_labels[H.member_array() == 0] = 2
+    structure = CombinatorialStructure(2, l, [(1, 1, 1)] if full else [], symmetrize=True)
+    hp = Hyperpartition(n, 2, l, {1: np.ones(n, dtype=np.int64), 2: pair_labels})
+    eps = Fraction(miss, pairs)
     check = cells_union(hp, structure)
-    if Fraction(len(check.edges ^ H.edges), comb(n, 2)) != eps:
+    if Fraction(len(check.edges ^ H.edges), pairs) != eps:
         raise RuntimeError(f"exhaustive fit: eps {eps} is not the edit density of its cell union to H")
     delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     trace = [{"mode": "exhaustive", "labelings": l**n, "structures": 1 << n_orb}]

@@ -348,6 +348,53 @@ def test_distance_delta_grid(files, capsys):
     assert got["witness"]["edges"] == [[0, 1]]
 
 
+def test_delta_w_family_must_be_a_list(files, capsys):
+    wpath = files_w(files)
+    fpath = files["dir"] + "/family.json"
+    for text in ("3", "null", json.dumps(EDGE)):
+        with open(fpath, "w") as fh:
+            fh.write(text)
+        assert main(["distance", "--metric", "delta-w", "--U", wpath, "--W", wpath, "--family", fpath]) == 2
+        assert capsys.readouterr().err == "error: family: expected a JSON list of hypergraph objects\n"
+
+
+# sha256 of the files the CLI wrote, pinned while the delta estimate walked
+# its family twice, delta1_upper nested its budget checks and the exhaustive
+# fit scanned labelings
+CLI_METRIC_SHA256 = {
+    "delta2": "c277f89ec67f201d6d274aa24eed2e6587a416149b6ca4fd622f94419e07b0b5",
+    "delta3": "8e077d4453f53819b6bb4807541355e28a8f7415caf4261c3abf794e763ce8aa",
+    "delta1": "ea838e0f1dd27d6d8167191f3fb673a40c99839a4e2be83cf3581c8aa3609856",
+    "exhaustive": "d5af2c4bb1390ba33eaba9ae6f67dcd382f575bb1cc0a67a42a951d96a48e9b0",
+}
+
+
+def test_distance_and_exhaustive_fit_outputs_are_pinned(files, capsys):
+    d = files["dir"]
+    objs = {
+        "a2": Hypergraph.random(2, 9, Fraction(1, 2), seed=1).to_obj(),
+        "b2": Hypergraph.random(2, 10, Fraction(1, 2), seed=2).to_obj(),
+        "a3": Hypergraph.random(3, 7, Fraction(1, 2), seed=3).to_obj(),
+        "b3": Hypergraph.random(3, 8, Fraction(1, 2), seed=4).to_obj(),
+        "u": builtin_w("example1", 2).to_obj(),
+        "w": builtin_w("example2", 2).to_obj(),
+    }
+    for name, obj in objs.items():
+        with open(f"{d}/{name}.json", "w") as fh:
+            json.dump(obj, fh)
+    runs = {
+        "delta2": ["distance", "--metric", "delta", "--H", f"{d}/a2.json", "--T", f"{d}/b2.json", "--seed", "3"],
+        "delta3": ["distance", "--metric", "delta", "--H", f"{d}/a3.json", "--T", f"{d}/b3.json", "--max-size", "6"],
+        "delta1": ["distance", "--metric", "delta1", "--U", f"{d}/u.json", "--W", f"{d}/w.json", "--budget", "50"],
+        "exhaustive": ["regularize", "--H", f"{d}/b2.json", "--l", "2", "--exhaustive", "--seed", "1"],
+    }
+    for name, argv in runs.items():
+        out = f"{d}/{name}.out.json"
+        assert main(argv + ["--out", out]) == 0
+        assert _sha(out) == CLI_METRIC_SHA256[name], name
+    capsys.readouterr()
+
+
 def test_regularize_and_closeness_roundtrip(files, capsys, tmp_path):
     import itertools
 

@@ -26,6 +26,7 @@ from hyperlim.hypergraph import (
     canonical_form,
     densities,
     density_equivalent,
+    enumerate_canonical,
     hom,
     injective_hom_brute,
     is_isomorphic,
@@ -193,6 +194,26 @@ def test_canonical_families_keep_their_order_under_a_bounded_cache():
         assert hashlib.sha256(blob).hexdigest() == want, k
     info = canonical_form.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def canonical_classes_by_brute_force(k, v):
+    """Every isomorphism class on v vertices: canonize each of the
+    2^C(v, k) edge sets, sorted by (edge count, encoding)."""
+    subs = list(itertools.combinations(range(v), k))
+    seen = {}
+    for bits in range(1 << len(subs)):
+        edges = [subs[i] for i in range(len(subs)) if bits >> i & 1]
+        form = canonical_form(Hypergraph(k, v, edges))
+        if form not in seen:
+            seen[form] = Hypergraph(k, v, form)
+    return tuple(seen[f] for f in sorted(seen, key=lambda f: (len(f), f)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_enumerated_classes_match_canonizing_every_edge_set(k):
+    for v in range(1, 6):
+        fam, want = enumerate_canonical(k, v), canonical_classes_by_brute_force(k, v)
+        assert [(G.k, G.n, G.sorted_edges()) for G in fam] == [(G.k, G.n, G.sorted_edges()) for G in want], v
 
 
 def test_density_equivalent_blowups_and_distinct():

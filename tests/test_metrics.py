@@ -232,6 +232,45 @@ def test_delta_metric_estimate_zero_for_equivalent():
     assert delta_metric_estimate(TRI, blowup(TRI, 2), 3).value == 0
 
 
+def delta_estimate_pairs(k):
+    """Host pairs for the delta goldens: random hosts, a host against
+    itself and against a blowup, edgeless hosts of two sizes, an edgeless
+    against a complete host and two hosts without vertices."""
+    A = Hypergraph.random(k, 6, Fraction(1, 2), seed=10 + k)
+    B = Hypergraph.random(k, 7, Fraction(1, 2), seed=20 + k)
+    small = Hypergraph.random(k, k + 1, Fraction(1, 2), seed=30 + k)
+    return [
+        (A, B, 0),
+        (A, B, 5),
+        (A, A, 0),
+        (small, blowup(small, 2), 0),
+        (Hypergraph.empty(k, 4), Hypergraph.empty(k, 5), 0),
+        (Hypergraph.empty(k, 5), Hypergraph.complete(k, 5), 0),
+        (Hypergraph(k, 0), Hypergraph(k, 0), 0),
+    ]
+
+
+# sha256 of the sorted-key JSON list of [max_size, pair, report] for
+# max_size = k..7 (random patterns beyond 5 vertices), by k, pinned while
+# the estimate walked its family once before the grid loop and again per
+# grid value
+DELTA_ESTIMATE_SHA256 = {
+    1: "1317fd2f3d4ecd5ab95a9dda10ccdb888cd802db1bfe1b08099477f7b0dbe5f6",
+    2: "68aa301f11462dbad20127d5bb54c72865c1abc5d5d08272c98b64c75c4d064d",
+    3: "33251daea1b8e16fe80a6ed74c413fa294029a7f5cbe73d950afbc0f3a22fa7d",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delta_metric_estimate_reports_are_pinned(k):
+    rows = []
+    for i, (H1, H2, seed) in enumerate(delta_estimate_pairs(k)):
+        for max_size in range(k, 8):
+            rows.append([max_size, i, delta_metric_estimate(H1, H2, max_size, seed=seed).to_obj()])
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == DELTA_ESTIMATE_SHA256[k]
+
+
 def refined_rows(structure, L):
     """Refined boxes of the structure as 0-based digit rows, shape (m, width)."""
     width = (1 << structure.k) - 1
@@ -319,6 +358,28 @@ def test_delta1_upper_hill_climb_budget():
         assert hashlib.sha256(blob).hexdigest() == want
     r2 = delta1_upper(U, Wsw, budget=600)
     assert r2.budget["mode"] == "exhaustive" and r2.value == 0
+
+
+# sha256 of the sorted-key JSON list of delta1_upper reports below, by k,
+# pinned while the hill climb checked its budget in each of three nested
+# loops; budgets on both sides of the (L!)^k exhaustive threshold
+DELTA1_SHA256 = {
+    1: "d829138dd35074c3824777c08a5473a6f2f6169cfdb4fe40ce49d62c3b15251f",
+    2: "da03d12ab1c9ea775813c54af6a034334b8667ffedd4a7d7157c470668b71cfa",
+    3: "e4e2301786ea05603d38f916e96f591c1f47e14d0a194899a88b8625a4752e72",
+}
+DELTA1_LEVELS = {1: [(2, 3), (4, 4), (5, 1)], 2: [(2, 2), (3, 2), (4, 4)], 3: [(2, 2), (3, 3), (2, 4)]}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delta1_upper_reports_are_pinned(k):
+    reports = []
+    for lU, lW in DELTA1_LEVELS[k]:
+        U, W = rand_step(k, lU, 900 + 10 * k + lU), rand_step(k, lW, 950 + 10 * k + lW)
+        for budget in (1, 2, 5, 8, 24, 36, 100, 216, 576, 4096):
+            reports.append(delta1_upper(U, W, budget=budget, seed=budget % 7).to_obj())
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == DELTA1_SHA256[k]
 
 
 def test_delta1_upper_restarts_log_at_debug_only(caplog):

@@ -85,6 +85,27 @@ def test_exhaustive_reaches_zero_on_planted():
     assert rep2.eps == 0
 
 
+# sha256 of the sorted-key JSON list of exhaustive refine reports, or the
+# refusal's message, over n = 2..17, l = 1..3 and edge densities 0, 1/2, 1,
+# pinned while the exhaustive mode scanned vertex labelings and structures
+EXHAUSTIVE_SHA256 = "bada01bb8faf4bcf500efe2170957025a25609631c151db61dae1adbd6acb8b2"
+
+
+def test_exhaustive_reports_are_pinned():
+    rows = []
+    for n in range(2, 18):
+        for p in (0, Fraction(1, 2), 1):
+            H = Hypergraph.random(2, n, p, seed=n)
+            for l in (1, 2, 3):
+                try:
+                    rows.append(refine(H, l, seed=n, exhaustive=True).to_obj())
+                except ValueError as e:
+                    rows.append(str(e))
+    assert "exhaustive search space exceeds the cap" in rows
+    blob = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXHAUSTIVE_SHA256
+
+
 def test_exhaustive_self_check_raises_under_optimize(monkeypatch):
     # an explicit check, not an assert, so python -O keeps it
     Hs, _, _ = planted_instance(8)
