@@ -107,6 +107,25 @@ def colex_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def colex_insert_ranks(rows: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """Colex ranks, among the subsets of range(n) one wider than the rows of
+    a sorted-subset matrix, of each row with one vertex w of range(lo, hi)
+    inserted, as a (len(rows), hi - lo) array, with no sort: with j
+    elements s_i below w, the rank is the sum of C(s_i, i + 1) over i < j,
+    C(w, j + 1) and the sum of C(s_i, i + 2) over i >= j. Entries whose w
+    is already in the row are meaningless."""
+    m = rows.shape[1]
+    ct = comb_table(n, m + 1)
+    w = np.arange(lo, hi)
+    below = (rows[:, :, None] < w).sum(axis=1)
+    # below[r, x] = j picks the sums over i < j and over i >= j
+    lower = np.zeros((rows.shape[0], m + 1), dtype=np.int64)
+    np.cumsum(ct[rows, np.arange(1, m + 1)], axis=1, out=lower[:, 1:])
+    upper = np.zeros_like(lower)
+    np.cumsum(ct[rows, np.arange(2, m + 2)][:, ::-1], axis=1, out=upper[:, -2::-1])
+    return np.take_along_axis(lower, below, 1) + ct[w, below + 1] + np.take_along_axis(upper, below, 1)
+
+
 def colex_unrank(ranks, n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n) with the given colex ranks, as the rows of
     an int64 (len(ranks), k) array; the inverse of colex_rank_rows.

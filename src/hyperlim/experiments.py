@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import kernels, rng
 from .combinatorics import falling
-from .hypergraph import Hypergraph, _constraints, _induced_kernel, hom
+from .hypergraph import Hypergraph, _constraints, _host_tensor, _induced_kernel, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from .hypergraphon import StepHypergraphon, density
 from .regularity import refine
@@ -86,11 +86,12 @@ def _is_single_full_edge(F: Hypergraph) -> bool:
     return F.n == F.k and len(F.edges) == 1
 
 
-def _injective_hits(F, member, n, trial_seed, budget) -> int:
+def _injective_hits(F, member, n, trial_seed, budget, tensors=None) -> int:
     """How many of budget seeded injective maps of F into an n-vertex host
-    (given by its member table) send every edge of F onto an edge."""
+    (given by its member table, or by its host tensors when passed) send
+    every edge of F onto an edge."""
     maps = kernels.injective_maps(budget, F.n, n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
-    return kernels.eval_maps_count(maps, *_constraints(F), member, n)
+    return kernels.eval_maps_count(maps, *_constraints(F), member, n, tensors)
 
 
 def _t0_of_sample(F, W, n, trial_seed, budget):
@@ -199,7 +200,10 @@ def counting_experiment(
     def one_at(n):
         def one(i, s):
             T = cells_union(Hyperpartition.uniform_random(n, k, l, seed=s), C)
-            est = _injective_hits(F, T.member_array(), n, s, mc_samples) / mc_samples
+            # the host tensor pays when it has no more entries than the map
+            # checks it serves
+            tensors = {1: _host_tensor(T)} if n**k <= mc_samples * len(F.edges) else None
+            est = _injective_hits(F, T.member_array(), n, s, mc_samples, tensors) / mc_samples
             return {
                 "trial": i,
                 "seed": s,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ from .combinatorics import (
     colex_rank_rows,
     colex_unrank,
     falling,
-    set_partitions,
 )
 
 MAX_CANONICAL_N = 10
@@ -303,20 +302,23 @@ def _check_arity(F: Hypergraph, H: Hypergraph):
 
 
 def _search_order(F: Hypergraph) -> list:
-    """Vertex order that closes edges as early as possible (greedy)."""
-    remaining = set(range(F.n))
+    """Vertex order that closes edges as early as possible (greedy): each
+    step takes the vertex closing the most edges, then the one of highest
+    degree, then the least."""
+    edges = list(F.edges)
+    inc = [[] for _ in range(F.n)]  # the edges at each vertex
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    missing = [F.k] * len(edges)  # vertices of each edge not yet chosen
+    remaining = list(range(F.n))
     chosen = []
-    edges = [set(e) for e in F.edges]
     while remaining:
-        best, best_gain, best_deg = None, -1, -1
-        for v in sorted(remaining):
-            inside = set(chosen) | {v}
-            gain = sum(1 for e in edges if v in e and e <= inside)
-            deg = sum(1 for e in edges if v in e)
-            if (gain, deg) > (best_gain, best_deg):
-                best, best_gain, best_deg = v, gain, deg
+        best = max(remaining, key=lambda v: (sum(missing[i] == 1 for i in inc[v]), len(inc[v]), -v))
         chosen.append(best)
-        remaining.discard(best)
+        remaining.remove(best)
+        for i in inc[best]:
+            missing[i] -= 1
     return chosen
 
 
@@ -330,17 +332,13 @@ def _constraints(F: Hypergraph, induced: bool = False):
     return edges, [1] * len(edges)
 
 
-def _search_count(F: Hypergraph, H: Hypergraph, induced=False, injective=False) -> int:
-    """_map_count's count, of injective maps if asked, by the frontier
-    search of kernels.induced_count over F's vertices in _search_order."""
-    if injective and F.n > H.n:
-        return 0
-    member = H.member_array()  # refuses an oversized host before allocating
-    subs, flags = _constraints(F, induced)
-    depth = np.empty(F.n, dtype=np.int64)  # each vertex's place in the search order
-    depth[_search_order(F)] = np.arange(F.n)
-    rows = depth[np.array(subs, dtype=np.int64).reshape(-1, F.k)]
-    return kernels.induced_count(F.n, H.n, rows, np.array(flags, dtype=np.uint8), member, injective)
+def _search_rows(F: Hypergraph, subs) -> list:
+    """subs with each vertex renamed by its place in _search_order(F), the
+    frontier's vertex order."""
+    depth = [0] * F.n
+    for d, v in enumerate(_search_order(F)):
+        depth[v] = d
+    return [[depth[v] for v in s] for s in subs]
 
 
 def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool, tensors: dict) -> int:
@@ -364,64 +362,144 @@ def _host_tensor(H: Hypergraph) -> np.ndarray:
     return T
 
 
-def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict) -> int:
-    """Count of maps V(F) -> V(H) meeting _constraints(F, induced), as one
-    kernels.contract factor per subset: the host tensor of H (flag 1) or of
-    its complement (flag 0), kept in tensors under the flag and built only
-    once kernels.contraction_plan accepts. A count the contraction refuses
-    runs the frontier search of _search_count instead, logged at debug."""
+def _tensors(H: Hypergraph, flags, tensors: dict) -> dict:
+    """tensors with the host tensor of H (flag 1) or of its complement (flag
+    0) added for every flag listed, each built at most once per dict."""
+    for flag in set(flags) - tensors.keys():
+        tensors[flag] = _host_tensor(H if flag else H.complement())
+    return tensors
+
+
+def _has_tensor(H: Hypergraph) -> bool:
+    return H.n**H.k <= kernels.CONTRACT_CAP
+
+
+def _frontier(F, H, rows, flags, injective, tensors) -> int:
+    """kernels.induced_count over F's constraint rows in search order,
+    reading the host tensors when they fit and the member table otherwise."""
+    if _has_tensor(H):
+        member, tensors = None, _tensors(H, flags, tensors)
+    else:
+        member, tensors = H.member_array(), None  # refuses an oversized host before allocating
+    return kernels.induced_count(F.n, H.n, rows, flags, member, injective, tensors)
+
+
+def _search_count(F: Hypergraph, H: Hypergraph, induced=False, injective=False) -> int:
+    """_map_count's count, of injective maps if asked, forced onto the
+    frontier search."""
+    subs, flags = _constraints(F, induced)
+    return _frontier(F, H, _search_rows(F, subs), flags, injective, {})
+
+
+def _contract_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, steps=None):
+    """_map_count's count by kernels.contract alone, one factor per
+    constrained subset; None when the host has no tensor or the plan
+    refuses, before any tensor is built."""
+    subs, flags = _constraints(F, induced)
+    if steps is None:
+        steps = kernels.contraction_plan(subs, H.n) if _has_tensor(H) else None
+        if steps is None:
+            return None
+    _tensors(H, flags, tensors)
+    return kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
+
+
+def _proper_partitions(F: Hypergraph):
+    """Yield, as restricted growth strings (vertex v's block, numbered in
+    order of first use), the partitions of V(F) that put no two vertices of
+    one edge in a block: v joins an open block that holds none of its
+    earlier neighbours in F's 2-shadow, or opens the next one."""
+    earlier = [set() for _ in range(F.n)]
+    for e in F.edges:
+        for a, b in combinations(e, 2):
+            earlier[b].add(a)
+    lab = [0] * F.n
+
+    def grow(v, blocks):
+        if v == F.n:
+            yield tuple(lab)
+            return
+        for b in range(blocks + 1):
+            if all(lab[u] != b for u in earlier[v]):
+                lab[v] = b
+                yield from grow(v + 1, max(blocks, b + 1))
+
+    return grow(0, 0)
+
+
+def _mobius_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
+    """The injective count as the partition-lattice Mobius sum: over the
+    proper partitions P of V(F), mobius_weight(P) times hom(F/P, H), each
+    contracted as _map_count's cost model priced it, or by _map_count when
+    its plan refuses; a partition merging two vertices of an edge has no
+    homomorphism and is never built."""
+    total = 0
+    for lab in _proper_partitions(F):
+        size = [0] * (max(lab, default=-1) + 1)
+        for b in lab:
+            size[b] += 1
+        weight = prod((-1) ** (s - 1) * factorial(s - 1) for s in size)
+        Q = Hypergraph(F.k, len(size), ([lab[v] for v in e] for e in F.edges))
+        got = _contract_count(Q, H, False, tensors)
+        total += weight * (_map_count(Q, H, False, tensors) if got is None else got)
+    return total
+
+
+def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injective=False) -> int:
+    """Count of maps V(F) -> V(H), injective ones if asked, meeting
+    _constraints(F, induced), by the path of lower predicted cost: the
+    frontier search (kernels.frontier_cost) against one contraction
+    (kernels.contraction_cost), or, for an injective count, against the
+    Mobius sum, whose cost is F's contraction cost times its number of
+    proper partitions. The prediction reads no table; the host tensors,
+    kept in tensors under the flag, are built once the path is chosen. A
+    frontier search writes one debug record with both predicted costs."""
     subs, flags = _constraints(F, induced)
     if not subs:  # no constraints at all
-        return H.n**F.n
-    got, why = None, "no host tensor, n**k is over the cap"
-    if H.n**H.k <= kernels.CONTRACT_CAP:
-        why = "the contraction refused a step over the cap"
-        steps = kernels.contraction_plan(subs, H.n)
-        if steps is not None:  # build the tensors only for a plan that runs
-            for flag in set(flags) - tensors.keys():
-                tensors[flag] = _host_tensor(H if flag else H.complement())
-            got = kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
-    if got is None:
-        import logging  # here, not at the top: a CLI call that never falls back skips its import
+        return falling(H.n, F.n) if injective else H.n**F.n
+    if injective and F.n > H.n:
+        return 0
+    rows = _search_rows(F, subs)
+    edge_share = H.edge_count / comb(H.n, H.k) if H.n >= H.k else 0.0
+    frontier = kernels.frontier_cost(F.n, H.n, rows, flags, edge_share, injective)
+    steps = kernels.contraction_plan(subs, H.n) if _has_tensor(H) else None
+    other = None if steps is None else kernels.contraction_cost(steps, H.n)
+    if injective and other is not None and other <= frontier:
+        other *= sum(1 for _ in _proper_partitions(F))
+    if other is not None and other <= frontier:
+        if injective:
+            return _mobius_count(F, H, tensors)
+        return _contract_count(F, H, induced, tensors, steps)
+    import logging  # here, not at the top: a CLI call that never searches skips its import
 
-        logging.getLogger(__name__).debug(
-            "%s by frontier search (%s): n = %d, |V(F)| = %d, CONTRACT_CAP = %d",
-            "hom" if all(flags) else "induced count", why, H.n, F.n, kernels.CONTRACT_CAP,
-        )
-        got = _search_count(F, H, induced)
-    return got
-
-
-def _injective_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
-    total = 0
-    for blocks in set_partitions(tuple(range(F.n))):
-        part = VertexPartition(F.n, blocks)
-        Q = quotient(F, part)
-        if Q is not None:
-            total += part.mobius_weight() * _map_count(Q, H, False, tensors)
-    return total
+    logging.getLogger(__name__).debug(
+        "%s by frontier search, predicted cost %.0f against %s for the %s: n = %d, |V(F)| = %d",
+        "injective hom" if injective else "hom" if all(flags) else "induced count",
+        frontier, "none" if other is None else "%.0f" % other,
+        "Mobius sum" if injective else "contraction", H.n, F.n,
+    )
+    return _frontier(F, H, rows, flags, injective, tensors)
 
 
 def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     """Count maps V(F) -> V(H) sending every edge of F onto an edge of H.
 
-    mode "all" counts arbitrary maps as one tensor contraction with a factor
-    per edge of F (see _map_count), by the frontier search of
-    kernels.induced_count when the contraction exceeds its cap. mode
-    "injective" computes the injective count through partition-lattice
-    inversion: sum over partitions P of V(F) of mobius_weight(P) times
-    hom(F/P, H), where collapses that merge an edge contribute zero.
+    mode "all" counts arbitrary maps, mode "injective" injective ones, each
+    by the path _map_count predicts cheaper: the frontier search of
+    kernels.induced_count, or else one tensor contraction with a factor per
+    edge of F (mode "all") or the partition-lattice inversion, the sum over
+    the partitions P of V(F) that merge no two vertices of an edge of
+    mobius_weight(P) times hom(F/P, H) (mode "injective").
     """
     _check_arity(F, H)
     if mode not in ("all", "injective"):
         raise ValueError(f"unknown hom mode {mode!r}")
-    if mode == "all":
-        return _map_count(F, H, False, {})
-    return _injective_count(F, H, {})
+    return _map_count(F, H, False, {}, mode == "injective")
 
 
 def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
-    """Direct enumeration of injective homomorphisms (inversion oracle)."""
+    """Injective homomorphisms by the frontier search alone (inversion
+    oracle)."""
     _check_arity(F, H)
     return _search_count(F, H, injective=True)
 
@@ -461,7 +539,7 @@ def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:
     t_ind = Fraction(ind, H.n**v)
     if v <= H.n:
         fall = falling(H.n, v)
-        t0 = Fraction(_injective_count(F, H, tensors), fall)
+        t0 = Fraction(_map_count(F, H, False, tensors, True), fall)
         if F.k == 1 or v < F.k:  # otherwise the count above is already injective
             ind = _induced_kernel(F, H, True, tensors)
         t0_ind = Fraction(ind, fall)

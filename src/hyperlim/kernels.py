@@ -1,16 +1,17 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
-exact counts (hom and induced counts, structure densities), one frontier
-search for the counts it refuses and for the injective-hom oracle, which
-groups its constraint rows by closing depth itself, two constraint
-filters (_keep for vertex maps against an n-vertex host's member table,
-ranked by combinatorics.colex_rank_rows and shared by the search and
-eval_maps_count; cells_keep for simplex levels, one row per simplex, against
-a structure, read over its used_axes() as combinatorics._cell_member_count
-reads them, and shared by mc_step_count, the Monte Carlo d1 and the
-densities under a level-map distribution), and the random injective-map
-generator. Randomness enters only through splitmix64 counter ranges and
-strided ranges (see rng), which keeps results independent of evaluation
-order.
+exact counts (hom and induced counts, structure densities); one frontier
+search, which extends partial maps by the AND of link rows read from the
+host's 0/1 tensors or, for a host with no tensor, from its member table by
+combinatorics.colex_insert_ranks; the cost model that picks between the
+two before any table is built (contraction_cost, frontier_cost); the
+map-evaluation sweep, which gathers from the host tensors or sorts and
+colex-ranks into the member table; one constraint-cell filter (cells_keep
+for simplex levels, one row per simplex, against a structure, read over
+its used_axes() as combinatorics._cell_member_count reads them, and shared
+by mc_step_count, the Monte Carlo d1 and the densities under a level-map
+distribution); and the random injective-map generator. Randomness enters
+only through splitmix64 counter ranges and strided ranges (see rng), which
+keeps results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from math import prod
 import numpy as np
 
 from . import rng
-from .combinatorics import colex_rank_rows
+from .combinatorics import colex_insert_ranks, colex_rank_rows
 
 # most entries any one elimination step of contract may span
 CONTRACT_CAP = 1 << 24
-# most rows one block of the induced_count frontier may hold
+# most candidate cells (partial maps x host vertices) one block of the
+# induced_count frontier may hold
 FRONTIER_CAP = 1 << 16
+# most candidate cells one induced_count call may examine in all
+FRONTIER_BUDGET = 1 << 28
+# the cost model's fixed price of one numpy call, in table entries
+CALL_COST = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +65,29 @@ def contraction_plan(scopes, dom):
         steps.append((bucket, scopes[-1]))
         todo.discard(x)
     return steps
+
+
+def contraction_cost(steps, dom) -> int:
+    """Predicted cost of contract under the steps of contraction_plan: the
+    span of each step, dom**len(joint), plus CALL_COST per factor in its
+    bucket."""
+    return sum(dom ** (len(out) + 1) + CALL_COST * len(bucket) for bucket, out in steps)
+
+
+def frontier_cost(n_f, n_h, subs, flags, p, injective=False) -> float:
+    """Predicted cost of induced_count over these constraint rows: the sum
+    over depths d of rows_d * n_h + CALL_COST, where rows_0 = 1 and depth d
+    multiplies the rows by its candidates, n_h (n_h - d if injective), by p
+    for each edge flag closing there and by 1 - p for each non-edge flag;
+    p is the host's edge share. Reads no table."""
+    closing = [[0, 0] for _ in range(n_f)]  # (non-edge, edge) flags per depth
+    for row, flag in zip(subs, flags):
+        closing[max(row)][flag != 0] += 1
+    rows, cost = 1.0, 0.0
+    for d, (non, edge) in enumerate(closing):
+        cost += rows * n_h + CALL_COST
+        rows *= max(n_h - d if injective else n_h, 0) * p**edge * (1 - p) ** non
+    return cost
 
 
 def contract(factors, nvars, dom, steps=None):
@@ -109,36 +138,88 @@ def _einsum(out, *operands):
     return np.einsum(*args, [ren[v] for v in out])
 
 
-def induced_count(n_f, n_h, subs, flags, member, injective=False) -> int:
+def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) -> int:
     """Count maps [n_f] -> [n_h], injective ones if asked, under which every
-    row of subs, an int64 array of k-subsets of [n_f] in any order, lands
-    distinctly on an edge (flag 1) or a non-edge (flag 0) of member, the
-    colex indicator of an n_h-vertex host.
+    row of subs, k-subsets of [n_f] in any order (lists or an int64 array),
+    lands distinctly on an edge (flag 1) or a non-edge (flag 0) of an
+    n_h-vertex host: of tensors[flag], its 0/1 tensors (zero on every tuple
+    that repeats a vertex), when given, and of member, its colex indicator,
+    otherwise.
 
     Partial maps grow one vertex at a time, in index order, as in Generic
-    Join; depth d keeps the rows that pass the constraints whose largest
-    vertex is d, grouped here by a stable sort. A frontier is cut into
-    blocks of at most FRONTIER_CAP rows, and each block runs depth-first.
+    Join: at depth d each row whose largest vertex is d selects the link
+    row of its earlier images, an n_h-vector over the next image, and the
+    candidates are the AND of those rows, less the used images if
+    injective. Each depth is cut into blocks of at most FRONTIER_CAP
+    candidate cells (partial maps x host vertices), run depth-first. A
+    count that would examine more than FRONTIER_BUDGET cells in all raises
+    a ValueError before it does.
     """
-    top = subs.max(axis=1)
-    by = np.argsort(top, kind="stable")
-    subs, flags = subs[by], flags[by]
-    depth_ptr = np.searchsorted(top[by], np.arange(n_f + 1))
+    if not n_f:
+        return 1
+    if not n_h:
+        return 0
+    closing = [[] for _ in range(n_f)]  # (earlier vertices, flag) per depth
+    for row, flag in zip(subs, flags):
+        d = max(row)
+        closing[d].append(([v for v in row if v != d], flag))
+    width = min(n_h, FRONTIER_CAP)
+    height = max(1, FRONTIER_CAP // n_h)
+    spent = 0
+
+    def links(maps, d, lo, hi):
+        cand = np.ones((maps.shape[0], hi - lo), dtype=bool)
+        for cols, flag in closing[d]:
+            if tensors is not None:
+                # at k = 1 the link of the empty prefix is the whole
+                # tensor, broadcast over the rows
+                np.logical_and(cand, tensors[flag][tuple(maps[:, c] for c in cols) + (slice(lo, hi),)], out=cand)
+            else:
+                cand &= _member_link(maps[:, cols], lo, hi, flag, member, n_h)
+        if injective:
+            for used in maps.T - lo:
+                hit = (used >= 0) & (used < hi - lo)
+                cand[np.flatnonzero(hit), used[hit]] = False
+        return cand
 
     def grow(maps, d):
+        nonlocal spent
         total = 0
-        size = maps.shape[0] * n_h
-        block = slice(depth_ptr[d], depth_ptr[d + 1])
-        for lo in range(0, size, FRONTIER_CAP):
-            idx = np.arange(lo, min(size, lo + FRONTIER_CAP))
-            rows = np.column_stack((maps[idx // n_h], idx % n_h))
-            if injective:
-                rows = rows[(rows[:, :d] != rows[:, d:]).all(axis=1)]
-            rows = rows[_keep(rows, subs[block], flags[block], member, n_h)]
-            total += rows.shape[0] if d == n_f - 1 else grow(rows, d + 1)
+        for r0 in range(0, maps.shape[0], height):
+            part = maps[r0 : r0 + height]
+            for lo in range(0, n_h, width):
+                hi = min(n_h, lo + width)
+                spent += part.shape[0] * (hi - lo)
+                if spent > FRONTIER_BUDGET:
+                    raise ValueError(
+                        f"--F, --H: the exact count needs more than FRONTIER_BUDGET = {FRONTIER_BUDGET}"
+                        " candidate cells of frontier search"
+                    )
+                cand = links(part, d, lo, hi)
+                if d == n_f - 1:
+                    total += int(np.count_nonzero(cand))
+                else:
+                    r, c = np.nonzero(cand)
+                    total += grow(np.column_stack((part[r], c + lo)), d + 1)
         return total
 
-    return grow(np.zeros((1, 0), dtype=np.int64), 0) if n_f else 1
+    return grow(np.zeros((1, 0), dtype=np.int64), 0)
+
+
+def _member_link(img, lo, hi, flag, member, n) -> np.ndarray:
+    """The link rows of an n-vertex host's member table: entry (r, x) says
+    whether row r of img, k - 1 host vertices, joined by vertex lo + x, is
+    a set of k distinct vertices forming an edge (flag 1) or a non-edge
+    (flag 0). Ranks by combinatorics.colex_insert_ranks, with no sort per
+    candidate."""
+    img = np.sort(img, axis=1)
+    bad = (img[:, :, None] == np.arange(lo, hi)).any(axis=1)
+    bad |= (img[:, 1:] == img[:, :-1]).any(axis=1)[:, None]
+    if not member.size:  # fewer than k host vertices
+        return np.zeros(bad.shape, dtype=bool)
+    ranks = colex_insert_ranks(img, lo, hi, n)
+    ranks[bad] = 0
+    return ~bad & ((member[ranks] != 0) == (flag != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +282,24 @@ def cells_keep(levels, cidx, flags, cells) -> np.ndarray:
     return good
 
 
-def eval_maps_count(maps, edges, flags, member, n) -> int:
-    """Count map rows for which every listed k-subset lands distinctly on an
-    edge (flag 1) or non-edge (flag 0) of an n-vertex host's member table."""
-    return int(_keep(maps, edges, flags, member, n).sum())
-
-
-def _keep(maps, subs, flags, member, n) -> np.ndarray:
-    """Mask of the map rows that pass every (subset, flag) constraint.
-
-    Per constraint: sort the images, test that they are distinct, colex
-    rank them among the subsets of range(n) and compare member there with
-    the flag. Only rows still alive are gathered, so a host with fewer than
-    k vertices, whose member table is empty, is never read.
-    """
+def eval_maps_count(maps, subs, flags, member, n, tensors=None) -> int:
+    """Count map rows under which every listed k-subset lands distinctly on
+    an edge (flag 1) or a non-edge (flag 0) of an n-vertex host: gathered
+    from tensors[flag], its 0/1 tensors, when given; otherwise, for the rows
+    still alive, sorted, tested for distinct images and colex-ranked into
+    member, its indicator (so a host with fewer than k vertices, whose
+    member table is empty, is never read)."""
     good = np.ones(maps.shape[0], dtype=bool)
     for sub, flag in zip(subs, flags):
+        if tensors is not None:
+            np.logical_and(good, tensors[flag][tuple(maps[:, c] for c in sub)], out=good)
+            continue
         alive = np.flatnonzero(good)
         img = np.sort(maps[alive[:, None], sub], axis=1)
         ok = (img[:, 1:] != img[:, :-1]).all(axis=1)
         ok[ok] = (member[colex_rank_rows(img[ok], n)] != 0) == (flag != 0)
         good[alive] = ok
-    return good
+    return int(np.count_nonzero(good))
 
 
 def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:

@@ -46,10 +46,14 @@ def test_density_induced_host_counts_only_t_ind(files, capsys, monkeypatch):
             json.dump(G.to_obj(), fh)
     want = densities(P3, host).t_ind
 
-    def refuse(*args):
-        raise AssertionError("the injective count is not printed")
+    count = hypergraph._map_count
 
-    monkeypatch.setattr(hypergraph, "_injective_count", refuse)
+    def refuse(F, H, induced, tensors, injective=False):
+        if injective:
+            raise AssertionError("the injective count is not printed")
+        return count(F, H, induced, tensors)
+
+    monkeypatch.setattr(hypergraph, "_map_count", refuse)
     assert main(["density", "--F", paths["p3"], "--H", paths["host"], "--induced"]) == 0
     assert capsys.readouterr().out == f"{want.numerator}/{want.denominator}\n"
     # the errors densities raised: arity first, then the empty host

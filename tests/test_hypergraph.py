@@ -17,10 +17,13 @@ from test_combinatorics import subsets_colex
 
 import hyperlim
 from hyperlim.cli import _write_hypergraph
+from hyperlim.combinatorics import set_partitions
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,
     _constraints,
+    _mobius_count,
+    _proper_partitions,
     blowup,
     canonical_family,
     canonical_form,
@@ -121,10 +124,44 @@ def test_hom_injective_mode_is_mobius_inversion():
     for seed in range(10):
         F = Hypergraph.random(2, 4, 0.5, seed=seed)
         H = Hypergraph.random(2, 5, 0.5, seed=200 + seed)
-        assert hom(F, H, mode="injective") == injective_hom_brute(F, H)
+        assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H, {})
     F = Hypergraph.random(3, 4, 0.6, seed=1)
     H = Hypergraph.random(3, 5, 0.5, seed=2)
-    assert hom(F, H, mode="injective") == injective_hom_brute(F, H)
+    assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H, {})
+
+
+def proper_partitions_by_filter(F):
+    """Every partition of V(F) whose quotient keeps each edge, as restricted
+    growth strings, from all Bell(v) of them."""
+    out = set()
+    for blocks in set_partitions(tuple(range(F.n))):
+        part = VertexPartition(F.n, blocks)
+        if quotient(F, part) is not None:
+            lab = [0] * F.n
+            for i, b in enumerate(part.blocks):
+                for v in b:
+                    lab[v] = i
+            out.add(tuple(lab))
+    return out
+
+
+def test_proper_partitions_are_the_nondegenerate_quotients():
+    path = [(i, i + 1) for i in range(5)]
+    shapes = {
+        "P6": (Hypergraph(2, 6, path), 52),
+        "P5": (Hypergraph(2, 5, path[:4]), 15),
+        "C5": (Hypergraph(2, 5, path[:4] + [(0, 4)]), 11),
+        "tight5": (Hypergraph(3, 5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)]), 5),
+        "points": (Hypergraph(1, 4, [(0,), (2,)]), 15),
+        "empty": (Hypergraph(2, 0), 1),
+    }
+    for name, (F, proper) in shapes.items():
+        got = list(_proper_partitions(F))
+        assert len(got) == len(set(got)) == proper, name
+        assert set(got) == proper_partitions_by_filter(F), name
+    for seed in range(20):
+        F = Hypergraph.random(2 + seed % 2, 6, 0.3, seed=seed)
+        assert set(_proper_partitions(F)) == proper_partitions_by_filter(F)
 
 
 def test_blowup_shape_and_density_invariance():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hyperlim
@@ -29,3 +32,24 @@ def test_package_modules_read_every_name_they_import():
     assert found == {}
     src = "from __future__ import annotations\nimport os.path\nimport numpy as np\nfrom x import a, b as c\nnp.zeros(a)\n"
     assert unused_imports(ast.parse(src)) == [("os", 2), ("c", 4)]
+
+
+def test_cli_start_up_loads_only_its_own_modules():
+    # a fresh interpreter: the CLI's import pulls in exactly these package
+    # modules, and logging only where a count searches or an experiment
+    # reports
+    code = "import sys, hyperlim.cli; print(sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(out.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "hyperlim"] == [
+        "hyperlim",
+        "hyperlim.cli",
+        "hyperlim.combinatorics",
+        "hyperlim.hypergraph",
+        "hyperlim.hypergraphon",
+        "hyperlim.hyperpartition",
+        "hyperlim.kernels",
+        "hyperlim.rng",
+    ]
+    assert "logging" not in loaded

@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 from fractions import Fraction
 from math import comb
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from test_hyperpartition import brute_structure_density
 
 from hyperlim import hypergraph, kernels, rng
-from hyperlim.combinatorics import comb_table, falling, mask_bits, mask_perms
+from hyperlim.cli import main
+from hyperlim.combinatorics import colex_rank_rows, comb_table, falling, mask_bits, mask_perms
 from hyperlim.hypergraph import (
     Hypergraph,
     _constraints,
+    _contract_count,
     _induced_kernel,
     _search_count,
     _search_order,
@@ -302,27 +305,32 @@ def test_hom_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
     F = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     H = Hypergraph.random(2, 9, 0.5, seed=5)
     want = hom(F, H)
-    # 9**2 host entries fit a cap of 100, but eliminating a vertex of degree
-    # two spans 9**3; under a cap of 8 the host tensor itself is refused
-    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
-    assert hom(F, H) == want
     assert caplog.records == []
+    # the frontier's predicted cost is the lower at the default cap; under a
+    # cap of 100 the contraction's first step (9**3) is refused, and under 8
+    # the host tensor itself
     with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert hom(F, H) == want
+        monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
         assert hom(F, H) == want
         monkeypatch.setattr(kernels, "CONTRACT_CAP", 8)
         assert hom(F, H) == want
     assert [r.getMessage() for r in caplog.records] == [
-        "hom by frontier search (the contraction refused a step over the cap):"
-        " n = 9, |V(F)| = 4, CONTRACT_CAP = 100",
-        "hom by frontier search (no host tensor, n**k is over the cap):"
-        " n = 9, |V(F)| = 4, CONTRACT_CAP = 8",
+        f"hom by frontier search, predicted cost 132692 against {other} for the contraction:"
+        " n = 9, |V(F)| = 4"
+        for other in ("230276", "none", "none")
     ]
     assert {(r.name, r.levelno) for r in caplog.records} == {("hyperlim.hypergraph", logging.DEBUG)}
     caplog.clear()
+    # a path in a 60-vertex host: the frontier's rows grow thirtyfold per
+    # vertex, so the contraction runs, and says nothing
+    P7, G = Hypergraph(2, 7, [(i, i + 1) for i in range(6)]), Hypergraph.random(2, 60, 0.5, seed=1)
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 1 << 24)
     with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
-        monkeypatch.setattr(kernels, "CONTRACT_CAP", 1 << 24)
-        assert hom(F, H) == want  # contracted: nothing to say
+        got = hom(P7, G)
     assert caplog.records == []
+    A = hypergraph._host_tensor(G)
+    assert got == int(np.linalg.matrix_power(A, 6).sum())  # walks of length 6
 
 
 @st.composite
@@ -351,11 +359,15 @@ def test_contracted_induced_counts_match_the_frontier(case, injective):
     loop = kernels.induced_count
     with mock.patch.object(kernels, "induced_count", lambda *a: searched.append(a) or loop(*a)):
         assert _induced_kernel(F, H, injective, {}) == want
+        closed = searched == []
         if H.n:
             rec = densities(F, H)
-    # no count under the cap reaches the frontier search, injective k = 1
-    # counts included: they are closed forms
-    assert searched == []
+    # injective k = 1 counts, and counts with fewer pattern vertices than k,
+    # are closed forms: they never reach the frontier search
+    assert closed or not (injective and (F.k == 1 or F.n < F.k))
+    # whichever path the cost model picks, the contraction agrees
+    contracted = _contract_count(F, H, True, {})
+    assert contracted is None or contracted == _search_count(F, H, True)
     if H.n:
         assert rec.t_ind == Fraction(_search_count(F, H, True), H.n**F.n)
         if F.n <= H.n:
@@ -376,14 +388,34 @@ def test_densities_build_each_host_tensor_once():
 
 def test_refused_contraction_builds_no_host_tensor(monkeypatch):
     triangle = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+    P5 = Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     H = Hypergraph.random(2, 10, 0.5, seed=5)
-    want = hom(triangle, H), _induced_kernel(triangle, H, False, {})
-    # 10**2 host entries fit a cap of 100, the first step's 10**3 do not
-    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
-    built = []
+    counts = (
+        lambda F: hom(F, H),
+        lambda F: hom(F, H, "injective"),
+        lambda F: _induced_kernel(F, H, False, {}),
+    )
+    want = [count(F) for F in (triangle, P5) for count in counts]
+    built, early, got = [], [], []
     make = hypergraph._host_tensor
     monkeypatch.setattr(hypergraph, "_host_tensor", lambda G: built.append(G) or make(G))
-    assert (hom(triangle, H), _induced_kernel(triangle, H, False, {})) == want
+    # the prediction of both costs reads no table: no tensor is built
+    # before the path is chosen
+    for name in ("frontier_cost", "contraction_plan", "contraction_cost"):
+        predict = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, predict=predict: early.append(len(built)) or predict(*a))
+    for F in (triangle, P5):
+        for count in counts:
+            built.clear()
+            early.clear()
+            got.append(count(F))
+            assert early and set(early) == {0}
+            assert built  # the host fits a tensor, and the chosen path reads it
+    # a host with no tensor under a cap of 8: the frontier reads its member
+    # table, and the contraction is refused before any table is built
+    monkeypatch.setattr(kernels, "CONTRACT_CAP", 8)
+    built.clear()
+    assert got == want == [count(F) for F in (triangle, P5) for count in counts]
     assert built == []
 
 
@@ -393,16 +425,18 @@ def test_induced_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog)
     want = _induced_kernel(P4, H, False, {})
     # 9**2 host entries fit a cap of 100; the complete constraint hypergraph
     # of P4 spans 9**4 at its first elimination step
-    monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
     with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert _induced_kernel(P4, H, False, {}) == want
+        monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
         assert _induced_kernel(P4, H, False, {}) == want
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         (
             "hyperlim.hypergraph",
             logging.DEBUG,
-            "induced count by frontier search (the contraction refused a step over the cap):"
-            " n = 9, |V(F)| = 4, CONTRACT_CAP = 100",
+            f"induced count by frontier search, predicted cost 132467 against {other} for the"
+            " contraction: n = 9, |V(F)| = 4",
         )
+        for other in ("302292", "none")
     ]
     caplog.clear()
     # an injective count at k = 1 is a closed form: no search, no record
@@ -489,6 +523,147 @@ def test_eval_maps_count_duplicate_image_fails_constraint():
     flags = np.ones(1, dtype=np.int64)
     got = kernels.eval_maps_count(maps, edges, flags, H.member_array(), H.n)
     assert got == 1
+
+
+def sort_and_rank_keep(maps, subs, flags, member, n):
+    """Mask of the map rows that pass every (subset, flag) constraint: per
+    constraint, sort the images, test that they are distinct, colex rank
+    them and compare member there with the flag (the filter the frontier
+    and eval_maps_count once shared)."""
+    good = np.ones(maps.shape[0], dtype=bool)
+    for sub, flag in zip(subs, flags):
+        alive = np.flatnonzero(good)
+        img = np.sort(maps[alive[:, None], sub], axis=1)
+        ok = (img[:, 1:] != img[:, :-1]).all(axis=1)
+        ok[ok] = (member[colex_rank_rows(img[ok], n)] != 0) == (flag != 0)
+        good[alive] = ok
+    return good
+
+
+def sort_and_rank_count(n_f, n_h, subs, flags, member, injective=False) -> int:
+    """The frontier kernels.induced_count once was, kept as its oracle:
+    every candidate row of a depth, all n_h host vertices for each partial
+    map, sorted and colex-ranked per constraint, in blocks of at most
+    FRONTIER_CAP rows."""
+    top = subs.max(axis=1)
+    by = np.argsort(top, kind="stable")
+    subs, flags = subs[by], flags[by]
+    depth_ptr = np.searchsorted(top[by], np.arange(n_f + 1))
+
+    def grow(maps, d):
+        total = 0
+        size = maps.shape[0] * n_h
+        block = slice(depth_ptr[d], depth_ptr[d + 1])
+        for lo in range(0, size, kernels.FRONTIER_CAP):
+            idx = np.arange(lo, min(size, lo + kernels.FRONTIER_CAP))
+            rows = np.column_stack((maps[idx // n_h], idx % n_h))
+            if injective:
+                rows = rows[(rows[:, :d] != rows[:, d:]).all(axis=1)]
+            rows = rows[sort_and_rank_keep(rows, subs[block], flags[block], member, n_h)]
+            total += rows.shape[0] if d == n_f - 1 else grow(rows, d + 1)
+        return total
+
+    return grow(np.zeros((1, 0), dtype=np.int64), 0) if n_f else 1
+
+
+def host_tensors(H):
+    return {1: hypergraph._host_tensor(H), 0: hypergraph._host_tensor(H.complement())}
+
+
+@st.composite
+def link_row_case(draw):
+    """induced_count arguments over k = 1..3: random flags (or all 1) on a
+    random set of k-subsets of V(F), relabeled by a random permutation, and
+    an edgeless, complete or random host, n < k allowed."""
+    k = draw(st.integers(1, 3))
+    n_f, n_h = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    fill = draw(st.sampled_from(["empty", "complete", "random"]))
+    mask = [fill == "complete"] * comb(n_h, k)
+    if fill == "random":
+        mask = draw(st.lists(st.booleans(), min_size=comb(n_h, k), max_size=comb(n_h, k)))
+    H = Hypergraph.from_member(k, n_h, np.array(mask, dtype=np.uint8))
+    subs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n_f), k))),
+                         unique=True)) if n_f >= k else []
+    induced = draw(st.booleans())
+    flags = draw(st.lists(st.integers(0, 1), min_size=len(subs), max_size=len(subs))) if induced else [1] * len(subs)
+    perm = np.array(draw(st.permutations(range(n_f))), dtype=np.int64)
+    rows = perm[np.array(subs, dtype=np.int64).reshape(-1, k)]
+    args = (n_f, n_h, rows, np.array(flags, dtype=np.uint8), H.member_array())
+    return args, H, draw(st.booleans()), draw(st.sampled_from([kernels.FRONTIER_CAP, 1, 2, 5, 9]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(link_row_case())
+def test_link_row_frontier_matches_the_sort_and_rank_frontier(case):
+    args, H, injective, cap = case
+    want = sort_and_rank_count(*args, injective)
+    with mock.patch.object(kernels, "FRONTIER_CAP", cap):
+        # link rows of the host tensors, and of the member table alone
+        assert kernels.induced_count(*args, injective, host_tensors(H)) == want
+        assert kernels.induced_count(*args, injective) == want
+
+
+@st.composite
+def small_pattern_and_host(draw):
+    k = draw(st.integers(1, 3))
+    F = draw(hypergraphs(k, draw(st.integers(0, 6))))
+    H = draw(hypergraphs(k, draw(st.integers(0, 7))))
+    return F, H
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pattern_and_host())
+def test_chosen_path_matches_each_forced_path(pair):
+    F, H = pair
+    for induced in (False, True):
+        chosen = hypergraph._map_count(F, H, induced, {})
+        assert chosen == _search_count(F, H, induced)
+        contracted = _contract_count(F, H, induced, {})
+        assert contracted is None or contracted == chosen
+    injective = hom(F, H, "injective")
+    assert injective == _search_count(F, H, False, True) == hypergraph._mobius_count(F, H, {})
+    # a host with no tensor: the frontier reads link rows from the member table
+    with mock.patch.object(kernels, "CONTRACT_CAP", 0 if H.n else -1):
+        assert _contract_count(F, H, False, {}) is None
+        assert hom(F, H, "injective") == injective
+        assert _search_count(F, H, True) == hypergraph._map_count(F, H, True, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_pattern_and_host(), st.integers(1, 300), st.integers(0, 2**32))
+def test_eval_maps_count_gather_matches_sort_and_rank(pair, budget, key):
+    F, H = pair
+    if not H.n:
+        return
+    maps = uniform_maps(budget, F.n, H.n, key)
+    for induced in (False, True):
+        subs, flags = _constraints(F, induced)
+        want = int(sort_and_rank_keep(maps, subs, flags, H.member_array(), H.n).sum())
+        assert kernels.eval_maps_count(maps, subs, flags, H.member_array(), H.n, host_tensors(H)) == want
+        assert kernels.eval_maps_count(maps, subs, flags, H.member_array(), H.n) == want
+
+
+def test_frontier_budget_counts_candidate_cells(monkeypatch, tmp_path, capsys):
+    # a triangle into K4 examines 4 cells at depth 0, 4 * 4 at depth 1 and
+    # the 12 edge-closing pairs * 4 at depth 2: 68 in all
+    triangle, K4 = Hypergraph.complete(2, 3), Hypergraph.complete(2, 4)
+    monkeypatch.setattr(kernels, "FRONTIER_BUDGET", 68)
+    assert _search_count(triangle, K4) == 24
+    monkeypatch.setattr(kernels, "FRONTIER_BUDGET", 67)
+    with pytest.raises(ValueError, match="--F, --H: .* FRONTIER_BUDGET = 67 candidate cells"):
+        _search_count(triangle, K4)
+    # K9 into K40 has no contraction under the cap: the CLI exits 2 at the
+    # budget, with the message
+    paths = {}
+    for name, G in (("K9", Hypergraph.complete(2, 9)), ("K40", Hypergraph.complete(2, 40))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(G.to_obj()))
+    monkeypatch.setattr(kernels, "FRONTIER_BUDGET", 10**5)
+    assert main(["density", "--F", str(paths["K9"]), "--H", str(paths["K40"])]) == 2
+    assert capsys.readouterr().err == (
+        "error: --F, --H: the exact count needs more than FRONTIER_BUDGET = 100000"
+        " candidate cells of frontier search\n"
+    )
 
 
 def scalar_mc_hits(F, W, samples, seed, induced):
