@@ -362,15 +362,3 @@ def adjacent_mask_perms(k: int) -> np.ndarray:
     rows.setflags(write=False)
     return rows
 
-
-def set_partitions(items: tuple):
-    """Yield all partitions of items as tuples of tuples."""
-    items = tuple(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i, block in enumerate(part):
-            yield part[:i] + ((first,) + block,) + part[i + 1 :]
-        yield ((first,),) + part

@@ -30,7 +30,6 @@ from hyperlim.combinatorics import (
     mask_image,
     mask_perms,
     position_perms,
-    set_partitions,
     subset_counters,
 )
 
@@ -411,6 +410,20 @@ def test_package_ranks_subsets_through_combinatorics_only():
     leaky = "ct = comb_table(n, k)\nc.comb_table(n, k)\ndef f(maps, ct, k): pass"
     assert comb_table_leaks(ast.parse(leaky), "kernels") == [1, 2, 3]
     assert comb_table_leaks(ast.parse(leaky), "combinatorics") == []
+
+
+def set_partitions(items: tuple):
+    """Yield all partitions of items as tuples of tuples (the oracle for
+    hypergraph._proper_partitions)."""
+    items = tuple(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i, block in enumerate(part):
+            yield part[:i] + ((first,) + block,) + part[i + 1 :]
+        yield ((first,),) + part
 
 
 def test_set_partitions_bell_counts():

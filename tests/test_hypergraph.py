@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from measure_oracle import ordered_edge_count
-from test_combinatorics import subsets_colex
+from test_combinatorics import set_partitions, subsets_colex
 
 import hyperlim
 from hyperlim.cli import _write_hypergraph
-from hyperlim.combinatorics import set_partitions
 from hyperlim.hypergraph import (
     Hypergraph,
     VertexPartition,
