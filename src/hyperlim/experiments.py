@@ -86,12 +86,16 @@ def _is_single_full_edge(F: Hypergraph) -> bool:
     return F.n == F.k and len(F.edges) == 1
 
 
-def _injective_hits(F, member, n, trial_seed, budget, tensors=None) -> int:
-    """How many of budget seeded injective maps of F into an n-vertex host
-    (given by its member table, or by its host tensors when passed) send
-    every edge of F onto an edge."""
-    maps = kernels.injective_maps(budget, F.n, n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
-    return kernels.eval_maps_count(maps, *_constraints(F), member, n, tensors)
+def _injective_hits(F, H, trial_seed, budget) -> int:
+    """How many of budget seeded injective maps of F into the host H send
+    every edge of F onto an edge: gathered from H's tensor when it has no
+    more entries than the map checks it serves, and ranked into H's member
+    table otherwise."""
+    maps = kernels.injective_maps(budget, F.n, H.n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
+    subs, flags = _constraints(F)
+    if H.n**H.k <= budget * len(subs):
+        return kernels.eval_maps_count(maps, subs, flags, None, H.n, {1: _host_tensor(H)})
+    return kernels.eval_maps_count(maps, subs, flags, H.member_array(), H.n)
 
 
 def _t0_of_sample(F, W, n, trial_seed, budget):
@@ -106,7 +110,7 @@ def _t0_of_sample(F, W, n, trial_seed, budget):
     if budget <= 0:
         raise ValueError("t0_sample_budget must be positive")
     _log.debug("t0 by Monte Carlo: n**|V(F)| = %d**%d exceeds the exact cap %d", n, F.n, _EXACT_T0_CAP)
-    est = _injective_hits(F, G.member_array(), n, trial_seed, budget) / budget
+    est = _injective_hits(F, G, trial_seed, budget) / budget
     return est, (est * (1 - est) / budget) ** 0.5
 
 
@@ -200,10 +204,7 @@ def counting_experiment(
     def one_at(n):
         def one(i, s):
             T = cells_union(Hyperpartition.uniform_random(n, k, l, seed=s), C)
-            # the host tensor pays when it has no more entries than the map
-            # checks it serves
-            tensors = {1: _host_tensor(T)} if n**k <= mc_samples * len(F.edges) else None
-            est = _injective_hits(F, T.member_array(), n, s, mc_samples, tensors) / mc_samples
+            est = _injective_hits(F, T, s, mc_samples) / mc_samples
             return {
                 "trial": i,
                 "seed": s,

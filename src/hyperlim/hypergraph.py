@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -275,11 +275,12 @@ class VertexPartition:
 
     def mobius_weight(self) -> int:
         """Partition-lattice Mobius weight prod (-1)^(|B|-1) (|B|-1)!."""
-        w = 1
-        for b in self.blocks:
-            s = len(b)
-            w *= (-1) ** (s - 1) * factorial(s - 1)
-        return w
+        return _mobius_weight(len(b) for b in self.blocks)
+
+
+def _mobius_weight(sizes) -> int:
+    """prod (-1)^(s-1) (s-1)! over the block sizes s of a partition."""
+    return prod((-1) ** (s - 1) * factorial(s - 1) for s in sizes)
 
 
 @dataclass(frozen=True)
@@ -374,14 +375,22 @@ def _has_tensor(H: Hypergraph) -> bool:
     return H.n**H.k <= kernels.CONTRACT_CAP
 
 
-def _frontier(F, H, rows, flags, injective, tensors) -> int:
+def _frontier(F, H, rows, flags, injective, tensors, budget=None) -> Optional[int]:
     """kernels.induced_count over F's constraint rows in search order,
-    reading the host tensors when they fit and the member table otherwise."""
+    reading the host tensors when they fit and the member table otherwise:
+    None past budget candidate cells, or, with no budget given, a
+    ValueError past FRONTIER_BUDGET."""
     if _has_tensor(H):
         member, tensors = None, _tensors(H, flags, tensors)
     else:
         member, tensors = H.member_array(), None  # refuses an oversized host before allocating
-    return kernels.induced_count(F.n, H.n, rows, flags, member, injective, tensors)
+    got = kernels.induced_count(F.n, H.n, rows, flags, member, injective, tensors, budget)
+    if got is None and budget is None:
+        raise ValueError(
+            f"--F, --H: the exact count needs more than FRONTIER_BUDGET = {kernels.FRONTIER_BUDGET}"
+            " candidate cells of frontier search"
+        )
+    return got
 
 
 def _search_count(F: Hypergraph, H: Hypergraph, induced=False, injective=False) -> int:
@@ -438,10 +447,9 @@ def _mobius_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
         size = [0] * (max(lab, default=-1) + 1)
         for b in lab:
             size[b] += 1
-        weight = prod((-1) ** (s - 1) * factorial(s - 1) for s in size)
-        Q = Hypergraph(F.k, len(size), ([lab[v] for v in e] for e in F.edges))
+        Q = _quotient_of_labels(F, lab, len(size))
         got = _contract_count(Q, H, False, tensors)
-        total += weight * (_map_count(Q, H, False, tensors) if got is None else got)
+        total += _mobius_weight(size) * (_map_count(Q, H, False, tensors) if got is None else got)
     return total
 
 
@@ -453,7 +461,10 @@ def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injec
     Mobius sum, whose cost is F's contraction cost times its number of
     proper partitions. The prediction reads no table; the host tensors,
     kept in tensors under the flag, are built once the path is chosen. A
-    frontier search writes one debug record with both predicted costs."""
+    frontier search writes one debug record with both predicted costs. It
+    examines at most as many candidate cells as the other path's predicted
+    cost, or FRONTIER_BUDGET, and past them gives way to that path, with a
+    second record; with no other path it raises a ValueError instead."""
     subs, flags = _constraints(F, induced)
     if not subs:  # no constraints at all
         return falling(H.n, F.n) if injective else H.n**F.n
@@ -464,21 +475,33 @@ def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injec
     frontier = kernels.frontier_cost(F.n, H.n, rows, flags, edge_share, injective)
     steps = kernels.contraction_plan(subs, H.n) if _has_tensor(H) else None
     other = None if steps is None else kernels.contraction_cost(steps, H.n)
-    if injective and other is not None and other <= frontier:
-        other *= sum(1 for _ in _proper_partitions(F))
-    if other is not None and other <= frontier:
-        if injective:
-            return _mobius_count(F, H, tensors)
-        return _contract_count(F, H, induced, tensors, steps)
-    import logging  # here, not at the top: a CLI call that never searches skips its import
+    if injective and other is not None:
+        # proper partitions are counted only as far as the product passes
+        # FRONTIER_BUDGET, past which the frontier could not finish anyway
+        other *= sum(1 for _ in islice(_proper_partitions(F), kernels.FRONTIER_BUDGET // other + 1))
+    if other is None or frontier < other:
+        import logging  # here, not at the top: a CLI call that never searches skips its import
 
-    logging.getLogger(__name__).debug(
-        "%s by frontier search, predicted cost %.0f against %s for the %s: n = %d, |V(F)| = %d",
-        "injective hom" if injective else "hom" if all(flags) else "induced count",
-        frontier, "none" if other is None else "%.0f" % other,
-        "Mobius sum" if injective else "contraction", H.n, F.n,
-    )
-    return _frontier(F, H, rows, flags, injective, tensors)
+        log = logging.getLogger(__name__)
+        log.debug(
+            "%s by frontier search, predicted cost %.0f against %s for the %s: n = %d, |V(F)| = %d",
+            "injective hom" if injective else "hom" if all(flags) else "induced count",
+            frontier, "none" if other is None else "%.0f" % other,
+            "Mobius sum" if injective else "contraction", H.n, F.n,
+        )
+        # the edge-share model can price a clustered host's frontier far
+        # too low: past the other path's whole predicted cost it gives way
+        budget = None if other is None else min(other, kernels.FRONTIER_BUDGET)
+        got = _frontier(F, H, rows, flags, injective, tensors, budget)
+        if got is not None:
+            return got
+        log.debug(
+            "frontier search passed %d candidate cells: falling back to the %s",
+            budget, "Mobius sum" if injective else "contraction",
+        )
+    if injective:
+        return _mobius_count(F, H, tensors)
+    return _contract_count(F, H, induced, tensors, steps)
 
 
 def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
@@ -514,17 +537,23 @@ def quotient(F: Hypergraph, partition) -> Optional[Hypergraph]:
         partition = VertexPartition(F.n, partition)
     if partition.base != F.n:
         raise ValueError("partition base does not match the vertex count")
-    lab = {}
+    lab = [0] * F.n
     for i, b in enumerate(partition.blocks):
         for v in b:
             lab[v] = i
+    return _quotient_of_labels(F, lab, len(partition.blocks))
+
+
+def _quotient_of_labels(F: Hypergraph, lab, blocks: int) -> Optional[Hypergraph]:
+    """quotient of F by the partition putting vertex v in block lab[v] of
+    range(blocks); None when some edge loses a vertex to a merge."""
     edges = set()
     for e in F.edges:
         im = tuple(sorted(lab[v] for v in e))
         if len(set(im)) != F.k:
             return None
         edges.add(im)
-    return Hypergraph(F.k, len(partition.blocks), edges)
+    return Hypergraph(F.k, blocks, edges)
 
 
 def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:

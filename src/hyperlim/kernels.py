@@ -28,7 +28,8 @@ CONTRACT_CAP = 1 << 24
 # most candidate cells (partial maps x host vertices) one block of the
 # induced_count frontier may hold
 FRONTIER_CAP = 1 << 16
-# most candidate cells one induced_count call may examine in all
+# most candidate cells one induced_count call may examine in all, unless
+# given a budget of its own
 FRONTIER_BUDGET = 1 << 28
 # the cost model's fixed price of one numpy call, in table entries
 CALL_COST = 1 << 15
@@ -138,7 +139,11 @@ def _einsum(out, *operands):
     return np.einsum(*args, [ren[v] for v in out])
 
 
-def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) -> int:
+class _OverBudget(Exception):
+    pass
+
+
+def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None, budget=None):
     """Count maps [n_f] -> [n_h], injective ones if asked, under which every
     row of subs, k-subsets of [n_f] in any order (lists or an int64 array),
     lands distinctly on an edge (flag 1) or a non-edge (flag 0) of an
@@ -152,8 +157,8 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) 
     candidates are the AND of those rows, less the used images if
     injective. Each depth is cut into blocks of at most FRONTIER_CAP
     candidate cells (partial maps x host vertices), run depth-first. A
-    count that would examine more than FRONTIER_BUDGET cells in all raises
-    a ValueError before it does.
+    count that would examine more than budget cells in all (FRONTIER_BUDGET
+    when not given) returns None before it does.
     """
     if not n_f:
         return 1
@@ -165,6 +170,7 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) 
         closing[d].append(([v for v in row if v != d], flag))
     width = min(n_h, FRONTIER_CAP)
     height = max(1, FRONTIER_CAP // n_h)
+    budget = FRONTIER_BUDGET if budget is None else budget
     spent = 0
 
     def links(maps, d, lo, hi):
@@ -190,11 +196,8 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) 
             for lo in range(0, n_h, width):
                 hi = min(n_h, lo + width)
                 spent += part.shape[0] * (hi - lo)
-                if spent > FRONTIER_BUDGET:
-                    raise ValueError(
-                        f"--F, --H: the exact count needs more than FRONTIER_BUDGET = {FRONTIER_BUDGET}"
-                        " candidate cells of frontier search"
-                    )
+                if spent > budget:
+                    raise _OverBudget
                 cand = links(part, d, lo, hi)
                 if d == n_f - 1:
                     total += int(np.count_nonzero(cand))
@@ -203,7 +206,10 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None) 
                     total += grow(np.column_stack((part[r], c + lo)), d + 1)
         return total
 
-    return grow(np.zeros((1, 0), dtype=np.int64), 0)
+    try:
+        return grow(np.zeros((1, 0), dtype=np.int64), 0)
+    except _OverBudget:
+        return None
 
 
 def _member_link(img, lo, hi, flag, member, n) -> np.ndarray:

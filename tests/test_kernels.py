@@ -19,6 +19,7 @@ from hyperlim.hypergraph import (
     _constraints,
     _contract_count,
     _induced_kernel,
+    _mobius_count,
     _search_count,
     _search_order,
     densities,
@@ -652,6 +653,10 @@ def test_frontier_budget_counts_candidate_cells(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(kernels, "FRONTIER_BUDGET", 67)
     with pytest.raises(ValueError, match="--F, --H: .* FRONTIER_BUDGET = 67 candidate cells"):
         _search_count(triangle, K4)
+    # a budget of its own stops the kernel the same way, with None
+    args = (3, 4, [[0, 1], [0, 2], [1, 2]], [1, 1, 1], None, False, host_tensors(K4))
+    assert kernels.induced_count(*args, 68) == 24
+    assert kernels.induced_count(*args, 67) is None
     # K9 into K40 has no contraction under the cap: the CLI exits 2 at the
     # budget, with the message
     paths = {}
@@ -664,6 +669,30 @@ def test_frontier_budget_counts_candidate_cells(monkeypatch, tmp_path, capsys):
         "error: --F, --H: the exact count needs more than FRONTIER_BUDGET = 100000"
         " candidate cells of frontier search\n"
     )
+
+
+def test_clustered_host_frontier_gives_way_to_the_other_path(caplog):
+    # fans (vertex 0 joined to each vertex of the path 1, ..., v - 1) in K16
+    # plus 44 isolated vertices: the edge share 120 / 1770 prices the
+    # frontier far below the contraction and the Mobius sum, but the
+    # clustered host makes it examine over 2^28 cells; it stops at the other
+    # path's predicted cost, and that path counts
+    H = Hypergraph(2, 60, itertools.combinations(range(16), 2))
+    fan7, fan6 = (
+        Hypergraph(2, v, [(0, i) for i in range(1, v)] + [(i, i + 1) for i in range(1, v - 1)]) for v in (7, 6)
+    )
+    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
+        assert hom(fan7, H) == 16 * 15 * 14**5  # chromatic polynomial of the fan at 16
+        assert hom(fan6, H, "injective") == falling(16, 6)
+    assert [r.getMessage() for r in caplog.records] == [
+        "hom by frontier search, predicted cost 253224 against 1640716 for the contraction: n = 60, |V(F)| = 7",
+        "frontier search passed 1640716 candidate cells: falling back to the contraction",
+        "injective hom by frontier search, predicted cost 219772 against 19896180 for the Mobius sum:"
+        " n = 60, |V(F)| = 6",
+        "frontier search passed 19896180 candidate cells: falling back to the Mobius sum",
+    ]
+    assert _contract_count(fan7, H, False, {}) == 16 * 15 * 14**5
+    assert _mobius_count(fan6, H, {}) == falling(16, 6)
 
 
 def scalar_mc_hits(F, W, samples, seed, induced):
