@@ -161,7 +161,7 @@ def _cmd_density(args) -> int:
             _check_arity(F, host)
         if host.n == 0:
             raise ValueError("host must have at least one vertex")
-        count = _induced_kernel(F, host, False, {}) if args.induced else hom(F, host)
+        count = _induced_kernel(F, host, False) if args.induced else hom(F, host)
         print(_frac(Fraction(count, host.n**F.n)))
         return 0
     if mode == "exact":

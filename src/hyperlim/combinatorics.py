@@ -107,16 +107,16 @@ def colex_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def colex_insert_ranks(rows: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+def colex_insert_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     """Colex ranks, among the subsets of range(n) one wider than the rows of
-    a sorted-subset matrix, of each row with one vertex w of range(lo, hi)
-    inserted, as a (len(rows), hi - lo) array, with no sort: with j
-    elements s_i below w, the rank is the sum of C(s_i, i + 1) over i < j,
-    C(w, j + 1) and the sum of C(s_i, i + 2) over i >= j. Entries whose w
-    is already in the row are meaningless."""
+    a sorted-subset matrix, of each row with one vertex w of range(n)
+    inserted, as a (len(rows), n) array, with no sort: with j elements s_i
+    below w, the rank is the sum of C(s_i, i + 1) over i < j, C(w, j + 1)
+    and the sum of C(s_i, i + 2) over i >= j. Entries whose w is already in
+    the row are meaningless."""
     m = rows.shape[1]
     ct = comb_table(n, m + 1)
-    w = np.arange(lo, hi)
+    w = np.arange(n)
     below = (rows[:, :, None] < w).sum(axis=1)
     # below[r, x] = j picks the sums over i < j and over i >= j
     lower = np.zeros((rows.shape[0], m + 1), dtype=np.int64)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import kernels, rng
 from .combinatorics import falling
-from .hypergraph import Hypergraph, _constraints, _host_tensor, _induced_kernel, hom
+from .hypergraph import Hypergraph, _constraints, _eval_maps_count, _induced_kernel, hom
 from .hyperpartition import CombinatorialStructure, Hyperpartition, cells_union
 from .hypergraphon import StepHypergraphon, density
 from .regularity import refine
@@ -88,14 +88,9 @@ def _is_single_full_edge(F: Hypergraph) -> bool:
 
 def _injective_hits(F, H, trial_seed, budget) -> int:
     """How many of budget seeded injective maps of F into the host H send
-    every edge of F onto an edge: gathered from H's tensor when it has no
-    more entries than the map checks it serves, and ranked into H's member
-    table otherwise."""
+    every edge of F onto an edge (hypergraph._eval_maps_count)."""
     maps = kernels.injective_maps(budget, F.n, H.n, rng.derive(trial_seed, rng.TAG_INJECTIVE))
-    subs, flags = _constraints(F)
-    if H.n**H.k <= budget * len(subs):
-        return kernels.eval_maps_count(maps, subs, flags, None, H.n, {1: _host_tensor(H)})
-    return kernels.eval_maps_count(maps, subs, flags, H.member_array(), H.n)
+    return _eval_maps_count(H, maps, *_constraints(F))
 
 
 def _t0_of_sample(F, W, n, trial_seed, budget):
@@ -379,7 +374,7 @@ def removal_experiment(H: Hypergraph, K: Hypergraph) -> ExperimentReport:
 
 
 def _has_induced_copy(G: Hypergraph, F: Hypergraph) -> bool:
-    return _induced_kernel(F, G, True, {}) > 0
+    return _induced_kernel(F, G, True) > 0
 
 
 def hereditary_experiment(

@@ -44,10 +44,11 @@ class Hypergraph:
     """Immutable k-uniform hypergraph on vertex set range(n).
 
     A hypergraph built from a membership mask (from_member) keeps only the
-    mask; its edge set is listed on first use.
+    mask; its edge set is listed on first use. The exact counts keep its
+    host tensors in _tensors (_host_tensors).
     """
 
-    __slots__ = ("k", "n", "_edges", "_member")
+    __slots__ = ("k", "n", "_edges", "_member", "_tensors")
 
     def __init__(self, k: int, n: int, edges=()):
         _check_shape(k, n)
@@ -65,6 +66,7 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_edges", frozenset(norm))
         object.__setattr__(self, "_member", None)
+        object.__setattr__(self, "_tensors", {})
 
     @classmethod
     def from_member(cls, k: int, n: int, member) -> "Hypergraph":
@@ -82,6 +84,7 @@ class Hypergraph:
         object.__setattr__(G, "n", n)
         object.__setattr__(G, "_edges", None)
         object.__setattr__(G, "_member", m)
+        object.__setattr__(G, "_tensors", {})
         return G
 
     def __setattr__(self, name, value):
@@ -167,10 +170,8 @@ class Hypergraph:
 
     def sorted_edges(self) -> list:
         """The edges in colex order."""
-        if self._member is not None:
-            return list(map(tuple, self.edge_rows().tolist()))
         # colex order on sorted k-tuples is lexicographic order from the end
-        return sorted(self._edges, key=lambda e: e[::-1])
+        return sorted(self.edges, key=lambda e: e[::-1])
 
     # constructors
 
@@ -342,46 +343,55 @@ def _search_rows(F: Hypergraph, subs) -> list:
     return [[depth[v] for v in s] for s in subs]
 
 
-def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool, tensors: dict) -> int:
-    # for k >= 2 every map meeting all k-subset constraints is injective;
-    # otherwise marked pattern vertices go one-to-one onto marked host
-    # vertices (the edges at k = 1), the others onto the others
-    if injective and (F.k == 1 or F.n < F.k):
-        a, e = F.edge_count, H.edge_count if F.n >= F.k else 0
-        return falling(e, a) * falling(H.n - e, F.n - a)
-    return _map_count(F, H, True, tensors)
+def _induced_kernel(F: Hypergraph, H: Hypergraph, injective: bool) -> int:
+    # for k >= 2 every map meeting all k-subset constraints is injective and
+    # found by the frontier; at k = 1 marked pattern vertices go onto marked
+    # host vertices (the edges), the others onto the others
+    if F.k == 1 or F.n < F.k:
+        a, e = (F.edge_count, int(np.count_nonzero(H.member_array()))) if F.n >= F.k else (0, 0)
+        count = falling if injective else pow
+        return count(e, a) * count(H.n - e, F.n - a)
+    return _search_count(F, H, True, injective)
 
 
 def _host_tensor(H: Hypergraph) -> np.ndarray:
-    """H as a symmetric 0/1 tensor over k-tuples: zero on every tuple that
-    repeats a vertex."""
+    """H as a read-only symmetric 0/1 tensor over k-tuples: zero on every
+    tuple that repeats a vertex."""
     T = np.zeros((H.n,) * H.k, dtype=np.int64)
     E = H.edge_rows()
     if E.size:
         for p in permutations(range(H.k)):
             T[tuple(E[:, p].T)] = 1
+    T.setflags(write=False)
     return T
 
 
-def _tensors(H: Hypergraph, flags, tensors: dict) -> dict:
-    """tensors with the host tensor of H (flag 1) or of its complement (flag
-    0) added for every flag listed, each built at most once per dict."""
-    for flag in set(flags) - tensors.keys():
-        tensors[flag] = _host_tensor(H if flag else H.complement())
-    return tensors
+def _host_tensors(H: Hypergraph, flags) -> dict:
+    """The host tensors H keeps, of H (flag 1) and of its complement (flag
+    0), each flag listed built on first use."""
+    for flag in set(flags) - H._tensors.keys():
+        H._tensors[flag] = _host_tensor(H if flag else H.complement())
+    return H._tensors
 
 
 def _has_tensor(H: Hypergraph) -> bool:
     return H.n**H.k <= kernels.CONTRACT_CAP
 
 
-def _frontier(F, H, rows, flags, injective, tensors, budget=None) -> Optional[int]:
+def _eval_maps_count(H: Hypergraph, maps, subs, flags) -> int:
+    """kernels.eval_maps_count over H's tensors if no larger than the map checks, else its member table."""
+    if H.n**H.k <= maps.shape[0] * len(subs):
+        return kernels.eval_maps_count(maps, subs, flags, None, H.n, _host_tensors(H, flags))
+    return kernels.eval_maps_count(maps, subs, flags, H.member_array(), H.n)
+
+
+def _frontier(F, H, rows, flags, injective, budget=None) -> Optional[int]:
     """kernels.induced_count over F's constraint rows in search order,
     reading the host tensors when they fit and the member table otherwise:
     None past budget candidate cells, or, with no budget given, a
     ValueError past FRONTIER_BUDGET."""
     if _has_tensor(H):
-        member, tensors = None, _tensors(H, flags, tensors)
+        member, tensors = None, _host_tensors(H, flags)
     else:
         member, tensors = H.member_array(), None  # refuses an oversized host before allocating
     got = kernels.induced_count(F.n, H.n, rows, flags, member, injective, tensors, budget)
@@ -394,23 +404,22 @@ def _frontier(F, H, rows, flags, injective, tensors, budget=None) -> Optional[in
 
 
 def _search_count(F: Hypergraph, H: Hypergraph, induced=False, injective=False) -> int:
-    """_map_count's count, of injective maps if asked, forced onto the
-    frontier search."""
+    """Count of maps, injective if asked, meeting _constraints(F, induced), by frontier search."""
     subs, flags = _constraints(F, induced)
-    return _frontier(F, H, _search_rows(F, subs), flags, injective, {})
+    return _frontier(F, H, _search_rows(F, subs), flags, injective)
 
 
-def _contract_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, steps=None):
-    """_map_count's count by kernels.contract alone, one factor per
-    constrained subset; None when the host has no tensor or the plan
-    refuses, before any tensor is built."""
-    subs, flags = _constraints(F, induced)
+def _contract_count(F: Hypergraph, H: Hypergraph, steps=None):
+    """hom(F, H) by kernels.contract alone, one factor per edge of F; None
+    when the host has no tensor or the plan refuses, before the tensor is
+    built."""
+    subs, _ = _constraints(F)
     if steps is None:
         steps = kernels.contraction_plan(subs, H.n) if _has_tensor(H) else None
         if steps is None:
             return None
-    _tensors(H, flags, tensors)
-    return kernels.contract([(s, tensors[f]) for s, f in zip(subs, flags)], F.n, H.n, steps)
+    T = _host_tensors(H, (1,))[1]
+    return kernels.contract([(s, T) for s in subs], F.n, H.n, steps)
 
 
 def _proper_partitions(F: Hypergraph):
@@ -436,7 +445,7 @@ def _proper_partitions(F: Hypergraph):
     return grow(0, 0)
 
 
-def _mobius_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
+def _mobius_count(F: Hypergraph, H: Hypergraph) -> int:
     """The injective count as the partition-lattice Mobius sum: over the
     proper partitions P of V(F), mobius_weight(P) times hom(F/P, H), each
     contracted as _map_count's cost model priced it, or by _map_count when
@@ -448,31 +457,30 @@ def _mobius_count(F: Hypergraph, H: Hypergraph, tensors: dict) -> int:
         for b in lab:
             size[b] += 1
         Q = _quotient_of_labels(F, lab, len(size))
-        got = _contract_count(Q, H, False, tensors)
-        total += _mobius_weight(size) * (_map_count(Q, H, False, tensors) if got is None else got)
+        got = _contract_count(Q, H)
+        total += _mobius_weight(size) * (_map_count(Q, H) if got is None else got)
     return total
 
 
-def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injective=False) -> int:
-    """Count of maps V(F) -> V(H), injective ones if asked, meeting
-    _constraints(F, induced), by the path of lower predicted cost: the
-    frontier search (kernels.frontier_cost) against one contraction
-    (kernels.contraction_cost), or, for an injective count, against the
-    Mobius sum, whose cost is F's contraction cost times its number of
-    proper partitions. The prediction reads no table; the host tensors,
-    kept in tensors under the flag, are built once the path is chosen. A
-    frontier search writes one debug record with both predicted costs. It
-    examines at most as many candidate cells as the other path's predicted
-    cost, or FRONTIER_BUDGET, and past them gives way to that path, with a
-    second record; with no other path it raises a ValueError instead."""
-    subs, flags = _constraints(F, induced)
+def _map_count(F: Hypergraph, H: Hypergraph, injective=False) -> int:
+    """hom(F, H), of injective maps if asked, by the path of lower
+    predicted cost: the frontier search (kernels.frontier_cost) against one
+    contraction (kernels.contraction_cost), or, for an injective count,
+    against the Mobius sum, whose cost is F's contraction cost times its
+    number of proper partitions. The prediction reads no table; the host
+    tensor is built, and kept on H, once the path is chosen. A frontier
+    search writes one debug record with both predicted costs. It examines
+    at most as many candidate cells as the other path's predicted cost, or
+    FRONTIER_BUDGET, and past them gives way to that path, with a second
+    record; with no other path it raises a ValueError instead."""
+    subs, flags = _constraints(F)
     if not subs:  # no constraints at all
         return falling(H.n, F.n) if injective else H.n**F.n
     if injective and F.n > H.n:
         return 0
     rows = _search_rows(F, subs)
     edge_share = H.edge_count / comb(H.n, H.k) if H.n >= H.k else 0.0
-    frontier = kernels.frontier_cost(F.n, H.n, rows, flags, edge_share, injective)
+    frontier = kernels.frontier_cost(F.n, H.n, rows, edge_share, injective)
     steps = kernels.contraction_plan(subs, H.n) if _has_tensor(H) else None
     other = None if steps is None else kernels.contraction_cost(steps, H.n)
     if injective and other is not None:
@@ -485,14 +493,14 @@ def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injec
         log = logging.getLogger(__name__)
         log.debug(
             "%s by frontier search, predicted cost %.0f against %s for the %s: n = %d, |V(F)| = %d",
-            "injective hom" if injective else "hom" if all(flags) else "induced count",
+            "injective hom" if injective else "hom",
             frontier, "none" if other is None else "%.0f" % other,
             "Mobius sum" if injective else "contraction", H.n, F.n,
         )
         # the edge-share model can price a clustered host's frontier far
         # too low: past the other path's whole predicted cost it gives way
         budget = None if other is None else min(other, kernels.FRONTIER_BUDGET)
-        got = _frontier(F, H, rows, flags, injective, tensors, budget)
+        got = _frontier(F, H, rows, flags, injective, budget)
         if got is not None:
             return got
         log.debug(
@@ -500,8 +508,8 @@ def _map_count(F: Hypergraph, H: Hypergraph, induced: bool, tensors: dict, injec
             budget, "Mobius sum" if injective else "contraction",
         )
     if injective:
-        return _mobius_count(F, H, tensors)
-    return _contract_count(F, H, induced, tensors, steps)
+        return _mobius_count(F, H)
+    return _contract_count(F, H, steps)
 
 
 def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
@@ -517,7 +525,7 @@ def hom(F: Hypergraph, H: Hypergraph, mode: str = "all") -> int:
     _check_arity(F, H)
     if mode not in ("all", "injective"):
         raise ValueError(f"unknown hom mode {mode!r}")
-    return _map_count(F, H, False, {}, mode == "injective")
+    return _map_count(F, H, mode == "injective")
 
 
 def injective_hom_brute(F: Hypergraph, H: Hypergraph) -> int:
@@ -562,15 +570,14 @@ def densities(F: Hypergraph, H: Hypergraph) -> DensityRecord:
     if H.n == 0:
         raise ValueError("host must have at least one vertex")
     v = F.n
-    tensors = {}
-    t = Fraction(_map_count(F, H, False, tensors), H.n**v)
-    ind = _induced_kernel(F, H, False, tensors)
+    t = Fraction(_map_count(F, H), H.n**v)
+    ind = _induced_kernel(F, H, False)
     t_ind = Fraction(ind, H.n**v)
     if v <= H.n:
         fall = falling(H.n, v)
-        t0 = Fraction(_map_count(F, H, False, tensors, True), fall)
+        t0 = Fraction(_map_count(F, H, True), fall)
         if F.k == 1 or v < F.k:  # otherwise the count above is already injective
-            ind = _induced_kernel(F, H, True, tensors)
+            ind = _induced_kernel(F, H, True)
         t0_ind = Fraction(ind, fall)
     else:
         t0 = None

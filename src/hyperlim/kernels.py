@@ -1,17 +1,18 @@
 """Hot counting kernels, all integer-exact: one tensor contraction for
-exact counts (hom and induced counts, structure densities); one frontier
-search, which extends partial maps by the AND of link rows read from the
-host's 0/1 tensors or, for a host with no tensor, from its member table by
-combinatorics.colex_insert_ranks; the cost model that picks between the
-two before any table is built (contraction_cost, frontier_cost); the
-map-evaluation sweep, which gathers from the host tensors or sorts and
-colex-ranks into the member table; one constraint-cell filter (cells_keep
-for simplex levels, one row per simplex, against a structure, read over
-its used_axes() as combinatorics._cell_member_count reads them, and shared
-by mc_step_count, the Monte Carlo d1 and the densities under a level-map
-distribution); and the random injective-map generator. Randomness enters
-only through splitmix64 counter ranges and strided ranges (see rng), which
-keeps results independent of evaluation order.
+hom counts and structure densities; one frontier search for hom and
+induced counts, which extends partial maps by the AND of link rows read
+from the host's 0/1 tensors or, for a host with no tensor, from its member
+table (combinatorics.colex_insert_ranks); the cost model that picks a hom
+count's path before any table is built (contraction_cost, frontier_cost);
+one sort-and-rank member filter (member_keep), which the map-evaluation
+sweep counts when it has no tensors and the vertex sampler writes into its
+edge mask; one constraint-cell filter (cells_keep for simplex levels, one
+row per simplex, against a structure, read over its used_axes() as
+combinatorics._cell_member_count reads them, and shared by mc_step_count,
+the Monte Carlo d1 and the densities under a level-map distribution); and
+the random injective-map generator. Randomness enters only through
+splitmix64 counter ranges and strided ranges (see rng), which keeps
+results independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -75,19 +76,19 @@ def contraction_cost(steps, dom) -> int:
     return sum(dom ** (len(out) + 1) + CALL_COST * len(bucket) for bucket, out in steps)
 
 
-def frontier_cost(n_f, n_h, subs, flags, p, injective=False) -> float:
-    """Predicted cost of induced_count over these constraint rows: the sum
-    over depths d of rows_d * n_h + CALL_COST, where rows_0 = 1 and depth d
-    multiplies the rows by its candidates, n_h (n_h - d if injective), by p
-    for each edge flag closing there and by 1 - p for each non-edge flag;
-    p is the host's edge share. Reads no table."""
-    closing = [[0, 0] for _ in range(n_f)]  # (non-edge, edge) flags per depth
-    for row, flag in zip(subs, flags):
-        closing[max(row)][flag != 0] += 1
+def frontier_cost(n_f, n_h, subs, p, injective=False) -> float:
+    """Predicted cost of induced_count over these rows, each onto an edge:
+    the sum over depths d of rows_d * n_h + CALL_COST, where rows_0 = 1 and
+    depth d multiplies the rows by its candidates, n_h (n_h - d if
+    injective), and by p for each row closing there; p is the host's edge
+    share. Reads no table."""
+    closing = [0] * n_f  # rows closing at each depth
+    for row in subs:
+        closing[max(row)] += 1
     rows, cost = 1.0, 0.0
-    for d, (non, edge) in enumerate(closing):
+    for d, edges in enumerate(closing):
         cost += rows * n_h + CALL_COST
-        rows *= max(n_h - d if injective else n_h, 0) * p**edge * (1 - p) ** non
+        rows *= max(n_h - d if injective else n_h, 0) * p**edges
     return cost
 
 
@@ -155,10 +156,10 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None, 
     Join: at depth d each row whose largest vertex is d selects the link
     row of its earlier images, an n_h-vector over the next image, and the
     candidates are the AND of those rows, less the used images if
-    injective. Each depth is cut into blocks of at most FRONTIER_CAP
-    candidate cells (partial maps x host vertices), run depth-first. A
-    count that would examine more than budget cells in all (FRONTIER_BUDGET
-    when not given) returns None before it does.
+    injective. Each depth is cut into blocks of max(1, FRONTIER_CAP // n_h)
+    partial maps, run depth-first. A count that would examine more than
+    budget candidate cells (partial maps x host vertices) in all
+    (FRONTIER_BUDGET when not given) returns None before it does.
     """
     if not n_f:
         return 1
@@ -168,42 +169,33 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None, 
     for row, flag in zip(subs, flags):
         d = max(row)
         closing[d].append(([v for v in row if v != d], flag))
-    width = min(n_h, FRONTIER_CAP)
     height = max(1, FRONTIER_CAP // n_h)
     budget = FRONTIER_BUDGET if budget is None else budget
     spent = 0
-
-    def links(maps, d, lo, hi):
-        cand = np.ones((maps.shape[0], hi - lo), dtype=bool)
-        for cols, flag in closing[d]:
-            if tensors is not None:
-                # at k = 1 the link of the empty prefix is the whole
-                # tensor, broadcast over the rows
-                np.logical_and(cand, tensors[flag][tuple(maps[:, c] for c in cols) + (slice(lo, hi),)], out=cand)
-            else:
-                cand &= _member_link(maps[:, cols], lo, hi, flag, member, n_h)
-        if injective:
-            for used in maps.T - lo:
-                hit = (used >= 0) & (used < hi - lo)
-                cand[np.flatnonzero(hit), used[hit]] = False
-        return cand
 
     def grow(maps, d):
         nonlocal spent
         total = 0
         for r0 in range(0, maps.shape[0], height):
             part = maps[r0 : r0 + height]
-            for lo in range(0, n_h, width):
-                hi = min(n_h, lo + width)
-                spent += part.shape[0] * (hi - lo)
-                if spent > budget:
-                    raise _OverBudget
-                cand = links(part, d, lo, hi)
-                if d == n_f - 1:
-                    total += int(np.count_nonzero(cand))
+            spent += part.shape[0] * n_h
+            if spent > budget:
+                raise _OverBudget
+            cand = np.ones((part.shape[0], n_h), dtype=bool)
+            for cols, flag in closing[d]:
+                if tensors is not None:
+                    # at k = 1 the link of the empty prefix is the whole
+                    # tensor, broadcast over the rows
+                    np.logical_and(cand, tensors[flag][tuple(part[:, c] for c in cols)], out=cand)
                 else:
-                    r, c = np.nonzero(cand)
-                    total += grow(np.column_stack((part[r], c + lo)), d + 1)
+                    cand &= _member_link(part[:, cols], flag, member, n_h)
+            if injective:
+                cand[np.arange(part.shape[0])[:, None], part] = False
+            if d == n_f - 1:
+                total += int(np.count_nonzero(cand))
+            else:
+                r, c = np.nonzero(cand)
+                total += grow(np.column_stack((part[r], c)), d + 1)
         return total
 
     try:
@@ -212,18 +204,17 @@ def induced_count(n_f, n_h, subs, flags, member, injective=False, tensors=None, 
         return None
 
 
-def _member_link(img, lo, hi, flag, member, n) -> np.ndarray:
-    """The link rows of an n-vertex host's member table: entry (r, x) says
-    whether row r of img, k - 1 host vertices, joined by vertex lo + x, is
-    a set of k distinct vertices forming an edge (flag 1) or a non-edge
-    (flag 0). Ranks by combinatorics.colex_insert_ranks, with no sort per
-    candidate."""
+def _member_link(img, flag, member, n) -> np.ndarray:
+    """The link rows of an n-vertex host's member table: entry (r, w) says
+    whether row r of img, k - 1 host vertices, joined by vertex w, is a set
+    of k distinct vertices forming an edge (flag 1) or a non-edge (flag 0).
+    Ranks by combinatorics.colex_insert_ranks, with no sort per candidate."""
     img = np.sort(img, axis=1)
-    bad = (img[:, :, None] == np.arange(lo, hi)).any(axis=1)
+    bad = (img[:, :, None] == np.arange(n)).any(axis=1)
     bad |= (img[:, 1:] == img[:, :-1]).any(axis=1)[:, None]
     if not member.size:  # fewer than k host vertices
         return np.zeros(bad.shape, dtype=bool)
-    ranks = colex_insert_ranks(img, lo, hi, n)
+    ranks = colex_insert_ranks(img, n)
     ranks[bad] = 0
     return ~bad & ((member[ranks] != 0) == (flag != 0))
 
@@ -289,23 +280,32 @@ def cells_keep(levels, cidx, flags, cells) -> np.ndarray:
 
 
 def eval_maps_count(maps, subs, flags, member, n, tensors=None) -> int:
-    """Count map rows under which every listed k-subset lands distinctly on
-    an edge (flag 1) or a non-edge (flag 0) of an n-vertex host: gathered
-    from tensors[flag], its 0/1 tensors, when given; otherwise, for the rows
-    still alive, sorted, tested for distinct images and colex-ranked into
-    member, its indicator (so a host with fewer than k vertices, whose
-    member table is empty, is never read)."""
+    """Count the map rows that member_keep keeps, gathering from
+    tensors[flag], the host's 0/1 tensors, when given."""
+    if tensors is None:
+        return int(np.count_nonzero(member_keep(maps, subs, flags, member, n)))
     good = np.ones(maps.shape[0], dtype=bool)
     for sub, flag in zip(subs, flags):
-        if tensors is not None:
-            np.logical_and(good, tensors[flag][tuple(maps[:, c] for c in sub)], out=good)
-            continue
-        alive = np.flatnonzero(good)
-        img = np.sort(maps[alive[:, None], sub], axis=1)
-        ok = (img[:, 1:] != img[:, :-1]).all(axis=1)
-        ok[ok] = (member[colex_rank_rows(img[ok], n)] != 0) == (flag != 0)
-        good[alive] = ok
+        np.logical_and(good, tensors[flag][tuple(maps[:, c] for c in sub)], out=good)
     return int(np.count_nonzero(good))
+
+
+def member_keep(maps, subs, flags, member, n) -> np.ndarray:
+    """Mask of the map rows under which every listed k-subset lands
+    distinctly on an edge (flag 1) or a non-edge (flag 0) of an n-vertex
+    host: per constraint, each row's images are sorted, tested for distinct
+    vertices and colex-ranked into member, its indicator, with rank 0 read
+    for the rows already out."""
+    good = np.ones(maps.shape[0], dtype=bool)
+    for sub, flag in zip(subs, flags):
+        if not member.size:  # fewer than k host vertices: no k distinct images
+            return np.zeros_like(good)
+        img = np.sort(maps[:, sub], axis=1)
+        good &= (img[:, 1:] != img[:, :-1]).all(axis=1)
+        ranks = colex_rank_rows(img, n)
+        ranks[~good] = 0
+        good &= (member[ranks] != 0) == (flag != 0)
+    return good
 
 
 def injective_maps(budget: int, v: int, n: int, key: int) -> np.ndarray:

@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import combinatorics, rng
+from . import combinatorics, kernels, rng
 from .combinatorics import (
     _cell_member_count,
     _check_rows,
     arity_offsets,
     ascii_digits,
     colex_matrix,
-    colex_rank_rows,
     subset_counters,
 )
 from .hypergraph import Hypergraph
@@ -90,11 +89,8 @@ def sample_vertex(H: Hypergraph, n: int, seed: int) -> Hypergraph:
     out = np.empty(len(ksets), dtype=bool)
     block = combinatorics.CELL_BLOCK
     for a in range(0, len(ksets), block):  # the picks of CELL_BLOCK k-sets at a time
-        rows = np.sort(picks[ksets[a : a + block]], axis=1)
-        distinct = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
-        ranks = colex_rank_rows(rows, H.n)
-        ranks[~distinct] = 0
-        np.logical_and(distinct, member[ranks] != 0, out=out[a : a + block])
+        rows = picks[ksets[a : a + block]]
+        out[a : a + block] = kernels.member_keep(rows, [list(range(k))], [1], member, H.n)
     return Hypergraph.from_member(k, n, out)
 
 

@@ -123,10 +123,10 @@ def test_hom_injective_mode_is_mobius_inversion():
     for seed in range(10):
         F = Hypergraph.random(2, 4, 0.5, seed=seed)
         H = Hypergraph.random(2, 5, 0.5, seed=200 + seed)
-        assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H, {})
+        assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H)
     F = Hypergraph.random(3, 4, 0.6, seed=1)
     H = Hypergraph.random(3, 5, 0.5, seed=2)
-    assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H, {})
+    assert hom(F, H, mode="injective") == injective_hom_brute(F, H) == _mobius_count(F, H)
 
 
 def proper_partitions_by_filter(F):
@@ -475,3 +475,55 @@ def test_package_reads_pattern_constraints_from_one_builder():
     leaky = "F.is_edge(c)\nis_edge(c)\ndef induced_count(n_f, n_h, subs, flags, depth_ptr, member): pass"
     assert edge_query_leaks(ast.parse(leaky), "kernels") == [1, 2, 3]
     assert edge_query_leaks(ast.parse(leaky), "hypergraph") == []
+
+
+def host_tensor_leaks(tree, module):
+    """Lines of a module that pass host tensors around: a hypergraph function
+    with a tensors parameter, a _map_count with an induced one, and, outside
+    hypergraph, any name of _host_tensor or of the tensor cache."""
+    banned = {"_host_tensor", "_host_tensors", "_tensors"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and module == "hypergraph":
+            args = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+            if "tensors" in args or (node.name == "_map_count" and "induced" in args):
+                hits.append(node.lineno)
+        elif module != "hypergraph":
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name for a in node.names] + [a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            if banned.intersection(n.rsplit(".", 1)[-1] for n in names):
+                hits.append(node.lineno)
+    return sorted(set(hits))
+
+
+def test_host_tensors_stay_inside_hypergraph():
+    # a host keeps its own tensors, so no count passes a tensor dict along,
+    # and _map_count counts homomorphisms only (induced counts have one path)
+    files = sorted(Path(hyperlim.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = host_tensor_leaks(ast.parse(path.read_text(), str(path)), path.stem)
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    leaky = (
+        "def _frontier(F, H, rows, tensors): pass\n"
+        "def _map_count(F, H, induced): pass\n"
+        "from .hypergraph import _host_tensor\n"
+        "T = hypergraph._host_tensors(H, (1,))\n"
+        "H._tensors\n"
+        "getattr(H, '_tensors')\n"
+        "def induced_count(n_f, n_h, subs, flags, member, tensors): pass"
+    )
+    assert host_tensor_leaks(ast.parse(leaky), "hypergraph") == [1, 2, 7]
+    # the kernels read whatever tensors they are given
+    assert host_tensor_leaks(ast.parse(leaky), "kernels") == [3, 4, 5, 6]

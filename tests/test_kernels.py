@@ -334,12 +334,24 @@ def test_hom_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
     assert got == int(np.linalg.matrix_power(A, 6).sum())  # walks of length 6
 
 
+def contracted_induced_count(F, H):
+    """The induced count as one contraction, a factor per k-subset of V(F)
+    over H's tensor (an edge of F) or its complement's (a non-edge), the
+    oracle of _induced_kernel. It counts every map; at k >= 2 with
+    |V(F)| >= k each of them is injective, since any two pattern vertices
+    share a constrained k-subset."""
+    subs, flags = _constraints(F, True)
+    T = host_tensors(H)
+    return kernels.contract([(s, T[f]) for s, f in zip(subs, flags)], F.n, H.n)
+
+
 @st.composite
 def induced_case(draw):
     """A pattern with any edge set (empty and complete among them) and a
-    random host, with n < v and n < k allowed."""
+    random host, with |V(F)| below, at and above k, and n < v and n < k
+    allowed."""
     k = draw(st.integers(1, 3))
-    v = draw(st.integers(0, 5))
+    v = draw(st.integers(0, 6))
     n = draw(st.integers(0, 6))
     subs = list(itertools.combinations(range(v), k))
     fill = draw(st.sampled_from(["empty", "complete", "random"]))
@@ -359,16 +371,15 @@ def test_contracted_induced_counts_match_the_frontier(case, injective):
     searched = []
     loop = kernels.induced_count
     with mock.patch.object(kernels, "induced_count", lambda *a: searched.append(a) or loop(*a)):
-        assert _induced_kernel(F, H, injective, {}) == want
+        assert _induced_kernel(F, H, injective) == want
         closed = searched == []
         if H.n:
             rec = densities(F, H)
-    # injective k = 1 counts, and counts with fewer pattern vertices than k,
-    # are closed forms: they never reach the frontier search
-    assert closed or not (injective and (F.k == 1 or F.n < F.k))
-    # whichever path the cost model picks, the contraction agrees
-    contracted = _contract_count(F, H, True, {})
-    assert contracted is None or contracted == _search_count(F, H, True)
+    # counts at k = 1, and counts with fewer pattern vertices than k, are
+    # closed forms; every other induced count is one frontier search
+    assert closed == (F.k == 1 or F.n < F.k)
+    if not injective or F.n >= F.k >= 2:
+        assert contracted_induced_count(F, H) == want
     if H.n:
         assert rec.t_ind == Fraction(_search_count(F, H, True), H.n**F.n)
         if F.n <= H.n:
@@ -378,72 +389,73 @@ def test_contracted_induced_counts_match_the_frontier(case, injective):
 
 
 def test_densities_build_each_host_tensor_once():
+    # a host keeps its tensors: a second count on it, and a second
+    # densities call, build neither again
     F = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
     H = Hypergraph.random(2, 9, 0.5, seed=5)
     built = []
     make = hypergraph._host_tensor
     with mock.patch.object(hypergraph, "_host_tensor", lambda G: built.append(G) or make(G)):
-        densities(F, H)
+        rec = densities(F, H)
+        assert hom(F, H, "injective") == rec.t0 * falling(9, 4)
+        assert densities(F, H) == rec
     assert sorted(G.edge_count for G in built) == sorted((H.edge_count, comb(9, 2) - H.edge_count))
 
 
 def test_refused_contraction_builds_no_host_tensor(monkeypatch):
     triangle = Hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
     P5 = Hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    H = Hypergraph.random(2, 10, 0.5, seed=5)
+    member = Hypergraph.random(2, 10, 0.5, seed=5).member_array()
     counts = (
-        lambda F: hom(F, H),
-        lambda F: hom(F, H, "injective"),
-        lambda F: _induced_kernel(F, H, False, {}),
+        lambda F, H: hom(F, H),
+        lambda F, H: hom(F, H, "injective"),
+        lambda F, H: _induced_kernel(F, H, False),
     )
-    want = [count(F) for F in (triangle, P5) for count in counts]
+
+    def each_count():
+        # a fresh host each time, since a host keeps the tensors it built
+        return [count(F, Hypergraph.from_member(2, 10, member)) for F in (triangle, P5) for count in counts]
+
+    want = each_count()
     built, early, got = [], [], []
     make = hypergraph._host_tensor
     monkeypatch.setattr(hypergraph, "_host_tensor", lambda G: built.append(G) or make(G))
-    # the prediction of both costs reads no table: no tensor is built
-    # before the path is chosen
+    # the prediction of both hom costs reads no table: no tensor is built
+    # before the path is chosen; an induced count has one path and predicts
+    # nothing
     for name in ("frontier_cost", "contraction_plan", "contraction_cost"):
         predict = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda *a, predict=predict: early.append(len(built)) or predict(*a))
     for F in (triangle, P5):
-        for count in counts:
+        for i, count in enumerate(counts):
             built.clear()
             early.clear()
-            got.append(count(F))
-            assert early and set(early) == {0}
+            got.append(count(F, Hypergraph.from_member(2, 10, member)))
+            assert set(early) == ({0} if i < 2 else set())
             assert built  # the host fits a tensor, and the chosen path reads it
     # a host with no tensor under a cap of 8: the frontier reads its member
     # table, and the contraction is refused before any table is built
     monkeypatch.setattr(kernels, "CONTRACT_CAP", 8)
     built.clear()
-    assert got == want == [count(F) for F in (triangle, P5) for count in counts]
+    assert got == want == each_count()
     assert built == []
 
 
-def test_induced_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
+def test_induced_counts_take_the_frontier_and_log_nothing(monkeypatch, caplog):
     P4 = Hypergraph(2, 4, [(0, 1), (1, 2), (2, 3)])
     H = Hypergraph.random(2, 9, 0.5, seed=5)
-    want = _induced_kernel(P4, H, False, {})
-    # 9**2 host entries fit a cap of 100; the complete constraint hypergraph
-    # of P4 spans 9**4 at its first elimination step
+    want = contracted_induced_count(P4, H)
+    # the induced count is one frontier search whatever the cap: 9**2 host
+    # entries fit a cap of 100, where the induced constraint graph of P4,
+    # complete, would span 9**4 at a contraction's first step
     with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
-        assert _induced_kernel(P4, H, False, {}) == want
+        assert _induced_kernel(P4, H, False) == want
         monkeypatch.setattr(kernels, "CONTRACT_CAP", 100)
-        assert _induced_kernel(P4, H, False, {}) == want
-    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-        (
-            "hyperlim.hypergraph",
-            logging.DEBUG,
-            f"induced count by frontier search, predicted cost 132467 against {other} for the"
-            " contraction: n = 9, |V(F)| = 4",
-        )
-        for other in ("302292", "none")
-    ]
-    caplog.clear()
-    # an injective count at k = 1 is a closed form: no search, no record
-    F1, H1 = Hypergraph(1, 3, [(0,), (2,)]), Hypergraph(1, 5, [(1,), (3,), (4,)])
-    with caplog.at_level(logging.DEBUG, logger="hyperlim.hypergraph"):
-        assert _induced_kernel(F1, H1, True, {}) == 3 * 2 * 2
+        assert _induced_kernel(P4, Hypergraph.random(2, 9, 0.5, seed=5), False) == want
+        # counts at k = 1 are closed forms: no search either
+        F1, H1 = Hypergraph(1, 3, [(0,), (2,)]), Hypergraph(1, 5, [(1,), (3,), (4,)])
+        assert _induced_kernel(F1, H1, True) == 3 * 2 * 2
+        assert _induced_kernel(F1, H1, False) == 3 * 2 * 3
     assert caplog.records == []
 
 
@@ -616,18 +628,18 @@ def small_pattern_and_host(draw):
 @given(small_pattern_and_host())
 def test_chosen_path_matches_each_forced_path(pair):
     F, H = pair
-    for induced in (False, True):
-        chosen = hypergraph._map_count(F, H, induced, {})
-        assert chosen == _search_count(F, H, induced)
-        contracted = _contract_count(F, H, induced, {})
-        assert contracted is None or contracted == chosen
+    chosen = hypergraph._map_count(F, H)
+    assert chosen == _search_count(F, H)
+    contracted = _contract_count(F, H)
+    assert contracted is None or contracted == chosen
+    assert _induced_kernel(F, H, False) == _search_count(F, H, True)
     injective = hom(F, H, "injective")
-    assert injective == _search_count(F, H, False, True) == hypergraph._mobius_count(F, H, {})
+    assert injective == _search_count(F, H, False, True) == hypergraph._mobius_count(F, H)
     # a host with no tensor: the frontier reads link rows from the member table
     with mock.patch.object(kernels, "CONTRACT_CAP", 0 if H.n else -1):
-        assert _contract_count(F, H, False, {}) is None
+        assert _contract_count(F, H) is None
         assert hom(F, H, "injective") == injective
-        assert _search_count(F, H, True) == hypergraph._map_count(F, H, True, {})
+        assert _search_count(F, H, True) == _induced_kernel(F, H, False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -671,6 +683,16 @@ def test_frontier_budget_counts_candidate_cells(monkeypatch, tmp_path, capsys):
     )
 
 
+def test_frontier_on_a_k1_host_wider_than_the_frontier_cap():
+    # each block of a depth is then one partial map by all n host vertices
+    n = kernels.FRONTIER_CAP + 4464
+    H = Hypergraph(1, n, [(v,) for v in range(0, n, 7000)])  # 10 marked vertices
+    F = Hypergraph(1, 3, [(0,), (2,)])
+    assert n > kernels.FRONTIER_CAP and H.edge_count == 10
+    assert injective_hom_brute(F, H) == falling(10, 2) * (n - 2)
+    assert _search_count(F, H) == 10**2 * n
+
+
 def test_clustered_host_frontier_gives_way_to_the_other_path(caplog):
     # fans (vertex 0 joined to each vertex of the path 1, ..., v - 1) in K16
     # plus 44 isolated vertices: the edge share 120 / 1770 prices the
@@ -691,8 +713,8 @@ def test_clustered_host_frontier_gives_way_to_the_other_path(caplog):
         " n = 60, |V(F)| = 6",
         "frontier search passed 19896180 candidate cells: falling back to the Mobius sum",
     ]
-    assert _contract_count(fan7, H, False, {}) == 16 * 15 * 14**5
-    assert _mobius_count(fan6, H, {}) == falling(16, 6)
+    assert _contract_count(fan7, H) == 16 * 15 * 14**5
+    assert _mobius_count(fan6, H) == falling(16, 6)
 
 
 def scalar_mc_hits(F, W, samples, seed, induced):
