@@ -93,41 +93,30 @@ def _require(value, field: str):
     return value
 
 
-def _load_hypergraph(path, field):
+# each object the CLI reads: its class, the JSON key it must have, and what
+# a refusal says was expected
+_OBJECTS = {
+    Hypergraph: ("edges", "a hypergraph object with an edges field"),
+    StepHypergraphon: ("boxes", "a step hypergraphon object with a boxes field"),
+    CombinatorialStructure: ("cells", "a structure object with a cells field"),
+    Hyperpartition: ("labels", "a hyperpartition object with a labels field"),
+}
+
+
+def _load(cls, path, field):
     obj = _read_json(_require(path, field))
-    if not isinstance(obj, dict) or "edges" not in obj:
-        raise ValueError(f"{field}: expected a hypergraph object with an edges field")
-    return Hypergraph.from_obj(obj)
-
-
-def _load_w(path, field):
-    obj = _read_json(_require(path, field))
-    if not isinstance(obj, dict) or "boxes" not in obj:
-        raise ValueError(f"{field}: expected a step hypergraphon object with a boxes field")
-    return StepHypergraphon.from_obj(obj)
-
-
-def _load_structure(path, field):
-    obj = _read_json(_require(path, field))
-    if not isinstance(obj, dict) or "cells" not in obj:
-        raise ValueError(f"{field}: expected a structure object with a cells field")
-    return CombinatorialStructure.from_obj(obj)
-
-
-def _load_hp(path, field):
-    obj = _read_json(_require(path, field))
-    if not isinstance(obj, dict) or "labels" not in obj:
-        raise ValueError(f"{field}: expected a hyperpartition object with a labels field")
-    return Hyperpartition.from_obj(obj)
+    key, expected = _OBJECTS[cls]
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{field}: expected {expected}")
+    return cls.from_obj(obj)
 
 
 def _auto_host(path):
     """Read a host that may be a hypergraph or a step hypergraphon."""
     obj = _read_json(path)
-    if isinstance(obj, dict) and "boxes" in obj:
-        return "w", StepHypergraphon.from_obj(obj)
-    if isinstance(obj, dict) and "edges" in obj:
-        return "h", Hypergraph.from_obj(obj)
+    for kind, cls in (("w", StepHypergraphon), ("h", Hypergraph)):
+        if isinstance(obj, dict) and _OBJECTS[cls][0] in obj:
+            return kind, cls.from_obj(obj)
     raise ValueError("host: expected a hypergraph (edges) or step hypergraphon (boxes)")
 
 
@@ -148,9 +137,9 @@ def _out_dir(args) -> str:
 
 
 def _cmd_density(args) -> int:
-    F = _load_hypergraph(args.F, "F")
+    F = _load(Hypergraph, args.F, "F")
     if args.H:
-        host_kind, host = "h", _load_hypergraph(args.H, "H")
+        host_kind, host = "h", _load(Hypergraph, args.H, "H")
     elif args.W:
         host_kind, host = _auto_host(args.W)
     else:
@@ -182,8 +171,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_structure_density(args) -> int:
-    F = _load_hypergraph(args.F, "F")
-    C = _load_structure(args.C, "C")
+    F = _load(Hypergraph, args.F, "F")
+    C = _load(CombinatorialStructure, args.C, "C")
     val = structure_density(F, C, induced=args.induced)
     print(_frac(val))
     return 0
@@ -200,14 +189,14 @@ def _cmd_sample(args) -> int:
 
     seed = _need_seed(args)
     if args.H:
-        H = _load_hypergraph(args.H, "H")
+        H = _load(Hypergraph, args.H, "H")
         G = sample_vertex(H, args.n, seed)
         meta = {"seed": seed, "source": {"kind": "vertex", "n": args.n, "host_n": H.n}}
     else:
         if not args.W:
             raise ValueError("sample: need --W or --H")
-        W = _load_w(args.W, "W")
-        hp = _load_hp(args.HP, "HP") if args.HP else None
+        W = _load(StepHypergraphon, args.W, "W")
+        hp = _load(Hyperpartition, args.HP, "HP") if args.HP else None
         rec = sample_w(W, args.n, seed, hp=hp)
         G, meta = rec.sample, {"seed": rec.seed, "source": rec.source}
     if args.out:
@@ -226,21 +215,21 @@ def _cmd_distance(args) -> int:
     from . import metrics
 
     if args.metric == "hamming":
-        H = _load_hypergraph(args.H, "H")
-        T = _load_hypergraph(args.T, "T")
+        H = _load(Hypergraph, args.H, "H")
+        T = _load(Hypergraph, args.T, "T")
         print(_frac(metrics.hamming_density(H, T)))
         return 0
     if args.metric == "d1":
-        U = _load_w(args.U, "U")
-        W = _load_w(args.W, "W")
+        U = _load(StepHypergraphon, args.U, "U")
+        W = _load(StepHypergraphon, args.W, "W")
         if args.mode == "montecarlo":
             seed = _need_seed(args)
             rep = metrics.d1(U, W, mode="montecarlo", samples=args.samples, seed=seed)
         else:
             rep = metrics.d1(U, W)
     elif args.metric == "delta-w":
-        U = _load_w(args.U, "U")
-        W = _load_w(args.W, "W")
+        U = _load(StepHypergraphon, args.U, "U")
+        W = _load(StepHypergraphon, args.W, "W")
         if not args.family:
             raise ValueError("family: required for delta-w")
         objs = _read_json(args.family)
@@ -249,12 +238,12 @@ def _cmd_distance(args) -> int:
         fam = [Hypergraph.from_obj(o) for o in objs]
         rep = metrics.delta_w_lower(U, W, fam)
     elif args.metric == "delta1":
-        U = _load_w(args.U, "U")
-        W = _load_w(args.W, "W")
+        U = _load(StepHypergraphon, args.U, "U")
+        W = _load(StepHypergraphon, args.W, "W")
         rep = metrics.delta1_upper(U, W, budget=args.budget, seed=args.seed or 0)
     elif args.metric == "delta":
-        H = _load_hypergraph(args.H, "H")
-        T = _load_hypergraph(args.T, "T")
+        H = _load(Hypergraph, args.H, "H")
+        T = _load(Hypergraph, args.T, "T")
         rep = metrics.delta_metric_estimate(H, T, args.max_size, seed=args.seed or 0)
     else:
         raise ValueError(f"metric: unknown choice {args.metric}")
@@ -265,7 +254,7 @@ def _cmd_distance(args) -> int:
 def _cmd_regularize(args) -> int:
     from .regularity import refine
 
-    H = _load_hypergraph(args.H, "H")
+    H = _load(Hypergraph, args.H, "H")
     seed = _need_seed(args)
     rep = refine(
         H,
@@ -284,9 +273,9 @@ def _cmd_regularize(args) -> int:
 def _cmd_closeness(args) -> int:
     from .metrics import closeness
 
-    H = _load_hypergraph(args.H, "H")
-    C = _load_structure(args.C, "C")
-    hp = _load_hp(args.HP, "HP")
+    H = _load(Hypergraph, args.H, "H")
+    C = _load(CombinatorialStructure, args.C, "C")
+    hp = _load(Hyperpartition, args.HP, "HP")
     seed = _need_seed(args)
     eps, delta = closeness(H, C, hp, seed=seed)
     print(f"eps={_frac(eps)} delta={_frac(delta)}")
@@ -313,19 +302,19 @@ def _cmd_experiment(args) -> int:
     stochastic = name != "removal"
     seed = _need_seed(args) if stochastic else 0
     if name == "concentration":
-        W = _load_w(args.W, "W")
-        F = _load_hypergraph(_one_pattern(args), "F")
+        W = _load(StepHypergraphon, args.W, "W")
+        F = _load(Hypergraph, _one_pattern(args), "F")
         rep = ex.concentration_experiment(
             W, F, _require(args.n, "n"), _require(args.eps, "eps"), args.trials, seed=seed, threads=args.threads
         )
     elif name == "counting":
-        C = _load_structure(args.C, "C")
-        F = _load_hypergraph(_one_pattern(args), "F")
+        C = _load(CombinatorialStructure, args.C, "C")
+        F = _load(Hypergraph, _one_pattern(args), "F")
         rep = ex.counting_experiment(
             C, F, _split_ints(_require(args.n_list, "n-list"), "n-list"), args.trials, seed=seed, threads=args.threads
         )
     elif name == "inverse":
-        W = _load_w(args.W, "W")
+        W = _load(StepHypergraphon, args.W, "W")
         rep = ex.inverse_counting_experiment(
             W,
             _require(args.n, "n"),
@@ -336,21 +325,21 @@ def _cmd_experiment(args) -> int:
             use_planted=args.use_planted,
         )
     elif name == "removal":
-        H = _load_hypergraph(args.H, "H")
-        K = _load_hypergraph(args.K, "K")
+        H = _load(Hypergraph, args.H, "H")
+        K = _load(Hypergraph, args.K, "K")
         rep = ex.removal_experiment(H, K)
     elif name == "hereditary":
-        W = _load_w(args.W, "W")
+        W = _load(StepHypergraphon, args.W, "W")
         if not args.F:
             raise ValueError("F: at least one pattern required")
-        fl = [_load_hypergraph(p, "F") for p in args.F]
+        fl = [_load(Hypergraph, p, "F") for p in args.F]
         rep = ex.hereditary_experiment(
             W, fl, _require(args.n, "n"), args.trials, seed=seed, threads=args.threads
         )
     elif name == "sequence":
         if not args.sequence:
             raise ValueError("sequence: list of hypergraph files required")
-        seq = [_load_hypergraph(p, "sequence") for p in args.sequence.split(",")]
+        seq = [_load(Hypergraph, p, "sequence") for p in args.sequence.split(",")]
         rep = ex.strong_convergence_report(
             seq, _require(args.l, "l"), _require(args.eps, "eps"), seed=seed, threads=args.threads
         )
@@ -370,16 +359,16 @@ def _cmd_experiment(args) -> int:
 def _cmd_validate(args) -> int:
     checked = False
     if args.structure:
-        _load_structure(args.structure, "structure")
+        _load(CombinatorialStructure, args.structure, "structure")
         checked = True
     if args.H:
-        _load_hypergraph(args.H, "H")
+        _load(Hypergraph, args.H, "H")
         checked = True
     if args.HP:
-        _load_hp(args.HP, "HP")
+        _load(Hyperpartition, args.HP, "HP")
         checked = True
     if args.W:
-        _load_w(args.W, "W")
+        _load(StepHypergraphon, args.W, "W")
         checked = True
     if not checked:
         raise ValueError("validate: pass at least one of --structure/--H/--HP/--W")

@@ -41,6 +41,13 @@ class StepHypergraphon(CombinatorialStructure):
         return self.from_member(self.k, self.l, 1 - self.member_table())
 
 
+def _points(samples: int, nsim: int, key: int):
+    """The uniform coordinates of each Monte Carlo sample, as a list of nsim
+    floats: kernels.mc_words over every simplex, through rng.np_u01."""
+    for words in kernels.mc_words(samples, nsim, key, range(nsim)):
+        yield from rng.np_u01(words).T.tolist()
+
+
 class GeneralHypergraphon:
     """Membership predicate over points; invariance is spot-checked.
 
@@ -65,11 +72,9 @@ class GeneralHypergraphon:
         k = self.k
         width = (1 << k) - 1
         key = rng.derive(seed, rng.TAG_MC)
-        for i in range(points):
-            p = {
-                m: rng.u01(rng.mix64(key, i * width + m - 1))
-                for m in range(1, width + 1)
-            }
+        # point i is sample i of the Monte Carlo stream, mask m its coordinate m - 1
+        for vals in _points(points, width, key):
+            p = dict(enumerate(vals, 1))
             base = bool(self.membership(p))
             for perm in position_perms(k):
                 q = {mask_image(m, perm): p[m] for m in p}
@@ -193,16 +198,12 @@ def density(
         hits = kernels.mc_step_count(samples, nsim, key, cidx, flags, W)
     else:
         hits = 0
-        for s in range(samples):
-            vals = [rng.u01(rng.mix64(key, s * nsim + i)) for i in range(nsim)]
-            good = True
-            for row, flag in zip(cidx, flags):
-                p = {m: vals[q] for m, q in enumerate(row, 1)}
-                if W.contains_point(p) != bool(flag):
-                    good = False
-                    break
-            if good:
-                hits += 1
+        for vals in _points(samples, nsim, key):
+            # the first failed constraint ends a sample's calls
+            hits += all(
+                W.contains_point({m: vals[q] for m, q in enumerate(row, 1)}) == bool(flag)
+                for row, flag in zip(cidx, flags)
+            )
     est = hits / samples
     stderr = sqrt(est * (1.0 - est) / samples)
     return est, stderr

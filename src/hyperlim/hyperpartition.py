@@ -548,15 +548,10 @@ def _cylinder_arrays(n: int, r: int, family, seed):
                     raise ValueError("cylinder part has the wrong arity or ground set")
                 arr = part.member_array() != 0
             else:
-                rows = []
-                for s in part:
-                    t = sorted(s)
-                    if len(t) != r - 1 or len(set(t)) < len(t) or not all(0 <= v < n for v in t):
-                        raise ValueError(
-                            f"cylinder {c} part {i}: subset {tuple(s)} is not"
-                            f" {r - 1} distinct vertices in range({n})"
-                        )
-                    rows.append(t)
+                try:
+                    rows = [_vertex_subset(s, (r - 1,), n, r - 1) for s in part]
+                except ValueError as e:
+                    raise ValueError(f"cylinder {c} part {i}: {e}") from None
                 arr = np.zeros(base, dtype=bool)
                 arr[colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), n)] = True
             parts.append(arr)

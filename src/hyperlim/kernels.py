@@ -9,10 +9,13 @@ sweep counts when it has no tensors and the vertex sampler writes into its
 edge mask; one constraint-cell filter (cells_keep for simplex levels, one
 row per simplex, against a structure, read over its used_axes() as
 combinatorics._cell_member_count reads them, and shared by mc_step_count,
-the Monte Carlo d1 and the densities under a level-map distribution); and
-the random injective-map generator. Randomness enters only through
-splitmix64 counter ranges and strided ranges (see rng), which keeps
-results independent of evaluation order.
+the Monte Carlo d1 and the densities under a level-map distribution); one
+blocked stream of Monte Carlo points (mc_words), the only hash of them,
+which mc_step_count, the Monte Carlo d1, the general-predicate density and
+GeneralHypergraphon's invariance check read; and the random injective-map
+generator. Randomness enters only through splitmix64 counter ranges and
+strided ranges (see rng), which keeps results independent of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -223,32 +226,41 @@ def _member_link(img, flag, member, n) -> np.ndarray:
 # vectorized kernels, and the injective-map generator
 
 
-# samples per block of mc_step_count: a block's level rows and its int64
-# codes stay in cache
+# samples per block of mc_words: a block's hash rows and the int64 codes
+# read from them stay in cache
 MC_BLOCK = 1 << 12
+
+
+def mc_words(samples, nsim, key, read):
+    """Yield the hash words of Monte Carlo samples 0 .. samples - 1 (none
+    when samples <= 0), MC_BLOCK samples a block: one row per simplex of
+    read, one column per sample. Simplex j of sample s is counter
+    s * nsim + j, so in a block each simplex is one strided progression.
+    Every block is written into one pair of buffers, so a reader is done
+    with a block, which it may overwrite, before it asks for the next."""
+    if samples <= 0:
+        return
+    read = np.asarray(read, dtype=np.int64)
+    bufs = np.empty((2, len(read) * min(samples, MC_BLOCK)), dtype=np.uint64)
+    for s0 in range(0, samples, MC_BLOCK):
+        m = min(samples - s0, MC_BLOCK)
+        out, scratch = (b[: len(read) * m].reshape(len(read), m) for b in bufs)
+        yield rng.np_mix64_strided(key, read + s0 * nsim, nsim, m, out, scratch)
 
 
 def mc_step_count(samples, nsim, key, cidx, flags, cells) -> int:
     """Count samples whose hashed level assignment satisfies every
-    constraint of cells_keep; one counter per (sample, simplex).
-
-    Simplex j of sample s is counter s * nsim + j, so across a block of
-    samples each simplex is one strided progression. Only the simplices
-    some code reads, those at the masks of cells.used_axes(), are hashed
-    and levelled, MC_BLOCK samples at a time, into one pair of buffers
-    reused by every block.
+    constraint of cells_keep, reading the words of mc_words. Only the
+    simplices some code reads, those at the masks of cells.used_axes(), are
+    hashed and levelled.
     """
     cidx = np.asarray(cidx, dtype=np.int64)
     read = np.unique(cidx[:, list(cells.used_axes()[0])])
     at = np.zeros(nsim, dtype=np.int64)
     at[read] = np.arange(len(read))
     rows = at[cidx]  # cidx over the hashed rows
-    bufs = np.empty((2, len(read) * min(samples, MC_BLOCK)), dtype=np.uint64)
     cnt = 0
-    for s0 in range(0, samples, MC_BLOCK):
-        s1 = min(samples, s0 + MC_BLOCK)
-        out, scratch = (b[: len(read) * (s1 - s0)].reshape(len(read), s1 - s0) for b in bufs)
-        h = rng.np_mix64_strided(key, read + s0 * nsim, nsim, s1 - s0, out, scratch)
+    for h in mc_words(samples, nsim, key, read):
         lev = rng.np_level_of(h, cells.l, out=h)
         cnt += int(np.count_nonzero(cells_keep(lev, rows, flags, cells)))
     return cnt

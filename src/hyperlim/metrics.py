@@ -116,15 +116,15 @@ def d1(
         raise ValueError("samples must be positive")
     key = rng.derive(0 if seed is None else seed, rng.TAG_MC)
     # coordinate m of sample s is counter s * width + m; only the masks
-    # that U or W reads are hashed, one strided row each
+    # that U or W reads are hashed, one row each, a block at a time
     read = sorted(set(U.used_axes()[0]) | set(W.used_axes()[0]))
-    h = rng.np_mix64_strided(key, read, width, n)
-    row = [read.index(m) if m in read else 0 for m in range(width)]
-
-    def inside(V):
-        return kernels.cells_keep(rng.np_level_of(h, V.l), [row], [1], V)
-
-    est = float(np.mean(inside(U) != inside(W)))
+    row = [[read.index(m) if m in read else 0 for m in range(width)]]
+    differ = 0
+    for h in kernels.mc_words(n, width, key, read):
+        inside = kernels.cells_keep(rng.np_level_of(h, U.l), row, [1], U)
+        inside ^= kernels.cells_keep(rng.np_level_of(h, W.l, out=h), row, [1], W)
+        differ += int(np.count_nonzero(inside))
+    est = differ / n
     stderr = (est * (1 - est) / n) ** 0.5
     return DistanceReport(
         value=est,

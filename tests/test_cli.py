@@ -166,6 +166,33 @@ def test_malformed_json_exits_2_naming_file(files, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--H", "H: expected a hypergraph object with an edges field"),
+        ("--W", "W: expected a step hypergraphon object with a boxes field"),
+        ("--structure", "structure: expected a structure object with a cells field"),
+        ("--HP", "HP: expected a hyperpartition object with a labels field"),
+    ],
+)
+@pytest.mark.parametrize("obj", [[1, 2], "edges", {"k": 2, "n": 3}])
+def test_each_loader_refuses_a_non_object_or_a_missing_key(files, capsys, flag, text, obj):
+    bad = files["dir"] + "/bad.json"
+    with open(bad, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["validate", flag, bad]) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("obj", [[1, 2], {"k": 2, "n": 3}, {"cells": [], "k": 2, "l": 2}])
+def test_auto_host_refuses_what_is_neither_hypergraph_nor_hypergraphon(files, capsys, obj):
+    bad = files["dir"] + "/host.json"
+    with open(bad, "w") as fh:
+        json.dump(obj, fh)
+    assert main(["density", "--F", files["tri"], "--W", bad]) == 2
+    assert capsys.readouterr() == ("", "error: host: expected a hypergraph (edges) or step hypergraphon (boxes)\n")
+
+
 def test_unknown_flag_exits_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--F", files["tri"], "--bogus"])

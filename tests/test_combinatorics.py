@@ -22,6 +22,7 @@ from hyperlim.combinatorics import (
     cell_digits,
     cell_grid,
     cell_weights,
+    colex_insert_ranks,
     colex_matrix,
     colex_rank,
     colex_rank_rows,
@@ -123,6 +124,21 @@ def test_colex_rank_rows_matches_scalar():
     ranks = colex_rank_rows(rows, 9)
     for row, rank in zip(rows, ranks):
         assert colex_rank(tuple(row)) == rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_colex_insert_ranks_match_sort_and_rank(k, data):
+    # k - 1 = 0..3 vertices per row; n = k - 1 is a host with fewer than k
+    n = data.draw(st.integers(max(k - 1, 1), k + 5))
+    row = st.lists(st.integers(0, n - 1), min_size=k - 1, max_size=k - 1, unique=True).map(sorted)
+    rows = data.draw(st.lists(row, max_size=6))
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), k - 1)
+    got = colex_insert_ranks(rows, n)
+    assert got.shape == (len(rows), n)
+    for r, sub in enumerate(rows.tolist()):
+        for w in set(range(n)) - set(sub):
+            assert got[r, w] == colex_rank_rows(np.array([sorted(sub + [w])]), n)[0]
 
 
 def test_colex_matrix_matches_subsets_colex():

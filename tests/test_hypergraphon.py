@@ -188,6 +188,8 @@ def test_general_hypergraphon_rejects_asymmetric_predicate():
 
     with pytest.raises(ValueError, match="not invariant"):
         GeneralHypergraphon(2, asym)
+    for points in (0, -1):  # checks nothing
+        GeneralHypergraphon(2, asym, check_points=points)
 
 
 def test_induced_density_step():

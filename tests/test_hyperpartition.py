@@ -377,6 +377,9 @@ def test_explicit_cylinder_parts_are_checked():
         ([([(0, 1), (2, 3)], [(1, 2)])], r"cylinder 0 part 0: subset \(0, 1\) is not 1 distinct vertices in range\(6\)"),
         ([([(0,)], [(1,)]), ([(2,)], [(6,)])], r"cylinder 1 part 1: subset \(6,\) is not"),
         ([([(0,)], [(-1,)])], r"cylinder 0 part 1: subset \(-1,\) is not"),
+        # vertices must be integers: a float is not truncated, a string not compared
+        ([([(0,)], [(1,)]), ([(0.5,), (1,)], [(2,)])], r"cylinder 1 part 0: subset \(0\.5,\) is not 1 distinct"),
+        ([([("a",), (1,)], [(2,)])], r"cylinder 0 part 0: subset \('a',\) is not 1 distinct vertices in range\(6\)"),
     ]
     for family, text in cases:
         with pytest.raises(ValueError, match=text):

@@ -2,18 +2,27 @@ import itertools
 import json
 import logging
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_hyperpartition import brute_structure_density
 
 from hyperlim import hypergraph, kernels, rng
 from hyperlim.cli import main
-from hyperlim.combinatorics import colex_rank_rows, comb_table, falling, mask_bits, mask_perms
+from hyperlim.combinatorics import (
+    colex_insert_ranks,
+    colex_rank_rows,
+    comb_table,
+    falling,
+    mask_bits,
+    mask_image,
+    mask_perms,
+    position_perms,
+)
 from hyperlim.hypergraph import (
     Hypergraph,
     _constraints,
@@ -26,7 +35,7 @@ from hyperlim.hypergraph import (
     hom,
     injective_hom_brute,
 )
-from hyperlim.hypergraphon import builtin_w, density, step_from_structure
+from hyperlim.hypergraphon import GeneralHypergraphon, builtin_w, density, step_from_structure
 from hyperlim.hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
@@ -64,6 +73,21 @@ def hypergraphs(draw, k, n):
     subs = list(itertools.combinations(range(n), k))
     keep = draw(st.lists(st.booleans(), min_size=len(subs), max_size=len(subs)))
     return Hypergraph(k, n, [s for s, b in zip(subs, keep) if b])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_member_link_matches_member_keep_over_the_expanded_maps(k, data):
+    # rows may repeat an image, and n may be below k
+    n = data.draw(st.integers(1, k + 4))
+    H = data.draw(hypergraphs(k, n))
+    img = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k - 1, max_size=k - 1), max_size=8))
+    img = np.array(img, dtype=np.int64).reshape(len(img), k - 1)
+    flag = data.draw(st.sampled_from([0, 1]))
+    got = kernels._member_link(img, flag, H.member_array(), n)
+    maps = np.column_stack((np.repeat(img, n, axis=0), np.tile(np.arange(n), len(img))))
+    want = kernels.member_keep(maps, [list(range(k))], [flag], H.member_array(), n)
+    assert np.array_equal(got, want.reshape(len(img), n))
 
 
 @st.composite
@@ -823,12 +847,140 @@ def scalar_d1_estimate(U, W, samples, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 120))
-def test_d1_montecarlo_matches_scalar_oracle(k, lu, lw, seed, samples):
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32),
+    st.integers(1, 120),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+def test_d1_montecarlo_matches_scalar_oracle(k, lu, lw, seed, samples, block):
     U = step_from_structure(random_step_structure(k, lu, seed))
     W = step_from_structure(random_step_structure(k, lw, seed + 1))
-    rep = d1(U, W, mode="montecarlo", samples=samples, seed=seed)
+    with mock.patch.object(kernels, "MC_BLOCK", block or kernels.MC_BLOCK):
+        rep = d1(U, W, mode="montecarlo", samples=samples, seed=seed)
     assert rep.value == scalar_d1_estimate(U, W, samples, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-3, 40), st.integers(1, 9), st.integers(0, 2**64 - 1), st.integers(1, 7), st.data())
+def test_mc_words_are_the_strided_counters_block_by_block(samples, nsim, key, block, data):
+    read = data.draw(st.lists(st.integers(0, nsim - 1), unique=True))
+    with mock.patch.object(kernels, "MC_BLOCK", block):
+        blocks = [h.copy() for h in kernels.mc_words(samples, nsim, key, read)]
+    assert [h.shape[1] for h in blocks] == [min(block, samples - s0) for s0 in range(0, samples, block)]
+    got = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(read), 0), dtype=np.uint64)
+    ctrs = np.arange(max(samples, 0))[None, :] * nsim + np.array(read, dtype=np.int64).reshape(-1, 1)
+    assert np.array_equal(got, rng.np_mix64(key, ctrs))
+
+
+def scalar_general_hits(F, W, samples, seed, induced):
+    """Hit count of a general predicate's Monte Carlo sweep, one scalar hash
+    and u01 per (sample, simplex) counter, stopping each sample at its first
+    failed constraint."""
+    simp, cidx, flags = _constraint_cells(F, W.k, induced)
+    nsim = len(simp)
+    key = rng.derive(seed, rng.TAG_MC)
+    hits = 0
+    for s in range(samples):
+        vals = [rng.u01(rng.mix64(key, s * nsim + i)) for i in range(nsim)]
+        good = True
+        for row, flag in zip(cidx, flags):
+            p = {m: vals[q] for m, q in enumerate(row, 1)}
+            if W.contains_point(p) != bool(flag):
+                good = False
+                break
+        if good:
+            hits += 1
+    return hits
+
+
+def scalar_invariance_check(W, points, seed):
+    """GeneralHypergraphon's spot check with one scalar hash and u01 per
+    coordinate: point i, mask m reads counter i * (2**k - 1) + m - 1."""
+    width = (1 << W.k) - 1
+    key = rng.derive(seed, rng.TAG_MC)
+    for i in range(points):
+        p = {m: rng.u01(rng.mix64(key, i * width + m - 1)) for m in range(1, width + 1)}
+        base = bool(W.membership(p))
+        for perm in position_perms(W.k):
+            q = {mask_image(m, perm): p[m] for m in p}
+            if bool(W.membership(q)) != base:
+                raise ValueError("membership predicate is not invariant under position permutations")
+
+
+def recording(predicate):
+    """The predicate, and the list of the points it is called with, each as
+    its items in order."""
+    calls = []
+
+    def f(p):
+        calls.append(list(p.items()))
+        return predicate(p)
+
+    return f, calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.data(),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.integers(1, 30),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+def test_general_density_reads_the_scalar_points_in_order(k, data, seed, induced, samples, block):
+    F = data.draw(hypergraphs(k, data.draw(st.integers(k, k + 2))))
+    f, calls = recording(lambda p: sum(p.values()) % 1.0 < 0.6)
+    W = GeneralHypergraphon(k, f, check_points=0)
+    with mock.patch.object(kernels, "MC_BLOCK", block or kernels.MC_BLOCK):
+        est, stderr = density(F, W, mode="montecarlo", samples=samples, seed=seed, induced=induced)
+    seen = calls[:]
+    calls.clear()
+    hits = scalar_general_hits(F, W, samples, seed, induced)
+    assert seen == calls
+    assert (est, stderr) == (hits / samples, sqrt(hits / samples * (1 - hits / samples) / samples))
+
+
+def test_general_density_is_pinned():
+    tri = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
+    W = GeneralHypergraphon(2, lambda p: (p[1] + p[2] + p[3]) % 1 < 0.5)
+    assert density(tri, W, mode="montecarlo", samples=20000, seed=4) == (0.12365, 0.0023276670455630033)
+
+
+_SYMMETRIC = (lambda p: sum(p.values()) % 1.0 < 0.5, lambda p: p[max(p)] < 0.5)
+_ASYMMETRIC = (lambda p: p[1] < 0.5, lambda p: p[1] + p[max(p)] < 0.8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(_SYMMETRIC + _ASYMMETRIC),
+    st.integers(-3, 20),
+    st.integers(0, 2**32),
+    st.one_of(st.none(), st.integers(1, 7)),
+)
+@example(3, _ASYMMETRIC[1], 64, 0, 5)
+def test_invariance_check_reads_the_scalar_points_in_order(k, predicate, points, seed, block):
+    f, calls = recording(predicate)
+    outcomes = []
+    for check in (
+        lambda: GeneralHypergraphon(k, f, check_points=points, seed=seed),
+        lambda: scalar_invariance_check(GeneralHypergraphon(k, f, check_points=0), points, seed),
+    ):
+        with mock.patch.object(kernels, "MC_BLOCK", block or kernels.MC_BLOCK):
+            try:
+                check()
+                outcomes.append(None)
+            except ValueError as e:
+                outcomes.append(str(e))
+        outcomes.append(calls[:])
+        calls.clear()
+    assert outcomes[:2] == outcomes[2:]
+    if points <= 0:
+        assert outcomes == [None, [], None, []]
 
 
 def test_mc_step_count_matches_scalar_recompute():

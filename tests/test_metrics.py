@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, lcm
@@ -132,6 +133,27 @@ def test_d1_montecarlo_close_to_exact():
     # replay determinism
     rep2 = d1(U, W, mode="montecarlo", samples=20000, seed=5)
     assert rep.value == rep2.value
+
+
+def test_d1_montecarlo_memory_is_bounded_by_one_block():
+    # the words of one MC_BLOCK-sample block, not of every sample: the
+    # all-samples hash held about 79 MB here
+    U, W = builtin_w("example1", 3), builtin_w("example2", 3)
+    d1(U, W, mode="montecarlo", samples=10, seed=3)  # caches outside the trace
+    tracemalloc.start()
+    try:
+        rep = d1(U, W, mode="montecarlo", samples=10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert rep.value == 0.499655
+
+
+def test_d1_montecarlo_values_are_pinned():
+    U, W = builtin_w("example1", 3), builtin_w("example2", 3)
+    got = [d1(U, W, mode="montecarlo", samples=n, seed=3).value for n in (1, 4095, 4096, 4097, 20000)]
+    assert got == [1.0, 0.48644688644688644, 0.486328125, 0.48620942152794727, 0.4952]
 
 
 def test_hamming_density_frozen_and_errors():

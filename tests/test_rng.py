@@ -304,3 +304,34 @@ def test_only_rng_names_its_mixing_internals():
     assert found == {}
     probe = "rng._rounds(z, s)\nfrom .rng import _GOLDEN\nx = _steps(3)\nrng._premix64_range(k, 0, 1, o, s)"
     assert len(rng_internal_names(ast.parse(probe))) == 3
+
+
+# every Monte Carlo point comes from kernels.mc_words, and scalar words stay
+# inside rng (derive) and the tests' oracles
+STREAM_OWNERS = {"np_mix64_strided": "kernels.py", "mix64": "rng.py", "u01": "rng.py"}
+
+
+def stream_calls(tree, module):
+    """Lines of a module that call a name of STREAM_OWNERS, by name or as an
+    attribute, outside the module that owns it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and STREAM_OWNERS.get(getattr(node.func, "id", None) or getattr(node.func, "attr", None), module) != module
+    )
+
+
+def test_one_block_loop_hashes_every_monte_carlo_point():
+    files = sorted(Path(rng.__file__).parent.glob("*.py"))
+    assert len(files) > 5
+    found = {}
+    for path in files:
+        hits = stream_calls(ast.parse(path.read_text(), str(path)), path.name)
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+    probe = "rng.np_mix64_strided(k, r, 3, 9)\nrng.u01(rng.mix64(k, 0))\nmix64(k, 1)\nrng.np_u01(h)\nrng.derive(s, 1)"
+    assert stream_calls(ast.parse(probe), "metrics.py") == [1, 2, 2, 3]
+    assert stream_calls(ast.parse(probe), "rng.py") == [1]
+    assert stream_calls(ast.parse(probe), "kernels.py") == [2, 2, 3]
