@@ -43,7 +43,6 @@ _EXPORTS = {
         "builtin_w",
         "density",
         "density_via_projection",
-        "projected_value",
         "step_from_structure",
         "structure_of",
     ],

@@ -189,8 +189,7 @@ def counting_experiment(
     n_list = list(n_list)
     if not n_list or trials < 1:
         raise ValueError("need a nonempty n_list and trials >= 1")
-    if mc_samples <= 0:
-        raise ValueError("samples must be positive")
+    mc_samples = kernels.mc_count(mc_samples, "samples")
     from .hyperpartition import structure_density
 
     t_exact = structure_density(F, C)

@@ -60,6 +60,7 @@ class GeneralHypergraphon:
     __slots__ = ("k", "membership")
 
     def __init__(self, k: int, membership, check_points: int = 64, seed: int = 0):
+        check_points = kernels.mc_count(check_points, "check_points", least=0)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "membership", membership)
         if check_points:
@@ -86,40 +87,6 @@ class GeneralHypergraphon:
 
     def contains_point(self, p: dict) -> bool:
         return bool(self.membership(p))
-
-
-def _levels_of(values, count: int, l: int, what: str) -> tuple:
-    """Exact 0-based levels of the first count mask coordinates of a point,
-    given as a mask-indexed dict or a sequence."""
-    if isinstance(values, dict):
-        seq = [values[m] for m in range(1, count + 1)]
-    else:
-        seq = list(values)
-    if len(seq) != count:
-        raise ValueError(f"{what} needs {count} coordinates")
-    cell = []
-    for x in seq:
-        p, q = (x if hasattr(x, "as_integer_ratio") else Fraction(x)).as_integer_ratio()
-        if not 0 <= p < q:
-            raise ValueError("point coordinates must lie in [0, 1)")
-        cell.append(p * l // q)
-    return tuple(cell)
-
-
-def _grid(W: StepHypergraphon) -> np.ndarray:
-    return cell_grid(W.member_table(), W.k, W.l)
-
-
-def contains(W, p) -> bool:
-    """Pointwise membership; half-open boxes, exact at level boundaries."""
-    if isinstance(W, StepHypergraphon):
-        return bool(_grid(W)[_levels_of(p, (1 << W.k) - 1, W.l, "point")])
-    return W.contains_point(p if isinstance(p, dict) else _as_point_dict(W.k, p))
-
-
-def _as_point_dict(k, seq):
-    seq = list(seq)
-    return {m: seq[m - 1] for m in range(1, (1 << k))}
 
 
 def builtin_w(kind: str, k: int) -> StepHypergraphon:
@@ -187,8 +154,7 @@ def density(
         raise ValueError(f"unknown density mode {mode!r}")
     if samples is None or seed is None:
         raise ValueError("montecarlo mode needs samples and seed")
-    if samples <= 0:
-        raise ValueError("samples must be positive")
+    samples = kernels.mc_count(samples, "samples")
     simp, cidx, flags = _constraint_cells(F, W.k, induced)
     nsim = len(simp)
     key = rng.derive(seed, rng.TAG_MC)
@@ -209,16 +175,6 @@ def density(
     return est, stderr
 
 
-def projected_value(W: StepHypergraphon, q) -> Fraction:
-    """Measure of the fiber over a point with every mask but the full one.
-
-    q maps each proper mask to a coordinate; the result is the fraction of
-    full-mask levels whose completed cell is a box.
-    """
-    levels = _levels_of(q, (1 << W.k) - 2, W.l, "projected point")
-    return Fraction(int(_grid(W)[levels].sum()), W.l)
-
-
 def density_via_projection(F: Hypergraph, W: StepHypergraphon) -> Fraction:
     """Exact density through the projected grid; pairwise patterns only.
 
@@ -228,7 +184,8 @@ def density_via_projection(F: Hypergraph, W: StepHypergraphon) -> Fraction:
     if W.k != 2 or F.k != 2:
         raise ValueError("projection formula implemented for k = 2")
     l = W.l
-    grid = [[Fraction(h, l) for h in row] for row in _grid(W).sum(axis=-1, dtype=np.int64).tolist()]
+    fibers = cell_grid(W.member_table(), 2, l).sum(axis=-1, dtype=np.int64)
+    grid = [[Fraction(h, l) for h in row] for row in fibers.tolist()]
     total = Fraction(0)
     edges = sorted(F.edges)
     for assign in product(range(l), repeat=F.n):

@@ -480,6 +480,7 @@ def structure_density(
     contraction (kernels.contract) over the labels of the proper
     sub-simplices: tops of distinct constraints are distinct, so each
     constraint contributes an independent count of admissible top labels.
+    A constraint reads only the lower masks of structure.used_axes().
     Instances whose contraction exceeds the cap raise ValueError. With a
     distribution, the probability is taken under its weights instead.
     """
@@ -492,13 +493,17 @@ def structure_density(
     if not len(cidx):
         return Fraction(1)
     # the variables are the simplices of arity below k, listed first; those
-    # that no constraint reads are free variables of the contraction
+    # that no scope holds are free variables of the contraction
     nvars = sum(len(s) < k for s in simplices)
-    # admissible top labels per lower labelling: the top mask is the last
-    # axis of the level grid
-    inside = cell_grid(structure.member_table(), k, l).sum(axis=-1, dtype=np.int64)
+    # admissible top labels per labelling of the used lower masks: the top
+    # mask is the last axis, and l labels pass alike when it is unused
+    used, reduced = structure.used_axes()
+    grid = reduced.reshape((l,) * len(used), order="F")
+    top = (1 << k) - 2
+    inside = grid.sum(axis=-1, dtype=np.int64) if top in used else l * grid.astype(np.int64)
     tables = (l - inside, inside)
-    factors = [(row[:-1], tables[flag]) for row, flag in zip(cidx.tolist(), flags)]
+    lower = [m for m in used if m != top]
+    factors = [([row[m] for m in lower], tables[flag]) for row, flag in zip(cidx.tolist(), flags)]
     count = kernels.contract(factors, nvars, l)
     if count is None:
         raise ValueError("exact structure density instance too large")

@@ -12,7 +12,8 @@ combinatorics._cell_member_count reads them, and shared by mc_step_count,
 the Monte Carlo d1 and the densities under a level-map distribution); one
 blocked stream of Monte Carlo points (mc_words), the only hash of them,
 which mc_step_count, the Monte Carlo d1, the general-predicate density and
-GeneralHypergraphon's invariance check read; and the random injective-map
+GeneralHypergraphon's invariance check read, with one check of their
+counts (mc_count); and the random injective-map
 generator. Randomness enters only through splitmix64 counter ranges and
 strided ranges (see rng), which keeps results independent of evaluation
 order.
@@ -20,6 +21,7 @@ order.
 
 from __future__ import annotations
 
+import numbers
 from math import prod
 
 import numpy as np
@@ -229,6 +231,17 @@ def _member_link(img, flag, member, n) -> np.ndarray:
 # samples per block of mc_words: a block's hash rows and the int64 codes
 # read from them stay in cache
 MC_BLOCK = 1 << 12
+
+
+def mc_count(value, name: str, least: int = 1) -> int:
+    """value as a count of Monte Carlo points: its int, or a ValueError
+    naming it unless it is an integer, not a bool, and no less than least
+    (1 for sample counts, 0 where no point may be asked for)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+    return int(value)
 
 
 def mc_words(samples, nsim, key, read):

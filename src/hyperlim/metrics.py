@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels, rng
-from .combinatorics import ROW_CAP, cell_digits, cell_grid, mask_bits
+from .combinatorics import ROW_CAP, mask_bits
 from .hypergraph import Hypergraph, density_equivalent, enumerate_canonical, hom
 from .hyperpartition import CombinatorialStructure, cells_union, partition_delta
 from .hypergraphon import StepHypergraphon, density
@@ -62,26 +62,30 @@ def hamming_density(H: Hypergraph, T: Hypergraph) -> Fraction:
     return Fraction(len(H.edges ^ T.edges), denom)
 
 
-def _refined_member(structure: CombinatorialStructure, L: int) -> np.ndarray:
-    """Membership of the L-level refinement, indexed by cell codes.
+def _refined_grid(structure: CombinatorialStructure, L: int, axes) -> np.ndarray:
+    """Membership of the L-level refinement over the mask axes in axes, a
+    superset of structure.used_axes()[0], one grid axis each.
 
     Fine level d of a mask lies in coarse level d // (L // l), so the
-    refinement repeats every coarse level L // l times along each axis.
+    refinement repeats every coarse level L // l times along each used
+    axis; membership is constant along the others.
     """
-    k, l = structure.k, structure.l
-    width = (1 << k) - 1
-    if L**width > _REFINE_CAP:
+    if L ** len(axes) > _REFINE_CAP:
         raise ValueError("refined grid too large for exact mode")
-    grid = cell_grid(structure.member_table(), k, l)
-    for i in range(width):
-        grid = np.repeat(grid, L // l, axis=i)
-    return grid.ravel(order="F")
+    l = structure.l
+    used, reduced = structure.used_axes()
+    grid = reduced.reshape([l if m in used else 1 for m in axes], order="F")
+    for i, m in enumerate(axes):
+        grid = np.repeat(grid, L // l if m in used else L, axis=i)
+    return grid
 
 
 def _shared(U: StepHypergraphon, W: StepHypergraphon):
+    """(L, axes): the common level count lcm(l_U, l_W) and the mask axes
+    that U or W reads, ascending; every other axis moves neither."""
     if U.k != W.k:
         raise ValueError("hypergraphons must share arity k")
-    return lcm(U.l, W.l)
+    return lcm(U.l, W.l), sorted(set(U.used_axes()[0]) | set(W.used_axes()[0]))
 
 
 def d1(
@@ -92,32 +96,31 @@ def d1(
     seed: Optional[int] = None,
 ) -> DistanceReport:
     """Measure of the symmetric difference of two step hypergraphons."""
-    L = _shared(U, W)
+    L, read = _shared(U, W)
     width = (1 << U.k) - 1
     if mode == "exact":
-        mU = _refined_member(U, L)
-        mW = _refined_member(W, L)
-        diff = mU != mW
+        diff = _refined_grid(U, L, read) != _refined_grid(W, L, read)
         count = int(diff.sum())
         witness = None
         if count:
-            code = int(np.flatnonzero(diff)[0])
-            witness = {"box": (cell_digits(code, U.k, L) + 1).tolist(), "levels": L}
+            # the least differing cell code keeps every unread digit at 0
+            box = [1] * width
+            first = int(np.flatnonzero(diff.ravel(order="F"))[0])
+            for m, d in zip(read, np.unravel_index(first, diff.shape, order="F")):
+                box[m] += int(d)
+            witness = {"box": box, "levels": L}
         return DistanceReport(
-            value=Fraction(count, L**width),
+            value=Fraction(count, L ** len(read)),
             kind="exact",
             witness=witness,
             budget={"mode": "exact", "levels": L},
         )
     if mode != "montecarlo":
         raise ValueError("mode must be exact or montecarlo")
-    n = 20000 if samples is None else int(samples)
-    if n <= 0:
-        raise ValueError("samples must be positive")
+    n = kernels.mc_count(20000 if samples is None else samples, "samples")
     key = rng.derive(0 if seed is None else seed, rng.TAG_MC)
     # coordinate m of sample s is counter s * width + m; only the masks
     # that U or W reads are hashed, one row each, a block at a time
-    read = sorted(set(U.used_axes()[0]) | set(W.used_axes()[0]))
     row = [[read.index(m) if m in read else 0 for m in range(width)]]
     differ = 0
     for h in kernels.mc_words(n, width, key, read):
@@ -221,17 +224,17 @@ def delta1_upper(
     """min d1 over per-arity level relabelings: an upper bound for the
     relabeling-invariant distance. Exhaustive when (L!)^k fits the budget,
     else hill-climbing over transpositions from seeded restarts."""
-    L = _shared(U, W)
+    L, read = _shared(U, W)
     k = U.k
-    width = (1 << k) - 1
     if budget <= 0:
         raise ValueError("budget must be positive")
-    gridU, gridW = (cell_grid(_refined_member(V, L), k, L) for V in (U, W))
-    arities = [len(mask_bits(m)) for m in range(1, 1 << k)]
-    denom = L**width
+    gridU, gridW = (_refined_grid(V, L, read) for V in (U, W))
+    arities = [len(mask_bits(m + 1)) for m in read]
+    denom = L ** len(read)
 
     def value_of(perms):
-        """|U Δ sigma(W)|: sigma sends level d of mask m to perms[arity(m) - 1][d]."""
+        """|U Δ sigma(W)| over the read axes: sigma sends level d of mask m
+        to perms[arity(m) - 1][d]. An unread axis scales every value by L."""
         return int((gridU[np.ix_(*(perms[a - 1] for a in arities))] != gridW).sum())
 
     total_space = factorial(L) ** k

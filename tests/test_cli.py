@@ -67,6 +67,18 @@ def test_density_from_piped_builtin(files, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+def test_exact_step_density_of_k8_in_the_builtins_exits_0(files, capsys):
+    # K8^(3) over the used axes; the full-grid contraction refused both (exit 2)
+    path = f"{files['dir']}/k8.json"
+    with open(path, "w") as fh:
+        json.dump(Hypergraph.complete(3, 8).to_obj(), fh)
+    for kind, want in (("example1", "1/72057594037927936"), ("example2", "1/268435456")):
+        assert main(["builtin-w", "--kind", kind, "--k", "3", "--out", f"{files['dir']}/{kind}.json"]) == 0
+        capsys.readouterr()
+        assert main(["density", "--F", path, "--W", f"{files['dir']}/{kind}.json"]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
 def test_density_montecarlo_prints_estimate(files, capsys):
     rc = main(
         ["density", "--F", files["edge"], "--W", files_w(files), "--mode", "montecarlo",

@@ -7,19 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from measure_oracle import grid_integral_density
+from measure_oracle import _levels_of, contains, grid_integral_density, projected_value
 
 from hyperlim.hypergraph import Hypergraph
 from hyperlim.hyperpartition import CombinatorialStructure, structure_density
 from hyperlim.hypergraphon import (
     GeneralHypergraphon,
     StepHypergraphon,
-    _levels_of,
     builtin_w,
-    contains,
     density,
     density_via_projection,
-    projected_value,
     step_from_structure,
     structure_of,
 )
@@ -188,8 +185,9 @@ def test_general_hypergraphon_rejects_asymmetric_predicate():
 
     with pytest.raises(ValueError, match="not invariant"):
         GeneralHypergraphon(2, asym)
-    for points in (0, -1):  # checks nothing
-        GeneralHypergraphon(2, asym, check_points=points)
+    GeneralHypergraphon(2, asym, check_points=0)  # checks nothing
+    with pytest.raises(ValueError, match="check_points must be nonnegative"):
+        GeneralHypergraphon(2, asym, check_points=-1)
 
 
 def test_induced_density_step():

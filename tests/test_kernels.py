@@ -322,8 +322,11 @@ def test_hom_over_cap_takes_the_loop(monkeypatch):
     monkeypatch.setattr(kernels, "induced_count", lambda *a: calls.append(a) or loop(*a))
     assert (hom(F, H), hom(F, H, "injective")) == fast
     assert calls
+    # all_cells reads no axis; this l = 3 structure reads all three
+    C = CombinatorialStructure(2, 3, [(1, 2, 3), (3, 3, 1)], symmetrize=True)
+    assert C.used_axes()[0] == (0, 1, 2)
     with pytest.raises(ValueError, match="too large"):
-        structure_density(F, CombinatorialStructure.all_cells(2, 3))
+        structure_density(F, C)
 
 
 def test_hom_fallback_logs_once_per_count_at_debug_only(monkeypatch, caplog):
@@ -863,6 +866,37 @@ def test_d1_montecarlo_matches_scalar_oracle(k, lu, lw, seed, samples, block):
     assert rep.value == scalar_d1_estimate(U, W, samples, seed)
 
 
+def test_every_monte_carlo_count_is_checked_alike():
+    # one check for the sample counts of density, d1 and counting_experiment
+    # and for check_points: bools and non-integers are refused, naming them
+    from hyperlim.experiments import counting_experiment
+
+    W, G = builtin_w("example1", 2), GeneralHypergraphon(2, lambda p: True)
+    edge = Hypergraph(2, 2, [(0, 1)])
+    callers = {
+        "samples": [
+            lambda n: density(edge, W, mode="montecarlo", samples=n, seed=1),
+            lambda n: density(edge, G, mode="montecarlo", samples=n, seed=1),
+            lambda n: d1(W, W, mode="montecarlo", samples=n, seed=1),
+            lambda n: counting_experiment(W, edge, [4], trials=1, mc_samples=n),
+        ],
+        "check_points": [lambda n: GeneralHypergraphon(2, lambda p: True, check_points=n)],
+    }
+    least = {"samples": "positive", "check_points": "nonnegative"}
+    for name, calls in callers.items():
+        for call in calls:
+            for bad in (2.5, 3.0, True, False, "4", Fraction(4)):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                    call(bad)
+            with pytest.raises(ValueError, match=f"^{name} must be {least[name]}$"):
+                call(-1)
+            call(np.int64(3))
+    with pytest.raises(ValueError, match="^samples must be positive$"):
+        d1(W, W, mode="montecarlo", samples=0, seed=1)
+    assert d1(W, W, mode="montecarlo", seed=1).budget["samples"] == 20000
+    assert kernels.mc_count(np.int64(0), "check_points", least=0) == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-3, 40), st.integers(1, 9), st.integers(0, 2**64 - 1), st.integers(1, 7), st.data())
 def test_mc_words_are_the_strided_counters_block_by_block(samples, nsim, key, block, data):
@@ -965,6 +999,11 @@ _ASYMMETRIC = (lambda p: p[1] < 0.5, lambda p: p[1] + p[max(p)] < 0.8)
 @example(3, _ASYMMETRIC[1], 64, 0, 5)
 def test_invariance_check_reads_the_scalar_points_in_order(k, predicate, points, seed, block):
     f, calls = recording(predicate)
+    if points < 0:
+        with pytest.raises(ValueError, match="check_points must be nonnegative"):
+            GeneralHypergraphon(k, f, check_points=points, seed=seed)
+        assert calls == []
+        return
     outcomes = []
     for check in (
         lambda: GeneralHypergraphon(k, f, check_points=points, seed=seed),

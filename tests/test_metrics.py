@@ -23,7 +23,7 @@ from hyperlim.hyperpartition import (
 from hyperlim.hypergraphon import StepHypergraphon, builtin_w, step_from_structure, structure_of
 from hyperlim.metrics import (
     _REFINE_CAP,
-    _refined_member,
+    _refined_grid,
     closeness,
     d1,
     delta1_upper,
@@ -90,9 +90,10 @@ def test_refined_member_matches_code_oracle(k, l):
     for L in range(l, _REFINE_CAP, l):
         if L**width > _REFINE_CAP:
             with pytest.raises(ValueError, match="too large"):
-                _refined_member(C, L)
+                _refined_grid(C, L, range(width))
             break
-        assert np.array_equal(_refined_member(C, L), coded_refined_member(C, L))
+        grid = _refined_grid(C, L, range(width))
+        assert np.array_equal(grid.ravel(order="F"), coded_refined_member(C, L))
 
 
 def test_d1_frozen_examples():
@@ -334,7 +335,7 @@ def test_delta1_upper_exhaustive_matches_box_oracle(k, lU, lW):
     for t in range(3):
         U = rand_step(k, lU, 900 + 10 * t + lU)
         W = rand_step(k, lW, 950 + 10 * t + lW)
-        memU = _refined_member(structure_of(U), L) != 0
+        memU = coded_refined_member(structure_of(U), L) != 0
         rowsW = refined_rows(structure_of(W), L)
         best = None
         for combo in product(permutations(range(L)), repeat=k):
