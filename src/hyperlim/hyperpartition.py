@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels, rng
+from . import combinatorics, kernels, rng
 from .combinatorics import (
     _cell_member_count,
     _check_rows,
@@ -118,15 +118,8 @@ class Hyperpartition:
 
     def equitability_deficit(self) -> Fraction:
         """Largest normalized class-size gap over all arities."""
-        worst = Fraction(0)
-        for r in range(1, self.k + 1):
-            total = comb(self.n, r)
-            if total == 0:
-                continue
-            sizes = self.class_sizes(r)
-            gap = Fraction(int(sizes.max() - sizes.min()), total)
-            worst = max(worst, gap)
-        return worst
+        totals = [(r, comb(self.n, r)) for r in range(1, self.k + 1)]
+        return max((Fraction(int(np.ptp(self.class_sizes(r))), t) for r, t in totals if t), default=Fraction(0))
 
     @classmethod
     def uniform_random(cls, n, k, l, seed):
@@ -182,11 +175,7 @@ def cell_coordinate(hp: Hyperpartition, tup) -> tuple:
     """
     t = tuple(tup)
     _vertex_subset(t, (hp.k,), hp.n, hp.k)
-    out = []
-    for m in range(1, 1 << hp.k):
-        sub = tuple(sorted(t[b] for b in mask_bits(m)))
-        out.append(hp.label(sub))
-    return tuple(out)
+    return tuple(hp.label([t[b] for b in mask_bits(m)]) for m in range(1, 1 << hp.k))
 
 
 def member_size(k, l) -> int:
@@ -524,46 +513,94 @@ def _distribution_density(F, structure, dist, induced):
 # cylinder regularity
 
 
-def _cylinder_arrays(n: int, r: int, family, seed):
-    """Normalize a cylinder family to tuples of bool arrays over C(n, r-1)."""
+def _cylinder_count(samples) -> int:
+    """samples as an int, or a ValueError unless it is an integer >= 1."""
+    if not isinstance(samples, numbers.Integral):
+        raise ValueError(f"cylinder_samples must be an integer, got {samples!r}")
+    if samples < 1:
+        raise ValueError("need at least one sampled cylinder")
+    return int(samples)
+
+
+def _sampled_cylinders(n: int, r: int, keys, samples: int) -> np.ndarray:
+    """(len(keys), samples, r, C(n, r-1)) bools: part i of cylinder c under
+    key K holds the (r-1)-subsets hashed under rng.derive(K, c * r + i) to
+    a word with its top bit set, hashed CELL_BLOCK words at a time."""
     base = comb(n, r - 1)
-    if isinstance(family, int):
-        if family < 1:
-            raise ValueError("need at least one sampled cylinder")
+    part_keys = rng.np_mix64_keys(keys, samples * r).ravel()
+    parts = np.empty((len(part_keys), base), dtype=bool)
+    step = max(1, combinatorics.CELL_BLOCK // max(base, 1))
+    for a in range(0, len(part_keys), step):
+        np.greater_equal(rng.np_mix64_keys(part_keys[a : a + step], base), 1 << 63, out=parts[a : a + step])
+    return parts.reshape(len(keys), samples, r, base)
+
+
+def _cylinder_arrays(n: int, r: int, family, seed):
+    """A cylinder family as bools (cylinders, r, C(n, r-1)): a count
+    samples that many under seed, anything else lists the parts."""
+    base = comb(n, r - 1)
+    if isinstance(family, numbers.Integral):
+        samples = _cylinder_count(family)
         if seed is None:
             raise ValueError("sampled cylinders need a seed")
-        fams = []
-        for c in range(family):
-            parts = []
-            for i in range(r):
-                key = rng.derive(seed, rng.TAG_CYLINDER, c * r + i)
-                h = rng.np_mix64_range(key, 0, base)
-                parts.append((h >> np.uint64(63)) != 0)
-            fams.append(tuple(parts))
-        return fams
+        return _sampled_cylinders(n, r, [rng.derive(seed, rng.TAG_CYLINDER)], samples)[0]
     fams = []
     for c, tup in enumerate(family):
         tup = tuple(tup)
         if len(tup) != r:
             raise ValueError(f"each cylinder needs {r} parts")
-        parts = []
+        parts = np.zeros((r, base), dtype=bool)
         for i, part in enumerate(tup):
             if isinstance(part, Hypergraph):
                 if part.k != r - 1 or part.n != n:
                     raise ValueError("cylinder part has the wrong arity or ground set")
-                arr = part.member_array() != 0
+                parts[i] = part.member_array() != 0
             else:
                 try:
                     rows = [_vertex_subset(s, (r - 1,), n, r - 1) for s in part]
                 except ValueError as e:
                     raise ValueError(f"cylinder {c} part {i}: {e}") from None
-                arr = np.zeros(base, dtype=bool)
-                arr[colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), n)] = True
-            parts.append(arr)
-        fams.append(tuple(parts))
+                parts[i, colex_rank_rows(np.array(rows, dtype=np.int64).reshape(-1, r - 1), n)] = True
+        fams.append(parts)
     if not fams:
         raise ValueError("cylinder family must be nonempty")
-    return fams
+    return np.stack(fams)
+
+
+def _cylinder_deficit(labels, parts, eps, n: int, r: int) -> Fraction:
+    """Worst density deviation of a label class inside its large cylinders.
+
+    labels gives each r-subset of range(n), in colex order, a class in 1..L
+    or 0 for none; parts[q, c] holds the r parts of cylinder c of class
+    q + 1. Blocks of CELL_BLOCK // (L * C) subsets gather every (part,
+    face) pair of every cylinder at once, OR one AND per ordering of the
+    faces and count the subsets in each cylinder, and those of its class.
+    """
+    L, C = parts.shape[:2]
+    Q, total = L * C, len(labels)
+    by_face = np.ascontiguousarray(np.moveaxis(parts.reshape(Q, r, -1), 0, -1))  # [part, face, cylinder]
+    # face j of a sorted subset drops the j-th smallest element: its colex
+    # rank is its counter at mask full ^ (1 << j), less the arity offset
+    full, low = (1 << r) - 1, arity_offsets(n, r)[r - 2]
+    faces = [subset_counters(n, r)[(full ^ (1 << j)) - 1] for j in range(r)]
+    sizes, inter = np.zeros(Q, dtype=np.int64), np.zeros((L, C), dtype=np.int64)
+    block = max(1, combinatorics.CELL_BLOCK // Q)
+    for a in range(0, total, block):
+        b = min(a + block, total)
+        hit = [[np.take(part, face[a:b] - low, axis=0) for face in faces] for part in by_face]
+        inside = np.zeros((b - a, Q), dtype=bool)
+        for tau in permutations(range(r)):
+            inside |= np.logical_and.reduce([hit[i][j] for j, i in enumerate(tau)])
+        sizes += np.count_nonzero(inside, axis=0)
+        own = labels[a:b, None, None] == np.arange(1, L + 1)[:, None]  # [subset, class, 1]
+        inter += np.count_nonzero(inside.reshape(b - a, L, C) & own, axis=0)
+    # a cylinder of s subsets, i of them in its class of d, deviates by |d * s - i * total|
+    # / (total * s), int64 below 2**48 (total <= ROW_CAP); floats pick the worst's candidates
+    dev = np.abs(np.repeat(np.bincount(labels, minlength=L + 1)[1:], C) * sizes - inter.ravel() * total)
+    large = np.flatnonzero(sizes >= max(1, -(-eps.numerator * total // eps.denominator)))
+    score = dev[large] / sizes[large]
+    near = large[score > score.max(initial=0) * (1 - 2.0**-40)]  # none when every score is 0
+    return max((Fraction(int(dev[q]), total * int(sizes[q])) for q in near), default=Fraction(0))
 
 
 def regularity_deficit(G: Hypergraph, cylinders, eps, seed=None) -> Fraction:
@@ -574,51 +611,19 @@ def regularity_deficit(G: Hypergraph, cylinders, eps, seed=None) -> Fraction:
     cylinders holding at least eps * C(n, r) subsets count; arity-1 graphs
     have only trivial cylinders and report zero.
     """
-    r = G.k
-    n = G.n
-    eps = Fraction(eps)
-    if r == 1:
+    r, n = G.k, G.n
+    if not 2 <= r <= n:  # arity 1, or no r-subsets
         return Fraction(0)
-    total = comb(n, r)
-    if total == 0:
-        return Fraction(0)
-    fams = _cylinder_arrays(n, r, cylinders, seed)
-    # face j of a sorted subset drops the j-th smallest element: its colex
-    # rank is its counter at mask full ^ (1 << j), less the arity offset
-    full = (1 << r) - 1
-    low = arity_offsets(n, r)[r - 2]
-    faces = [subset_counters(n, r)[(full ^ (1 << j)) - 1] - low for j in range(r)]
-    g_mask = G.member_array() != 0
-    g_dens = Fraction(G.edge_count, total)
-    worst = Fraction(0)
-    for parts in fams:
-        # hit[i][j]: face j of each subset lies in part i, gathered once
-        hit = [[part[face] for face in faces] for part in parts]
-        in_l = np.zeros(total, dtype=bool)
-        for tau in permutations(range(r)):
-            in_l |= np.logical_and.reduce([hit[i][j] for j, i in enumerate(tau)])
-        size = int(in_l.sum())
-        if Fraction(size, total) < eps or size == 0:
-            continue
-        inter = int((g_mask & in_l).sum())
-        dev = abs(g_dens - Fraction(inter, size))
-        worst = max(worst, dev)
-    return worst
+    return _cylinder_deficit(G.member_array(), _cylinder_arrays(n, r, cylinders, seed)[None], Fraction(eps), n, r)
 
 
-def partition_delta(hp: Hyperpartition, cylinder_samples, eps_cut, seed) -> Fraction:
+def partition_delta(hp: Hyperpartition, cylinder_samples: int, eps_cut, seed) -> Fraction:
     """The worse of hp's equitability deficit and the regularity deficit of
-    every label class of arity >= 2; class (r, j) samples its cylinders
-    under rng.derive(seed, TAG_CYLINDER, r, j)."""
+    every label class of arity >= 2, one _cylinder_deficit pass per arity;
+    class (r, j) samples its cylinders under derive(seed, TAG_CYLINDER, r, j)."""
     delta = hp.equitability_deficit()
-    for r in range(2, hp.k + 1):
-        for j in range(1, hp.l + 1):
-            d = regularity_deficit(
-                hp.class_hypergraph(r, j),
-                cylinder_samples,
-                eps_cut,
-                seed=rng.derive(seed, rng.TAG_CYLINDER, r, j),
-            )
-            if d > delta:
-                delta = d
+    for r in range(2, min(hp.k, hp.n) + 1):  # no r-subsets past n
+        keys = [rng.derive(seed, rng.TAG_CYLINDER, r, j, rng.TAG_CYLINDER) for j in range(1, hp.l + 1)]
+        parts = _sampled_cylinders(hp.n, r, keys, _cylinder_count(cylinder_samples))
+        delta = max(delta, _cylinder_deficit(hp.labels[r], parts, Fraction(eps_cut), hp.n, r))
     return delta

@@ -299,5 +299,5 @@ def closeness(
     """
     if H.k != C.k or hp.k != C.k or hp.n != H.n or hp.l != C.l:
         raise ValueError("hypergraph, structure and hyperpartition shapes must match")
-    eps = hamming_density(H, cells_union(hp, C))
-    return eps, partition_delta(hp, cylinder_samples, eps_cut, seed)
+    delta = partition_delta(hp, cylinder_samples, eps_cut, seed)  # refuses a bad count before cells_union
+    return hamming_density(H, cells_union(hp, C)), delta

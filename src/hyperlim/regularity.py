@@ -30,6 +30,7 @@ from .hypergraph import Hypergraph
 from .hyperpartition import (
     CombinatorialStructure,
     Hyperpartition,
+    _cylinder_count,
     cells_union,
     member_size,
     partition_delta,
@@ -64,16 +65,15 @@ class DecompositionReport:
 
 def _majority_structure(codes, edge, k, l):
     """Per-orbit majority vote: include an orbit iff over half of the k-sets
-    landing in it are edges (ties excluded). Optimal for fixed labels."""
-    # an orbit is named by the least code among its cells' permutations
-    orbit_w = cell_weights(k, l)[mask_perms(k)].T
-    uniq, inv = np.unique(codes, return_inverse=True)
-    canon = (cell_digits(uniq, k, l) @ orbit_w).min(axis=1)[inv]
-    uniq, inv = np.unique(canon, return_inverse=True)
-    sizes = np.bincount(inv)
-    edges_in = np.bincount(inv, weights=edge).astype(np.int64)
-    member = np.zeros(member_size(k, l), dtype=np.uint8)
-    member[cell_digits(uniq[2 * edges_in > sizes], k, l) @ orbit_w] = 1
+    landing in it are edges (ties excluded). Optimal for fixed labels. The
+    orbit row of a present cell lists each orbit cell |stabilizer| times,
+    which scales both sides of the vote alike."""
+    cells = member_size(k, l)
+    sizes = np.bincount(codes, minlength=cells)
+    edges = np.bincount(codes[edge != 0], minlength=cells)
+    rows = cell_digits(np.flatnonzero(sizes), k, l) @ cell_weights(k, l)[mask_perms(k)].T
+    member = np.zeros(cells, dtype=np.uint8)
+    member[rows[2 * edges[rows].sum(axis=1) > sizes[rows].sum(axis=1)]] = 1
     return CombinatorialStructure.from_member(k, l, member)
 
 
@@ -283,6 +283,8 @@ def refine(
         raise ValueError("need n >= k")
     if structure is not None and (structure.k != H.k or structure.l != l):
         raise ValueError("pinned structure must match k and l")
+    if H.k >= 2:  # partition_delta reads cylinders only at arity 2 and up
+        _cylinder_count(cylinder_samples)
     if exhaustive:
         if structure is not None:
             raise ValueError("exhaustive mode searches structures itself")
@@ -302,10 +304,7 @@ def refine(
             _log.debug("refine restart %d at iteration %d, best eps %s", ridx, it, best_eps)
             start = Hyperpartition.uniform_random(n, k, l, rng.derive(seed, rng.TAG_INIT, ridx))
             state.set_labels(start.flat_labels())
-        if structure is not None:
-            current = structure
-        else:
-            current = _majority_structure(state.codes, state.edge, k, l)
+        current = _majority_structure(state.codes, state.edge, k, l) if structure is None else structure
         state.set_structure(current)
         accepted = state.sweep(lam.numerator, lam.denominator)
         eps_cnt = state.eps_count()
@@ -324,11 +323,8 @@ def refine(
             break
     eps_cnt, labels, structure = best
     hp = Hyperpartition._from_flat(n, k, l, labels)
-    eps = Fraction(eps_cnt, comb(n, k))
     delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
-    return DecompositionReport(
-        hp=hp, structure=structure, eps=eps, delta=delta, seed=seed, trace=trace
-    )
+    return DecompositionReport(hp, structure, Fraction(eps_cnt, comb(n, k)), delta, seed, trace)
 
 
 def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
@@ -355,11 +351,7 @@ def _refine_exhaustive(H, l, cylinder_samples, seed, eps_cut):
     structure = CombinatorialStructure(2, l, [(1, 1, 1)] if full else [], symmetrize=True)
     hp = Hyperpartition(n, 2, l, {1: np.ones(n, dtype=np.int64), 2: pair_labels})
     eps = Fraction(miss, pairs)
-    check = cells_union(hp, structure)
-    if Fraction(len(check.edges ^ H.edges), pairs) != eps:
+    if Fraction(len(cells_union(hp, structure).edges ^ H.edges), pairs) != eps:
         raise RuntimeError(f"exhaustive fit: eps {eps} is not the edit density of its cell union to H")
-    delta = partition_delta(hp, cylinder_samples, eps_cut, seed)
     trace = [{"mode": "exhaustive", "labelings": l**n, "structures": 1 << n_orb}]
-    return DecompositionReport(
-        hp=hp, structure=structure, eps=eps, delta=delta, seed=seed, trace=trace
-    )
+    return DecompositionReport(hp, structure, eps, partition_delta(hp, cylinder_samples, eps_cut, seed), seed, trace)

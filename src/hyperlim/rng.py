@@ -70,8 +70,8 @@ def level_start(i: int, l: int) -> int:
 
 def np_mix64(key: int, ctrs: np.ndarray) -> np.ndarray:
     """Vectorized mix64; ctrs is any integer array, result uint64. The
-    reference of np_mix64_range and np_mix64_strided, by which the package
-    hashes its counters."""
+    reference of np_mix64_range, np_mix64_strided and np_mix64_keys, by
+    which the package hashes its counters."""
     out = np.empty(np.shape(ctrs), dtype=np.uint64)
     # key + (c + 1) * G, with the + 1 folded into the constant; the unsafe
     # cast wraps signed counters like astype(uint64)
@@ -152,20 +152,23 @@ def _premix64_range(key, lo, hi, out, scratch):
 def np_mix64_strided(key: int, starts, step: int, m: int, out=None, scratch=None) -> np.ndarray:
     """np_mix64(key, c + step * arange(m)) for each start c, one row each:
     a (len(starts), m) uint64 array hashing counters strided by step.
+    out and scratch are as in np_mix64_range, of shape (len(starts), m)."""
+    firsts = [(key + (int(c) + 1) * _GOLDEN) & MASK64 for c in starts]
+    return _mix64_rows(np.array(firsts, dtype=np.uint64), step, m, out, scratch)
 
-    The words before the rounds are key + (c + 1) * G + i * (step * G), so
-    one table of i * (step * G), built once per call, serves every row.
-    out and scratch are as in np_mix64_range, of shape (len(starts), m).
-    """
-    starts = [int(c) for c in starts]
-    if out is None:
-        out = np.empty((len(starts), m), dtype=np.uint64)
-    if scratch is None:
-        scratch = np.empty_like(out)
-    table = np.arange(m, dtype=np.uint64)
-    table *= np.uint64(step * _GOLDEN & MASK64)
-    for row, c in zip(out, starts):
-        np.add(table, np.uint64((key + (c + 1) * _GOLDEN) & MASK64), out=row)
+
+def np_mix64_keys(keys, m: int) -> np.ndarray:
+    """np_mix64(key, arange(m)) for each key, one row each: a (len(keys), m)
+    uint64 array whose row i holds rng.derive(keys[i], c) at column c."""
+    return _mix64_rows(np.array(keys, dtype=np.uint64) + np.uint64(_GOLDEN), 1, m)
+
+
+def _mix64_rows(firsts, step, m, out=None, scratch=None):
+    """Hashes whose words before the rounds are firsts[row] + i * (step * G)
+    for i < m: one table of i * (step * G) is added to every first word."""
+    out = np.empty((len(firsts), m), dtype=np.uint64) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
+    np.add(np.arange(m, dtype=np.uint64) * np.uint64(step * _GOLDEN & MASK64), firsts[:, None], out=out)
     return _finish(_rounds(out, scratch), scratch)
 
 

@@ -463,6 +463,17 @@ def test_regularize_and_closeness_roundtrip(files, capsys, tmp_path):
     assert out.startswith("eps=") and rep["eps"] == out.split()[0].split("=")[1]
 
 
+def test_regularize_refuses_no_cylinders_before_the_search(tmp_path, capsys, monkeypatch):
+    from hyperlim import regularity
+
+    hpath = str(tmp_path / "h.json")
+    with open(hpath, "w") as fh:
+        json.dump(Hypergraph.random(2, 30, Fraction(1, 2), seed=1).to_obj(), fh)
+    monkeypatch.setattr(regularity, "_SearchState", None)  # a search would exit 1
+    assert main(["regularize", "--H", hpath, "--l", "2", "--cylinder-samples", "0", "--seed", "1"]) == 2
+    assert "need at least one sampled cylinder" in capsys.readouterr().err
+
+
 def test_experiment_artifacts_thread_independent(files, tmp_path, capsys):
     cpath = str(tmp_path / "c.json")
     with open(cpath, "w") as fh:

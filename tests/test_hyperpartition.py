@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cylinder_oracle import loop_partition_delta, loop_regularity_deficit
 from measure_oracle import tv_distance
 from orbit_oracle import cell_orbit
 from test_combinatorics import scalar_cell_code
 
+from hyperlim import combinatorics
 from hyperlim.combinatorics import arity_offsets, colex_rank, mask_bits, subset_counters
 from hyperlim.hypergraph import Hypergraph, densities
 from hyperlim.hyperpartition import (
@@ -23,6 +25,7 @@ from hyperlim.hyperpartition import (
     cell_coordinate,
     cells_union,
     empirical_level_maps,
+    partition_delta,
     regularity_deficit,
     structure_density,
 )
@@ -391,6 +394,77 @@ def test_explicit_cylinder_parts_are_checked():
     assert regularity_deficit(G, [([(0,), (2,), (3,)], [(1,), (4,)])], 0) == Fraction(2, 15)
     family = [([(0, 1), (2, 3), (1, 5), (4, 5)], [(1, 2), (4, 6), (0, 6), (3, 5)], [[5, 3], [6, 2], (0, 4), (1, 3)])]
     assert regularity_deficit(G3, family, Fraction(1, 100)) == Fraction(18, 35)
+
+
+EPS_CUTS = [Fraction(0), Fraction(1, 10), Fraction(1)]
+# 1 and 5 split every pass into many blocks, whatever the cylinder count
+BLOCKS = [1, 5, 64, combinatorics.CELL_BLOCK]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partition_delta_matches_per_class_loop(data):
+    k = data.draw(st.integers(2, 4))
+    top = {2: 12, 3: 8, 4: 7}[k]
+    n = top - data.draw(st.integers(0, top))  # n < k included, but drawn from the top
+    l = data.draw(st.integers(1, 5))
+    # labels above `used` leave their classes empty
+    used = data.draw(st.integers(1, l))
+    rs = random.Random(data.draw(st.integers(0, 2**32)))
+    flat = np.array([rs.randint(1, used) for _ in range(arity_offsets(n, k)[k])], dtype=np.int64)
+    hp = Hyperpartition._from_flat(n, k, l, flat)
+    samples = data.draw(st.integers(1, 70))
+    eps = data.draw(st.sampled_from(EPS_CUTS))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    want = loop_partition_delta(hp, samples, eps, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combinatorics, "CELL_BLOCK", data.draw(st.sampled_from(BLOCKS)))
+        assert partition_delta(hp, samples, eps, seed) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_regularity_deficit_matches_per_cylinder_loop(data):
+    r = data.draw(st.integers(2, 4))
+    top = {2: 14, 3: 10, 4: 8}[r]
+    n = top - data.draw(st.integers(0, top))
+    G = Hypergraph.random(r, n, Fraction(data.draw(st.integers(0, 4)), 4), seed=data.draw(st.integers(0, 99)))
+    eps = data.draw(st.sampled_from(EPS_CUTS))
+    if data.draw(st.booleans()):
+        family, seed = data.draw(st.integers(1, 70)), data.draw(st.integers(0, 2**64 - 1))
+    else:
+        faces = list(itertools.combinations(range(n), r - 1))
+        part = st.lists(st.sampled_from(faces), max_size=len(faces)) if faces else st.just([])
+        family = data.draw(st.lists(st.tuples(*[part] * r), min_size=1, max_size=6))
+        seed = None
+    want = loop_regularity_deficit(G, family, eps, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combinatorics, "CELL_BLOCK", data.draw(st.sampled_from(BLOCKS)))
+        assert regularity_deficit(G, family, eps, seed) == want
+
+
+@pytest.mark.parametrize("n, k, l", [(60, 2, 3), (20, 3, 2)])
+def test_partition_delta_spans_several_cell_blocks(n, k, l):
+    # the refine benchmark's shapes: l * C * C(n, k) cells, more than one block
+    hp = Hyperpartition.uniform_random(n, k, l, seed=4)
+    assert l * 32 * comb(n, k) > combinatorics.CELL_BLOCK
+    for eps in EPS_CUTS:
+        assert partition_delta(hp, 32, eps, 9) == loop_partition_delta(hp, 32, eps, 9)
+
+
+def test_cylinder_counts_are_checked():
+    G = Hypergraph.random(2, 6, Fraction(1, 2), seed=1)
+    hp = Hyperpartition.uniform_random(6, 2, 2, seed=1)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="need at least one sampled cylinder"):
+            regularity_deficit(G, bad, 0, seed=1)
+        with pytest.raises(ValueError, match="need at least one sampled cylinder"):
+            partition_delta(hp, bad, 0, 1)
+    with pytest.raises(ValueError, match="sampled cylinders need a seed"):
+        regularity_deficit(G, 3, 0)
+    # a numpy integer is a count, as a Python int is
+    assert regularity_deficit(G, np.int64(5), 0, seed=3) == regularity_deficit(G, 5, 0, seed=3)
+    assert partition_delta(hp, np.int64(5), 0, 3) == partition_delta(hp, 5, 0, 3)
 
 
 def test_hyperpartition_roundtrip():

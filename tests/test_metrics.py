@@ -451,6 +451,21 @@ def test_closeness_eps_is_hamming_to_cells_union():
     assert eps2 == Fraction(1, 66)
 
 
+def test_closeness_refuses_a_bad_cylinder_count_up_front(monkeypatch):
+    hp = Hyperpartition.round_robin(9, 2, 2)
+    C = CombinatorialStructure.all_cells(2, 2)
+    H = Hypergraph.random(2, 9, Fraction(1, 2), seed=1)
+    monkeypatch.setattr(metrics, "cells_union", None)  # reached only past the check
+    cases = [(0, "need at least one sampled cylinder"), (-1, "need at least one"), (2.5, "must be an integer, got 2.5")]
+    for bad, text in cases:
+        with pytest.raises(ValueError, match=text):
+            closeness(H, C, hp, cylinder_samples=bad)
+    monkeypatch.undo()
+    # arity 1 reads no cylinder, so any count passes there
+    H1, hp1 = Hypergraph.random(1, 9, Fraction(1, 2), seed=1), Hyperpartition.round_robin(9, 1, 2)
+    assert closeness(H1, CombinatorialStructure.all_cells(1, 2), hp1, cylinder_samples=0)[1] == hp1.equitability_deficit()
+
+
 def test_closeness_delta_is_the_refine_delta():
     # refine and closeness score a partition with the same partition_delta
     for k, l, n, s in [(2, 3, 14, 4), (3, 2, 8, 5)]:

@@ -168,6 +168,21 @@ def test_argument_validation():
         refine(Hypergraph(3, 2), 2, seed=0)  # fewer vertices than arity
 
 
+def test_cylinder_count_is_refused_before_the_search(monkeypatch):
+    H = Hypergraph.random(2, 30, Fraction(1, 2), seed=0)
+    monkeypatch.setattr(regularity, "_SearchState", None)  # a search would raise TypeError
+    for exhaustive in (False, True):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="need at least one sampled cylinder"):
+                refine(H, 2, iterations=1, cylinder_samples=bad, exhaustive=exhaustive)
+        with pytest.raises(ValueError, match="cylinder_samples must be an integer, got 2.5"):
+            refine(H, 2, iterations=1, cylinder_samples=2.5, exhaustive=exhaustive)
+    monkeypatch.undo()
+    # arity 1 reads no cylinder, so any count passes there
+    rep = refine(Hypergraph.random(1, 10, Fraction(1, 2), seed=1), 2, iterations=1, cylinder_samples=0)
+    assert rep.delta == rep.hp.equitability_deficit()
+
+
 def test_more_report_goldens():
     # pinned with the Fraction sweep that the integer sweep replaced
     assort = CombinatorialStructure(2, 3, {(a, a, c) for a in (1, 2, 3) for c in (1, 2, 3)})

@@ -142,6 +142,19 @@ def test_strided_form_matches_counter_array(key, starts, step, m):
         assert np.array_equal(rng.np_mix64_strided(key, [lo], 1, m)[0], rng.np_mix64_range(key, lo, lo + m))
 
 
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=5), st.one_of(st.integers(0, 1), st.integers(0, 300)))
+def test_keys_form_matches_counter_array_row_by_row(keys, m):
+    got = rng.np_mix64_keys(keys, m)
+    assert got.dtype == np.uint64 and got.shape == (len(keys), m)
+    for key, row in zip(keys, got):
+        assert np.array_equal(row, rng.np_mix64(key, np.arange(m, dtype=np.uint64)))
+        if m:
+            assert int(row[-1]) == rng.derive(key, m - 1)
+    # a uint64 array of keys reads as the list does
+    assert np.array_equal(rng.np_mix64_keys(np.array(keys, dtype=np.uint64), m), got)
+
+
 def test_range_form_spans_slices_of_one_shared_table():
     step = rng._STEP_CAP
     assert not rng._steps(step).flags.writeable
@@ -267,6 +280,31 @@ def test_package_hashes_counter_ranges_only():
             found[path.name] = hits
     assert found == {}
     assert np_mix64_calls(ast.parse("rng.np_mix64(k, c)\nnp_mix64(k, c)\nrng.np_mix64_range(k, 0, 1)")) == [1, 2]
+
+
+def range_calls_in_loops(tree):
+    """Lines of a module that call np_mix64_range inside a for or while
+    loop or a comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return sorted(
+        {
+            node.lineno
+            for loop in ast.walk(tree)
+            if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "np_mix64_range"
+        }
+    )
+
+
+def test_hyperpartition_hashes_no_range_per_part():
+    # the cylinder parts of every class of an arity are hashed together by
+    # np_mix64_keys, never one range call per part, class or cylinder
+    path = Path(rng.__file__).parent / "hyperpartition.py"
+    assert range_calls_in_loops(ast.parse(path.read_text(), str(path))) == []
+    probe = "for c in cs:\n    rng.np_mix64_range(k, 0, 9)\n[np_mix64_range(k, 0, m) for m in ms]\nrng.np_mix64_range(k, 0, 1)"
+    assert range_calls_in_loops(ast.parse(probe)) == [2, 3]
 
 
 RNG_INTERNALS = {"_GOLDEN", "_MIX1", "_MIX2", "_rounds", "_finish", "_steps"}
